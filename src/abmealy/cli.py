@@ -43,10 +43,8 @@ from .exactalg import (
     parse_matrix,
     serialize_matrix,
 )
-from .group import build_principal, check_abelian, gamma_of
+from .group import DEFAULT_BOUND, build_principal, check_abelian, gamma_of
 from .mealy import parse_automaton
-
-DEFAULT_BOUND = 100000
 
 
 def _read(path: str) -> str:

@@ -308,7 +308,9 @@ class AbelianReport:
             AbelianVerdict.ABELIAN_FREE_CANDIDATE,
             AbelianVerdict.BOOLEAN_CANDIDATE,
         )
-        assert (self.gamma is not None) == expects_gamma
+        if (self.gamma is not None) != expects_gamma:
+            need = "needs" if expects_gamma else "takes no"
+            raise ValueError(f"a report with verdict {self.verdict} {need} gamma")
 
 
 def gamma_of(aut: MealyAutomaton) -> GroupElement:
@@ -382,6 +384,8 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
 
 # -- principal machine ---------------------------------------------------------
 
+# Cached: infer_matrix locates one machine against many candidate matrices.
+@lru_cache(maxsize=32)
 def _require_abelian_free(aut: MealyAutomaton, bound: int) -> AbelianReport:
     report = check_abelian(aut, bound)
     if report.verdict is not AbelianVerdict.ABELIAN_FREE_CANDIDATE:
@@ -393,22 +397,6 @@ def _require_abelian_free(aut: MealyAutomaton, bound: int) -> AbelianReport:
             "need AbelianFreeCandidate"
         )
     return report
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 def _principal_nodes(aut: MealyAutomaton, bound: int):
@@ -461,39 +449,47 @@ def _principal_nodes(aut: MealyAutomaton, bound: int):
     return delta_label, gens, nodes
 
 
-def _principal_classes(gens, nodes, bound: int):
-    """Deduplicate closure nodes by identity_test on pairwise differences."""
-    keys = sorted(nodes)
-    uf = _UnionFind(keys)
-    memo: dict[tuple, bool] = {}
-    for i, a in enumerate(keys):
-        _, odd_a, _, _ = nodes[a]
-        for b in keys[i + 1:]:
-            if uf.find(a) == uf.find(b):
-                continue
-            _, odd_b, _, _ = nodes[b]
-            if odd_a != odd_b:
-                continue
-            diff = dict(a)
-            for s, c in b:
-                diff[s] = diff.get(s, 0) - c
-                if diff[s] == 0:
-                    del diff[s]
-            dk = _key(diff)
-            if dk in memo:
-                same = memo[dk]
-            else:
-                res = _identity_test_coeffs(gens, diff, bound)
-                if res.verdict is Verdict.UNKNOWN:
-                    raise BoundExceededError(
-                        f"bound {bound} exceeded while deduplicating principal states"
-                    )
-                same = res.verdict is Verdict.IS_IDENTITY
-                memo[dk] = same
-                memo[_key({s: -c for s, c in diff.items()})] = same
-            if same:
-                uf.union(a, b)
-    return uf
+def _principal_classes(aut: MealyAutomaton, bound: int):
+    """Classes of the principal closure's nodes that are equal as functions.
+
+    The nodes form a finite Mealy machine whose output is fixed by parity, so
+    two nodes are equal as functions exactly when Moore refinement keeps them
+    together: start from the partition by parity and split by (block, block of
+    the 0-child, block of the 1-child) until no block splits.  Each class is
+    labelled by the least compact print of a member without delta (of any
+    member when all have delta); classes are visited in order of their
+    greatest member key, and a label already taken gets `_` suffixes.
+
+    Returns (nodes, label of every node key, label -> least key of the
+    members the label is drawn from).
+    """
+    delta_label, _gens, nodes = _principal_nodes(aut, bound)
+    block = {k: odd for k, (_, odd, _, _) in nodes.items()}
+    count = len(set(block.values()))
+    while True:
+        ids: dict[tuple, int] = {}
+        # the right-hand side reads the previous round's blocks
+        block = {
+            k: ids.setdefault((block[k], block[k0], block[k1]), len(ids))
+            for k, (_, _, k0, k1) in nodes.items()
+        }
+        if len(ids) == count:
+            break
+        count = len(ids)
+
+    members: dict[int, list[tuple]] = {}
+    for k in sorted(nodes):
+        members.setdefault(block[k], []).append(k)
+    label_of: dict[tuple, str] = {}
+    reps: dict[str, tuple] = {}
+    for ms in sorted(members.values(), key=lambda ms: ms[-1]):
+        pool = [m for m in ms if all(s != delta_label for s, _ in m)] or ms
+        lbl = min(format_combination(dict(m), compact=True) for m in pool)
+        while lbl in reps:
+            lbl += "_"
+        reps[lbl] = pool[0]
+        label_of.update(dict.fromkeys(ms, lbl))
+    return nodes, label_of, reps
 
 
 def build_principal(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> MealyAutomaton:
@@ -501,43 +497,17 @@ def build_principal(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> MealyAut
 
     Closes {gamma} under residuation, adjoins a fresh generator delta with
     d0(delta) = I and d1(delta) = gamma, adjoins negations of everything,
-    closes again, and merges states that are equal as functions.  Labels are
-    the compact prints of class representatives (`f1-f0`, `I`, ...).
+    closes again, and merges states that are equal as functions.  The classes
+    come from Moore refinement of that closure, which always finishes, so the
+    closure size is the only bound.  Labels are the compact prints of class
+    representatives (`f1-f0`, `I`, ...).
     """
-    delta_label, gens, nodes = _principal_nodes(aut, bound)
-    uf = _principal_classes(gens, nodes, bound)
-
-    classes: dict[tuple, list[tuple]] = {}
-    for k in nodes:
-        classes.setdefault(uf.find(k), []).append(k)
-
-    def label_of(members: list[tuple]) -> str:
-        plain = [m for m in members if all(s != delta_label for s, _ in m)]
-        if plain:
-            return min(format_combination(dict(m), compact=True) for m in plain)
-        # a class made only of +/-delta, not equal to any plain combination
-        return min(format_combination(dict(m), compact=True) for m in members)
-
-    labels: dict[tuple, str] = {}
-    taken = set()
-    for root in sorted(classes):
-        lbl = label_of(classes[root])
-        while lbl in taken:
-            lbl += "_"
-        taken.add(lbl)
-        labels[root] = lbl
-
+    nodes, label_of, reps = _principal_classes(aut, bound)
     transitions = {}
-    for root, members in classes.items():
-        coeffs, odd, k0, k1 = nodes[members[0]]
-        src = labels[root]
-        t0, t1 = labels[uf.find(k0)], labels[uf.find(k1)]
-        if odd:
-            transitions[(src, 0)] = (t0, 1)
-            transitions[(src, 1)] = (t1, 0)
-        else:
-            transitions[(src, 0)] = (t0, 0)
-            transitions[(src, 1)] = (t1, 1)
+    for src, rep in reps.items():
+        _, odd, k0, k1 = nodes[rep]
+        transitions[(src, 0)] = (label_of[k0], int(odd))
+        transitions[(src, 1)] = (label_of[k1], int(not odd))
     return MealyAutomaton(transitions, name=f"principal_{aut.name}")
 
 
@@ -550,27 +520,5 @@ def principal_class_elements(
     appears under its own label with a coefficient on the fresh symbol.
     Mostly useful for testing the closure's group structure.
     """
-    delta_label, gens, nodes = _principal_nodes(aut, bound)
-    uf = _principal_classes(gens, nodes, bound)
-    classes: dict[tuple, list[tuple]] = {}
-    for k in nodes:
-        classes.setdefault(uf.find(k), []).append(k)
-
-    out = {}
-    taken = set()
-    for root in sorted(classes):
-        members = classes[root]
-        plain = [m for m in members if all(s != delta_label for s, _ in m)]
-        pool = plain or members
-        lbl = min(format_combination(dict(m), compact=True) for m in pool)
-        while lbl in taken:
-            lbl += "_"
-        taken.add(lbl)
-        out[lbl] = dict(min(pool))
-    return out
-
-
-def _principal_gens(aut: MealyAutomaton, bound: int = DEFAULT_BOUND):
-    """Generator table including the fresh delta symbol (internal/testing)."""
-    delta_label, gens, _nodes = _principal_nodes(aut, bound)
-    return delta_label, gens
+    _, _, reps = _principal_classes(aut, bound)
+    return {lbl: dict(rep) for lbl, rep in reps.items()}

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from abmealy import analysis, group
 from abmealy.analysis import (
     InferResult,
     SccDecomposition,
@@ -276,6 +277,23 @@ def test_infer_matrix_principal(principal_figure, mat_a):
     assert result is not None
     assert result.chi == CHI_A
     assert result.location.e == (1, 1)
+
+
+def test_infer_matrix_classifies_the_machine_once(a32, monkeypatch):
+    calls = {"check_abelian": 0, "locate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(group, "check_abelian", counted("check_abelian", group.check_abelian))
+    monkeypatch.setattr(analysis, "locate", counted("locate", analysis.locate))
+    group._require_abelian_free.cache_clear()
+    assert infer_matrix(a32, max_dim=2) is not None
+    assert calls["locate"] > 1
+    assert calls["check_abelian"] == 1
 
 
 def test_infer_matrix_exhaustion(a32):

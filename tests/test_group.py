@@ -6,28 +6,43 @@ residuation fold, and the fold must agree with it word for word.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from abmealy import (
+    AbelianReport,
     AbelianVerdict,
     BoundExceededError,
+    CompleteConfig,
     GroupElement,
     NoOddStateError,
     NotAbelianError,
     Parity,
+    RationalPolynomial,
     UnknownStateError,
     Verdict,
     build_principal,
     check_abelian,
+    companion_from_chi,
     element_parity,
     format_combination,
     gamma_of,
     identity_test,
+    orbit_automaton,
     principal_class_elements,
     residuate_element,
+    unit_vector,
 )
-from abmealy.group import _expand_terms, _fold_terms, _gen_table
+from abmealy.group import (
+    DEFAULT_BOUND,
+    _expand_terms,
+    _fold_terms,
+    _gen_table,
+    _identity_test_coeffs,
+    _principal_classes,
+    _principal_nodes,
+)
 
 from conftest import union_machine
 
@@ -249,6 +264,20 @@ def test_check_abelian_union_copies_share_gamma():
     assert small.verdict is AbelianVerdict.UNKNOWN
 
 
+def test_abelian_report_rejects_wrong_gamma(a32):
+    gamma = gamma_of(a32)
+    with pytest.raises(ValueError):
+        AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE)
+    with pytest.raises(ValueError):
+        AbelianReport(AbelianVerdict.BOOLEAN_CANDIDATE)
+    for verdict in (AbelianVerdict.NOT_ABELIAN, AbelianVerdict.UNKNOWN,
+                    AbelianVerdict.TRIVIAL_GROUP):
+        with pytest.raises(ValueError):
+            AbelianReport(verdict, gamma=gamma)
+    assert AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE, gamma=gamma).gamma == gamma
+    assert AbelianReport(AbelianVerdict.UNKNOWN).gamma is None
+
+
 def test_gamma_of(a32, identity_machine, lamplighter):
     assert str(gamma_of(a32)) == "f1 - f0"
     assert str(gamma_of(lamplighter)) == "alpha - beta"
@@ -280,7 +309,7 @@ def test_build_principal_matches_figure(a32, principal_figure):
 
 def test_principal_classes_closed_under_negation(a32):
     reps = principal_class_elements(a32)
-    assert set(reps) == {"I", "f-f0", "f-f1", "f0-f", "f0-f1", "f1-f", "f1-f0"}
+    assert list(reps) == ["I", "f0-f", "f1-f", "f-f0", "f-f1", "f1-f0", "f0-f1"]
     elems = {lbl: GroupElement.of(a32, c) for lbl, c in reps.items()}
     for label, rep in elems.items():
         matches = [
@@ -312,3 +341,59 @@ def test_build_principal_requires_abelian_free(flip, lamplighter, identity_machi
 def test_build_principal_bound(a32):
     with pytest.raises(BoundExceededError):
         build_principal(a32, bound=3)
+
+
+# -- principal deduplication against pairwise identity tests --------------------
+
+
+def pairwise_partition(aut):
+    """Oracle: merge every same-parity pair of principal closure nodes whose
+    difference identity_test proves to be the identity."""
+    _, gens, nodes = _principal_nodes(aut, DEFAULT_BOUND)
+    keys = sorted(nodes)
+    cls = {k: {k} for k in keys}
+    memo = {}
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            if cls[a] is cls[b] or nodes[a][1] != nodes[b][1]:
+                continue
+            diff = dict(a)
+            for s, c in b:
+                diff[s] = diff.get(s, 0) - c
+            diff = {s: c for s, c in diff.items() if c}
+            dk = tuple(sorted(diff.items()))
+            if dk not in memo:
+                res = _identity_test_coeffs(gens, diff, DEFAULT_BOUND)
+                assert res.verdict is not Verdict.UNKNOWN
+                memo[dk] = res.verdict is Verdict.IS_IDENTITY
+            if memo[dk]:
+                merged = cls[a] | cls[b]
+                for k in merged:
+                    cls[k] = merged
+    return {frozenset(c) for c in cls.values()}
+
+
+def refined_partition(aut):
+    _, label_of, _ = _principal_classes(aut, DEFAULT_BOUND)
+    classes = {}
+    for k, lbl in label_of.items():
+        classes.setdefault(lbl, set()).add(k)
+    return {frozenset(c) for c in classes.values()}
+
+
+def unit_orbit_machine(g):
+    """Orbit of e1 in c(A, e1), A the companion matrix of x^m + g(x)/2."""
+    chi = RationalPolynomial([Fraction(c, 2) for c in g] + [Fraction(1)])
+    e1 = unit_vector(len(g))
+    return orbit_automaton(CompleteConfig(companion_from_chi(chi), e1), [e1])
+
+
+@pytest.mark.parametrize("g", [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1)])
+def test_refinement_matches_pairwise_identity_tests_on_orbits(g):
+    m = unit_orbit_machine(g)
+    assert refined_partition(m) == pairwise_partition(m)
+
+
+def test_refinement_matches_pairwise_identity_tests(a32, principal_figure):
+    for m in (a32, principal_figure, union_machine()):
+        assert refined_partition(m) == pairwise_partition(m)
