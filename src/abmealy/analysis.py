@@ -20,9 +20,8 @@ from itertools import product
 from .complete import (
     CompleteConfig,
     LocationMap,
+    _walk,
     locate,
-    orbit,
-    residual_vector,
     unit_vector,
     verify_location,
 )
@@ -77,11 +76,12 @@ def scc_decompose(graph: dict) -> SccDecomposition:
             if t not in succ:
                 raise ValueError(f"successor {t!r} is not a node of the graph")
 
+    # index[node] is the node's visit number until its component is closed,
+    # then `done`, which is above every visit number and so lowers no low-link.
+    done = len(succ)
     index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
+    low: list[int] = []
     stack: list = []
-    counter = 0
     raw_components: list[tuple] = []
 
     for root in succ:
@@ -91,36 +91,32 @@ def scc_decompose(graph: dict) -> SccDecomposition:
         while work:
             node, pi = work.pop()
             if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
+                index[node] = len(low)
+                low.append(len(low))
                 stack.append(node)
-                on_stack.add(node)
-            recurse = False
+            k = index[node]
             targets = succ[node]
             for i in range(pi, len(targets)):
-                t = targets[i]
-                if t not in index:
+                j = index.get(targets[i])
+                if j is None:
                     work.append((node, i + 1))
-                    work.append((t, 0))
-                    recurse = True
+                    work.append((targets[i], 0))
                     break
-                if t in on_stack:
-                    low[node] = min(low[node], index[t])
-            if recurse:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                raw_components.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
+                low[k] = min(low[k], j)
+            else:  # every successor is visited, so node is finished
+                if low[k] == k:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == node:
+                            break
+                    raw_components.append(tuple(sorted(comp)))
+                if work:
+                    parent = index[work[-1][0]]
+                    low[parent] = min(low[parent], low[k])
+    del index, low  # free the bookkeeping before the maps below are built
     components = tuple(sorted(raw_components, key=lambda c: c[0]))
     component_of = {}
     for i, comp in enumerate(components):
@@ -246,11 +242,11 @@ def check_scc_instance(A: HalfIntegralMatrix, *, witness_degree: int = 12,
     star = chi_star(chi)
     e1 = unit_vector(A.dim)
     config = CompleteConfig(A, e1)
-    neg = tuple(-c for c in e1)
-    states = set(orbit(config, e1, bound)) | set(orbit(config, neg, bound))
-    graph = {
-        v: tuple(residual_vector(config, v, b)[0] for b in (0, 1)) for v in states
-    }
+    graph = {}
+    for start in (e1, tuple(-c for c in e1)):
+        if start not in graph:  # else its orbit is already in the graph
+            for v, steps in _walk(config, [start], bound):
+                graph[v] = (steps[0][0], steps[1][0])
     dec = scc_decompose(graph)
     zero = (0,) * A.dim
     nontrivial = tuple(
@@ -260,7 +256,7 @@ def check_scc_instance(A: HalfIntegralMatrix, *, witness_degree: int = 12,
     return SccInstanceReport(
         chi=chi,
         chi_star=star,
-        states=tuple(sorted(states)),
+        states=tuple(sorted(graph)),
         decomposition=dec,
         nontrivial_components=nontrivial,
         single_nontrivial=len(nontrivial) == 1,

@@ -31,6 +31,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
+from operator import add, mul, sub
 
 from .errors import (
     BoundExceededError,
@@ -44,7 +45,6 @@ from .exactalg import (
     IntPolynomial,
     RationalMatrix,
     _as_int_poly,
-    _doubled_int_rows,
     _inverse_int_rows,
     char_poly,
     chi_star,
@@ -89,7 +89,7 @@ def unit_vector(m: int) -> tuple[int, ...]:
 
 
 def _coerce_vector(v, m: int) -> tuple[int, ...]:
-    out = tuple(int(c) for c in v)
+    out = tuple(map(int, v))
     if len(out) != m:
         raise MatrixError(f"vector {format_vector(out)} has length {len(out)}, need {m}")
     return out
@@ -97,14 +97,6 @@ def _coerce_vector(v, m: int) -> tuple[int, ...]:
 
 def _apply_int(rows, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 # -- complete automaton ----------------------------------------------------------
@@ -117,10 +109,13 @@ class CompleteConfig:
     A: HalfIntegralMatrix
     e: tuple[int, ...]
     non_contracting: bool = field(default=False, compare=False)
+    _rows2: tuple = field(init=False, compare=False, repr=False)  # integer rows of 2A
 
     def __post_init__(self):
         if not isinstance(self.A, HalfIntegralMatrix):
             object.__setattr__(self, "A", HalfIntegralMatrix(self.A))
+        rows2 = tuple(tuple(int(2 * x) for x in row) for row in self.A.rows)
+        object.__setattr__(self, "_rows2", rows2)
         object.__setattr__(self, "e", _coerce_vector(self.e, self.A.dim))
         if self.e[0] % 2 == 0:
             raise MatrixError(
@@ -138,54 +133,74 @@ class CompleteConfig:
         return self.A.dim
 
 
-def residual_vector(config: CompleteConfig, v, bit: int) -> tuple[tuple[int, ...], int]:
-    """One step of c(A, e) from v on the given input bit: (next vector, output)."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    v = _coerce_vector(v, config.dim)
+def _step(config: CompleteConfig, v: tuple[int, ...], bit: int) -> tuple[tuple[int, ...], int]:
+    """Unchecked step of c(A, e): v must be a tuple of config.dim ints, bit 0 or 1."""
     if v[0] % 2 == 0:
         w, out = v, bit
-    elif bit == 0:
-        w, out = _vsub(v, config.e), 1
+    elif bit:
+        w, out = tuple(map(add, v, config.e)), 0
     else:
-        w, out = _vadd(v, config.e), 0
-    doubled = _apply_int(_doubled_int_rows(config.A), w)
-    assert all(c % 2 == 0 for c in doubled)
-    return tuple(c // 2 for c in doubled), out
+        w, out = tuple(map(sub, v, config.e)), 1
+    # w has an even first coordinate, and 2A is even outside its first column
+    # (A is integral there), so every component of 2A w is even: // 2 is exact.
+    return tuple([sum(map(mul, row, w)) // 2 for row in config._rows2]), out
+
+
+def residual_vector(config: CompleteConfig, v, bit: int) -> tuple[tuple[int, ...], int]:
+    """One step of c(A, e) from v on the given input bit: (next vector, output).
+
+    Validates its input: the bit must be 0 or 1 and v must have config.dim
+    integer components.  The next vector A (v -+ e) is integral because the
+    translation makes the first coordinate even, and A is integral outside
+    its half-integral first column.
+    """
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    return _step(config, _coerce_vector(v, config.dim), bit)
 
 
 def transduce_vector(config: CompleteConfig, v, word: str) -> str:
     """Output word of c(A, e) run from v on a binary input word."""
     v = _coerce_vector(v, config.dim)
+    bad = next((ch for ch in word if ch not in "01"), None)
+    if bad is not None:
+        raise FormatError(f"word must be over 0/1, got {bad!r}")
     out = []
     for ch in word:
-        if ch not in "01":
-            raise FormatError(f"word must be over 0/1, got {ch!r}")
-        v, b = residual_vector(config, v, int(ch))
-        out.append(str(b))
+        v, b = _step(config, v, int(ch))
+        out.append("1" if b else "0")
     return "".join(out)
+
+
+def _walk(config: CompleteConfig, starts, bound: int):
+    """Breadth-first walk of c(A, e) from checked start vectors.
+
+    Yields each reached vector once, in discovery order, with its two steps
+    ((w0, out0), (w1, out1)); every w is the one tuple kept for its vector.
+    """
+    first = {s: s for s in starts}
+    queue = deque(first)
+    while queue:
+        v = queue.popleft()
+        steps = []
+        for bit in (0, 1):
+            w, out = _step(config, v, bit)
+            if w not in first:
+                if len(first) >= bound:
+                    raise BoundExceededError(
+                        f"orbit exceeded {bound} vectors; raise the bound or "
+                        "check that the matrix is contracting"
+                    )
+                first[w] = w
+                queue.append(w)
+            steps.append((first[w], out))
+        yield v, steps
 
 
 def orbit(config: CompleteConfig, start, bound: int = DEFAULT_BOUND) -> list[tuple[int, ...]]:
     """All vectors reachable from start, in breadth-first discovery order."""
     start = _coerce_vector(start, config.dim)
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for bit in (0, 1):
-            w, _ = residual_vector(config, v, bit)
-            if w not in seen:
-                if len(seen) >= bound:
-                    raise BoundExceededError(
-                        f"orbit exceeded {bound} vectors; raise the bound or "
-                        "check that the matrix is contracting"
-                    )
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    return order
+    return [v for v, _ in _walk(config, [start], bound)]
 
 
 def orbit_automaton(config: CompleteConfig, starts, name: str | None = None,
@@ -197,23 +212,13 @@ def orbit_automaton(config: CompleteConfig, starts, name: str | None = None,
     starts = [_coerce_vector(s, config.dim) for s in starts]
     if not starts:
         raise MatrixError("need at least one start vector")
-    reached: dict[tuple[int, ...], str] = {}
-    queue = deque()
-    for s in starts:
-        if s not in reached:
-            reached[s] = vector_label(s)
-            queue.append(s)
+    label = {s: vector_label(s) for s in starts}
     transitions = {}
-    while queue:
-        v = queue.popleft()
-        for bit in (0, 1):
-            w, out = residual_vector(config, v, bit)
-            if w not in reached:
-                if len(reached) >= bound:
-                    raise BoundExceededError(f"orbit exceeded {bound} vectors")
-                reached[w] = vector_label(w)
-                queue.append(w)
-            transitions[(reached[v], bit)] = (reached[w], out)
+    for v, steps in _walk(config, starts, bound):
+        for bit, (w, out) in enumerate(steps):
+            if w not in label:
+                label[w] = vector_label(w)
+            transitions[(label[v], bit)] = (label[w], out)
     if name is None:
         name = f"orbit_{vector_label(starts[0])}"
     return MealyAutomaton(transitions, name=name)
@@ -233,7 +238,7 @@ def poly_action(p, v, A: HalfIntegralMatrix) -> tuple[int, ...]:
     for c in reversed(p.coeffs):
         acc = _apply_int(inv, acc)
         if c:
-            acc = _vadd(acc, tuple(c * x for x in v))
+            acc = tuple(map(add, acc, (c * x for x in v)))
     return acc
 
 
@@ -271,7 +276,8 @@ def vector_to_poly(v, A: HalfIntegralMatrix,
             "dependent; no polynomial names this vector uniquely"
         )
     sol = basis.solve(v)
-    assert sol is not None
+    if sol is None:
+        raise RuntimeError("nonsingular basis gave no solution")
     if any(x.denominator != 1 for x in sol):
         raise MatrixError(
             f"vector {format_vector(v)} is not an integer polynomial multiple "
@@ -373,9 +379,10 @@ class LocationMap:
                     f"state {s} has parity {aut.state_parity(s)} but vector "
                     f"{format_vector(v)}"
                 )
+            v = _coerce_vector(v, config.dim)
             for bit in (0, 1):
                 t, out = aut.step(s, bit)
-                w, wout = residual_vector(config, v, bit)
+                w, wout = _step(config, v, bit)
                 if wout != out:
                     raise LocateError(
                         f"state {s} on input {bit}: automaton outputs {out}, "
@@ -546,7 +553,8 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
             continue
         rhs = (eye - powers[L]).apply(e1)
         sol = lhs.solve(rhs)
-        assert sol is not None
+        if sol is None:
+            raise RuntimeError("nonsingular cycle equation gave no solution")
         if any(x.denominator != 1 for x in sol) or sol[0].numerator % 2 == 0:
             raise LocateError(
                 f"cycle {word!r} at {anchor} forces translation vector "
@@ -579,7 +587,7 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
             )
         for bit in (0, 1):
             t, out = aut.step(s, bit)
-            w, wout = residual_vector(config, v, bit)
+            w, wout = _step(config, v, bit)
             if wout != out:
                 raise LocateError(
                     f"state {s} on input {bit} outputs {out}, but its vector "
@@ -601,7 +609,7 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
             w = _apply_int(inv, v)
             sig = _sigma(parity[u], bit)
             if sig:
-                w = _vsub(w, tuple(sig * c for c in e))
+                w = tuple(map(sub, w, (sig * c for c in e)))
             assignment[u] = w
             queue.append(u)
     missing = sorted(set(aut.states) - set(assignment))
@@ -698,7 +706,7 @@ def gtilde_eq(a: GTildeElement, b: GTildeElement, A: HalfIntegralMatrix) -> bool
 def gtilde_add(a: GTildeElement, b: GTildeElement,
                A: HalfIntegralMatrix) -> GTildeElement:
     star = chi_star(char_poly(A))
-    v = _vadd(poly_action(b.p, a.v, A), poly_action(a.p, b.v, A))
+    v = tuple(map(add, poly_action(b.p, a.v, A), poly_action(a.p, b.v, A)))
     return GTildeElement(v, reduce_mod(a.p * b.p, star))
 
 

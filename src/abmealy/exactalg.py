@@ -529,11 +529,6 @@ def _inverse_int_rows(A: HalfIntegralMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=256)
-def _doubled_int_rows(A: HalfIntegralMatrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(2 * x) for x in row) for row in A.rows)
-
-
 def char_poly(M) -> RationalPolynomial:
     """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier scheme."""
     if isinstance(M, HalfIntegralMatrix):
@@ -705,7 +700,8 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     for i in range(n):
         rows.append(tuple([0] * i + qc + [0] * (size - m - 1 - i)))
     det = RationalMatrix(rows).det()
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise RuntimeError(f"integer Sylvester matrix has determinant {det}")
     return int(det)
 
 

@@ -54,6 +54,9 @@ def files(tmp_path_factory):
     (d / "short.map").write_text(
         A32_MAP_TEXT.replace("state f1 -> (-2,-2)\n", "")
     )
+    (d / "long.map").write_text(
+        A32_MAP_TEXT.replace("state f0 -> (0,1)", "state f0 -> (0,1,0)")
+    )
     return d
 
 
@@ -323,6 +326,15 @@ def test_verify_rejects_a_map_missing_a_state(capsys, files):
         "--map", str(files / "short.map"))
     assert code == 1
     assert err.startswith("error:") and "f1" in err
+
+
+def test_verify_rejects_a_map_vector_of_the_wrong_length(capsys, files):
+    code, out, err = run(
+        capsys, "verify", str(files / "a32.aut"), str(files / "A.mat"),
+        "--map", str(files / "long.map"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: vector (0,1,0) has length 3, need 2\n"
 
 
 # -- embed -------------------------------------------------------------------------

@@ -108,6 +108,16 @@ def test_config_validation(mat_a):
     assert CompleteConfig(mat_a, (3, 2), non_contracting=True) == cfg
 
 
+def test_configs_from_equal_matrices_are_equal():
+    rows = [[Fraction(-1), Fraction(1)], [Fraction(-1, 2), Fraction(0)]]
+    a, b = HalfIntegralMatrix(rows), HalfIntegralMatrix([list(r) for r in rows])
+    assert a is not b and a == b
+    ca, cb = CompleteConfig(a, (3, 2)), CompleteConfig(b, [3, 2])
+    assert ca == cb and hash(ca) == hash(cb)
+    assert {ca: 1}[cb] == 1
+    assert repr(ca) == f"CompleteConfig(A={a!r}, e=(3, 2), non_contracting=False)"
+
+
 def test_residual_vector_pinned(mat_a):
     c32 = CompleteConfig(mat_a, (3, 2))
     assert residual_vector(c32, (1, 0), 0) == ((0, 1), 1)
@@ -122,13 +132,48 @@ def test_residual_vector_pinned(mat_a):
         residual_vector(c1, (1, 0, 0), 0)
 
 
+def reference_step(config, v, bit):
+    """One step of c(A, e) computed with the Fraction matrix A itself."""
+    if v[0] % 2 == 0:
+        w, out = v, bit
+    else:
+        sign = 1 if bit else -1
+        w, out = tuple(x + sign * c for x, c in zip(v, config.e)), 1 - bit
+    image = config.A.apply(w)
+    assert all(x.denominator == 1 for x in image)
+    return tuple(int(x) for x in image), out
+
+
+def unit_config(g):
+    """c(A, e1) for A the companion matrix of x^m + g(x)/2."""
+    chi = RationalPolynomial([Fraction(c, 2) for c in g] + [Fraction(1)])
+    return CompleteConfig(companion_from_chi(chi), unit_vector(len(g)))
+
+
+# both chi of the corpus orbit classes of 7, 21 and 61 states
+ORBIT_CLASS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, -2, 3, -3), (1, 2, 3, 3)]
+
+
+@pytest.mark.parametrize("g", [None] + ORBIT_CLASS_GS)
+def test_residual_vector_matches_the_fraction_reference(g, mat_a):
+    cfg = CompleteConfig(mat_a, (1, 0)) if g is None else unit_config(g)
+    e1 = unit_vector(cfg.dim)
+    vectors = set(orbit(cfg, e1)) | set(orbit(cfg, tuple(-c for c in e1)))
+    assert len(vectors) > 5
+    for v in vectors:
+        for bit in (0, 1):
+            assert residual_vector(cfg, v, bit) == reference_step(cfg, v, bit)
+
+
 def test_transduce_vector_tracks_located_states(a32, mat_a):
     c32 = CompleteConfig(mat_a, (3, 2))
     for state, v in (("f", (1, 0)), ("f0", (0, 1)), ("f1", (-2, -2))):
         for w in all_words(6):
             assert transduce_vector(c32, v, w) == a32.transduce(state, w)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="got '2'"):
         transduce_vector(c32, (1, 0), "012")
+    with pytest.raises(FormatError, match="got 'a'"):
+        transduce_vector(c32, (1, 0), "0a2")
 
 
 def test_orbit_pinned(mat_a):
@@ -321,6 +366,12 @@ def test_location_map_validate(a32, mat_a):
     )
     with pytest.raises(LocateError, match="moves to"):
         wrong_target.validate(a32, mat_a)
+    wrong_length = LocationMap(
+        p=(3, 2), e=(3, 2),
+        assignment={"f": (1, 0, 0), "f0": (0, 1), "f1": (-2, -2)},
+    )
+    with pytest.raises(MatrixError, match="has length 3, need 2"):
+        wrong_length.validate(a32, mat_a)
 
 
 # -- locate ----------------------------------------------------------------------
