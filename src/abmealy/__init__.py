@@ -5,8 +5,9 @@ The layers, bottom up:
 * `mealy` — machines, the AUT text format, transduction;
 * `group` — formal sums of states, residuation, the abelianness criterion,
   identity testing, principal machines;
-* `exactalg` — exact rational matrices and integer/rational polynomials,
-  contraction and irreducibility tests, the quotient ring arithmetic;
+* `exactalg` — exact rational matrices with one elimination routine, one
+  `Polynomial` type over Q and Z, contraction and irreducibility tests, the
+  quotient ring arithmetic;
 * `complete` — complete automata over integer lattices, locating machines
   inside them, embeddings, and the fraction group;
 * `analysis` — component decompositions, path polynomials, witness search,
@@ -67,6 +68,7 @@ from .errors import (
 from .exactalg import (
     HalfIntegralMatrix,
     IntPolynomial,
+    Polynomial,
     RationalMatrix,
     RationalPolynomial,
     char_poly,
@@ -101,12 +103,7 @@ from .mealy import (
     MealyAutomaton,
     Parity,
     find_isomorphism,
-    is_invertible,
     parse_automaton,
-    serialize_automaton,
-    state_parity,
-    step,
-    transduce,
 )
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ from .complete import (
 from .errors import FormatError, LocateError, MatrixError
 from .exactalg import (
     HalfIntegralMatrix,
-    IntPolynomial,
-    RationalPolynomial,
+    Polynomial,
+    _int_poly,
     char_poly,
     chi_star,
     companion_from_chi,
@@ -145,7 +145,7 @@ def scc_decompose(graph: dict) -> SccDecomposition:
 PATH_ALPHABET = "01n"
 
 
-def path_polynomial(word: str) -> IntPolynomial:
+def path_polynomial(word: str) -> Polynomial:
     """Fold a word over 0/1/n into its path polynomial.
 
     Starting from 1, each letter multiplies by x and then adds 0, +1, or -1
@@ -161,11 +161,10 @@ def path_polynomial(word: str) -> IntPolynomial:
             coeffs[0] += 1
         elif ch == "n":
             coeffs[0] -= 1
-    return IntPolynomial(coeffs)
+    return Polynomial(coeffs)
 
 
-def witness_search(chi_star_poly: IntPolynomial,
-                   max_degree: int = 12) -> IntPolynomial | None:
+def witness_search(chi_star_poly, max_degree: int = 12) -> Polynomial | None:
     """Least monic polynomial with coefficients in {-1,0,1} congruent to -1.
 
     Searches degrees upward; within a degree the choice for the constant
@@ -173,25 +172,24 @@ def witness_search(chi_star_poly: IntPolynomial,
     minimal in the (degree, lexicographic) order.  Returns None when no
     witness of degree <= max_degree exists modulo chi*.
     """
-    if not isinstance(chi_star_poly, IntPolynomial):
-        chi_star_poly = IntPolynomial(chi_star_poly)
+    chi_star_poly = _int_poly(chi_star_poly)
     if chi_star_poly.degree < 1 or not chi_star_poly.is_monic():
         raise MatrixError(f"modulus must be monic of degree >= 1, got {chi_star_poly}")
     m = chi_star_poly.degree
 
-    def residue(p: IntPolynomial) -> tuple[int, ...]:
+    def residue(p: Polynomial) -> tuple[int, ...]:
         r = reduce_mod(p, chi_star_poly)
         return tuple(r.coeffs) + (0,) * (m - len(r.coeffs))
 
-    minus_one = residue(IntPolynomial((-1,)))
-    x_power = [residue(IntPolynomial((0,) * i + (1,))) for i in range(max_degree + 1)]
+    minus_one = residue(Polynomial((-1,)))
+    x_power = [residue(Polynomial((0,) * i + (1,))) for i in range(max_degree + 1)]
 
     for degree in range(0, max_degree + 1):
         # need sum_{i<degree} c_i x^i = -1 - x^degree (mod chi*)
         target = tuple(a - b for a, b in zip(minus_one, x_power[degree]))
         found = _witness_dfs(x_power, target, degree, 0, (0,) * m, [])
         if found is not None:
-            return IntPolynomial(found + [1])
+            return Polynomial(found + [1])
     return None
 
 
@@ -218,13 +216,13 @@ def _witness_dfs(x_power, target, degree, pos, acc, chosen):
 class SccInstanceReport:
     """Outcome of probing c(A, e1) on the orbits of e1 and -e1."""
 
-    chi: RationalPolynomial
-    chi_star: IntPolynomial
+    chi: Polynomial
+    chi_star: Polynomial
     states: tuple[tuple[int, ...], ...]
     decomposition: SccDecomposition
     nontrivial_components: tuple[int, ...]
     single_nontrivial: bool
-    witness: IntPolynomial | None
+    witness: Polynomial | None
     witness_degree: int
 
 
@@ -271,7 +269,7 @@ def check_scc_instance(A: HalfIntegralMatrix, *, witness_degree: int = 12,
 @dataclass(frozen=True)
 class InferResult:
     matrix: HalfIntegralMatrix
-    chi: RationalPolynomial
+    chi: Polynomial
     location: LocationMap
 
 
@@ -306,6 +304,6 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int = 3, coeff_bound: int = 2,
     return None
 
 
-def _chi_from_g(g: tuple[int, ...], m: int) -> RationalPolynomial:
+def _chi_from_g(g: tuple[int, ...], m: int) -> Polynomial:
     """x^m + g(x)/2 for an integer tuple g of length m (constant first)."""
-    return RationalPolynomial([Fraction(c, 2) for c in g] + [Fraction(1)])
+    return Polynomial([Fraction(c, 2) for c in g] + [Fraction(1)])

@@ -36,7 +36,7 @@ from .complete import (
 )
 from .errors import AbmealyError, FormatError
 from .exactalg import (
-    RationalPolynomial,
+    Polynomial,
     char_poly,
     chi_star,
     companion_from_chi,
@@ -63,9 +63,9 @@ def _word(arg: str) -> str:
     return "" if arg == "-" else arg
 
 
-def _parse_rational_list(text: str) -> RationalPolynomial:
+def _parse_rational_list(text: str) -> Polynomial:
     try:
-        return RationalPolynomial(Fraction(t) for t in text.split())
+        return Polynomial(Fraction(t) for t in text.split())
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad polynomial {text!r}: {exc}") from None
 

@@ -42,10 +42,9 @@ from .errors import (
 )
 from .exactalg import (
     HalfIntegralMatrix,
-    IntPolynomial,
+    Polynomial,
     RationalMatrix,
-    _as_int_poly,
-    _inverse_int_rows,
+    _int_poly,
     char_poly,
     chi_star,
     is_contracting,
@@ -229,11 +228,9 @@ def orbit_automaton(config: CompleteConfig, starts, name: str | None = None,
 
 def poly_action(p, v, A: HalfIntegralMatrix) -> tuple[int, ...]:
     """p(A^-1) v for an integer polynomial p: the module action of Z[x]."""
-    p = _as_int_poly(p)
-    if p is NotImplemented:
-        raise TypeError("integer polynomial expected")
+    p = _int_poly(p)
     v = _coerce_vector(v, A.dim)
-    inv = _inverse_int_rows(A)
+    inv = A.inv_rows
     acc = (0,) * A.dim
     for c in reversed(p.coeffs):
         acc = _apply_int(inv, acc)
@@ -248,7 +245,7 @@ def poly_to_vector(p, A: HalfIntegralMatrix) -> tuple[int, ...]:
 
 
 def vector_to_poly(v, A: HalfIntegralMatrix,
-                   assume_irreducible: bool = False) -> IntPolynomial:
+                   assume_irreducible: bool = False) -> Polynomial:
     """Inverse of poly_to_vector: the integer polynomial naming v.
 
     Requires the characteristic polynomial to be irreducible so that the
@@ -263,7 +260,7 @@ def vector_to_poly(v, A: HalfIntegralMatrix,
             "characteristic polynomial is reducible; polynomial coordinates "
             "are not canonical (pass assume_irreducible=True to override)"
         )
-    inv = _inverse_int_rows(A)
+    inv = A.inv_rows
     cols = []
     b = unit_vector(m)
     for _ in range(m):
@@ -278,12 +275,13 @@ def vector_to_poly(v, A: HalfIntegralMatrix,
     sol = basis.solve(v)
     if sol is None:
         raise RuntimeError("nonsingular basis gave no solution")
-    if any(x.denominator != 1 for x in sol):
+    p = Polynomial(sol)
+    if not p.is_integral():
         raise MatrixError(
             f"vector {format_vector(v)} is not an integer polynomial multiple "
             "of e1"
         )
-    return IntPolynomial(int(x) for x in sol)
+    return p
 
 
 # -- location maps -----------------------------------------------------------------
@@ -301,13 +299,12 @@ class LocationMap:
         state f -> (1,0)
     """
 
-    p: IntPolynomial
+    p: Polynomial
     e: tuple[int, ...]
     assignment: dict[str, tuple[int, ...]]
 
     def __post_init__(self):
-        if not isinstance(self.p, IntPolynomial):
-            object.__setattr__(self, "p", IntPolynomial(self.p))
+        object.__setattr__(self, "p", _int_poly(self.p))
         object.__setattr__(self, "e", tuple(int(c) for c in self.e))
         object.__setattr__(
             self,
@@ -403,16 +400,16 @@ def _parse_vector_at(text: str, line: int) -> tuple[int, ...]:
         raise FormatError(str(exc), line=line) from None
 
 
-def parse_int_poly(text: str) -> IntPolynomial:
+def parse_int_poly(text: str) -> Polynomial:
     """Parse '3 + 2x - x^2' or the coefficient list '3 2 -1' (constant first)."""
     toks = text.split()
     if toks and all(_is_int(t) for t in toks):
-        return IntPolynomial(int(t) for t in toks)
+        return Polynomial(int(t) for t in toks)
     s = text.replace(" ", "")
     if not s:
         raise FormatError("empty polynomial")
     if s == "0":
-        return IntPolynomial()
+        return Polynomial()
     coeffs: dict[int, int] = {}
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
@@ -433,7 +430,7 @@ def parse_int_poly(text: str) -> IntPolynomial:
             raise FormatError(f"bad polynomial term {term!r} in {text!r}")
         coeffs[k] = coeffs.get(k, 0) + sign * c
     deg = max(coeffs)
-    return IntPolynomial(coeffs.get(i, 0) for i in range(deg + 1))
+    return Polynomial(coeffs.get(i, 0) for i in range(deg + 1))
 
 
 def _is_int(tok: str) -> bool:
@@ -570,7 +567,7 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
         )
 
     config = CompleteConfig(A, e)
-    inv = _inverse_int_rows(A)
+    inv = A.inv_rows
     assignment = {anchor: e1}
     queue = deque([anchor])
     back = {s: [] for s in aut.states}
@@ -662,7 +659,7 @@ def verify_location(aut: MealyAutomaton, A: HalfIntegralMatrix,
 # -- embeddings between complete automata ---------------------------------------------
 
 
-def embed_scale(p, q, chi_star_poly: IntPolynomial) -> IntPolynomial:
+def embed_scale(p, q, chi_star_poly) -> Polynomial:
     """The scale r with r p = q in Z[x]/chi*, if q's machine swallows p's.
 
     Raises NotDivisibleError when no integral r exists.
@@ -683,12 +680,11 @@ class GTildeElement:
     """A fraction v / p: vector v scaled down by a polynomial with odd constant."""
 
     v: tuple[int, ...]
-    p: IntPolynomial
+    p: Polynomial
 
     def __post_init__(self):
         object.__setattr__(self, "v", tuple(int(c) for c in self.v))
-        if not isinstance(self.p, IntPolynomial):
-            object.__setattr__(self, "p", IntPolynomial(self.p))
+        object.__setattr__(self, "p", _int_poly(self.p))
         if self.p.constant % 2 == 0:
             raise MatrixError(
                 f"denominator polynomial {self.p} must have odd constant term"

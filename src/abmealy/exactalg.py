@@ -1,10 +1,13 @@
 """Exact linear and polynomial algebra over the rationals and integers.
 
-Everything here is exact: rationals are arbitrary-precision Fractions,
-matrices are dense tuples of Fractions, and polynomials are coefficient
-tuples written constant-first with no trailing zeros.  Floating point never
-appears; contraction (all eigenvalues strictly inside the unit disk) is
-decided by the Schur-Cohn recursion in rational arithmetic.
+Everything here is exact: rationals are arbitrary-precision Fractions and
+matrices are dense tuples of Fractions.  One `Polynomial` type serves over
+both Q and Z: its coefficient tuple is written constant-first with no
+trailing zeros, integral coefficients stored as int and the rest as
+Fraction; functions of Z[x] accept exactly the integral ones.  One
+Gauss-Jordan routine does every elimination.  Floating point never appears;
+contraction (all eigenvalues strictly inside the unit disk) is decided by
+the Schur-Cohn recursion in rational arithmetic.
 
 The half-integral matrices of interest have half-integers in their first
 column, integers elsewhere, and determinant +-1/2, so their inverses are
@@ -25,36 +28,13 @@ from .errors import DimensionError, FormatError, MatrixError, UnsupportedError
 HALF = Fraction(1, 2)
 
 
-# -- polynomial helpers over generic exact coefficients ------------------------
-
-def _trim(coeffs) -> tuple:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+# -- polynomials ------------------------------------------------------------------
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
+def _exact(c):
+    """c as an exact number: an int when it is integral, else a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _format_poly(coeffs) -> str:
@@ -78,23 +58,26 @@ def _format_poly(coeffs) -> str:
     return " ".join(parts) if parts else "0"
 
 
-class IntPolynomial:
-    """Integer polynomial, coefficients constant-first, no trailing zeros."""
+class Polynomial:
+    """Rational polynomial, coefficients constant-first, no trailing zeros.
+
+    Integral coefficients are stored as int and the others as Fraction, so
+    equal polynomials have equal `coeffs` tuples and equal hashes.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = _trim(coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
-        object.__setattr__(self, "coeffs", cs)
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, *a):
-        raise AttributeError("IntPolynomial is immutable")
+        raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def of(cls, *coeffs: int) -> "IntPolynomial":
+    def of(cls, *coeffs) -> "Polynomial":
         return cls(coeffs)
 
     @property
@@ -107,42 +90,56 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
+    def is_integral(self) -> bool:
+        return all(type(c) is int for c in self.coeffs)
+
     @property
-    def constant(self) -> int:
+    def constant(self):
         return self.coeffs[0] if self.coeffs else 0
 
     @property
-    def leading(self) -> int:
+    def leading(self):
         return self.coeffs[-1] if self.coeffs else 0
 
     def __add__(self, other):
-        other = _as_int_poly(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return IntPolynomial(_padd(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Polynomial([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return Polynomial([-c for c in self.coeffs])
+
     def __sub__(self, other):
-        other = _as_int_poly(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return IntPolynomial(_padd(self.coeffs, _pneg(other.coeffs)))
+        return self + (-other)
 
     def __rsub__(self, other):
-        other = _as_int_poly(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
-    def __neg__(self):
-        return IntPolynomial(_pneg(self.coeffs))
-
     def __mul__(self, other):
-        other = _as_int_poly(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return IntPolynomial(_pmul(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Polynomial()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
@@ -152,152 +149,98 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def to_rational(self) -> "RationalPolynomial":
-        return RationalPolynomial(Fraction(c) for c in self.coeffs)
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        if not isinstance(other, IntPolynomial):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("IntPolynomial", self.coeffs))
+        return hash(self.coeffs)
 
     def __str__(self):
         return _format_poly(self.coeffs)
 
     def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
+        return f"Polynomial({list(self.coeffs)})"
 
 
-def _as_int_poly(v):
-    if isinstance(v, IntPolynomial):
-        return v
-    if isinstance(v, int):
-        return IntPolynomial((v,))
-    return NotImplemented
-
-
-X = IntPolynomial((0, 1))
-
-
-class RationalPolynomial:
-    """Rational polynomial, coefficients constant-first, no trailing zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(Fraction(c) for c in coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalPolynomial is immutable")
-
-    @classmethod
-    def of(cls, *coeffs) -> "RationalPolynomial":
-        return cls(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @property
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __add__(self, other):
-        other = _as_rat_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalPolynomial(_padd(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_rat_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalPolynomial(_padd(self.coeffs, _pneg(other.coeffs)))
-
-    def __rsub__(self, other):
-        other = _as_rat_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return RationalPolynomial(_pneg(self.coeffs))
-
-    def __mul__(self, other):
-        other = _as_rat_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalPolynomial(_pmul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_int(self) -> IntPolynomial:
-        if not self.is_integral():
-            raise MatrixError(f"polynomial {self} is not integral")
-        return IntPolynomial(int(c) for c in self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalPolynomial((other,))
-        elif isinstance(other, IntPolynomial):
-            other = other.to_rational()
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("RationalPolynomial", self.coeffs))
-
-    def __str__(self):
-        return _format_poly(self.coeffs)
-
-    def __repr__(self):
-        return f"RationalPolynomial({list(self.coeffs)})"
-
-
-def _as_rat_poly(v):
-    if isinstance(v, RationalPolynomial):
+def _as_poly(v):
+    if isinstance(v, Polynomial):
         return v
     if isinstance(v, (int, Fraction)):
-        return RationalPolynomial((v,))
-    if isinstance(v, IntPolynomial):
-        return v.to_rational()
+        return Polynomial((v,))
     return NotImplemented
 
 
-def _coerce_rat_poly(p) -> RationalPolynomial:
-    q = _as_rat_poly(p)
+def _rat_poly(p) -> Polynomial:
+    q = _as_poly(p)
     if q is NotImplemented:
         raise TypeError(f"polynomial expected, got {p!r}")
     return q
 
 
+def _int_poly(p) -> Polynomial:
+    """p as an integral Polynomial: an int is a constant, a tuple or list
+    holds int coefficients, and anything else raises TypeError."""
+    if isinstance(p, (tuple, list)):
+        return IntPolynomial(p)
+    q = _as_poly(p)
+    if q is NotImplemented or not q.is_integral():
+        raise TypeError(f"integer polynomial expected, got {p!r}")
+    return q
+
+
+def IntPolynomial(coeffs=()) -> Polynomial:
+    """Polynomial from int coefficients only; TypeError on any other."""
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if not isinstance(c, int):
+            raise TypeError(f"integer coefficient expected, got {c!r}")
+    return Polynomial(coeffs)
+
+
+IntPolynomial.of = lambda *coeffs: IntPolynomial(coeffs)  # mirrors Polynomial.of
+RationalPolynomial = Polynomial
+X = Polynomial((0, 1))
+
+
 # -- exact matrices -------------------------------------------------------------
+
+def _gauss_jordan(rows, n: int):
+    """Gauss-Jordan elimination of Fraction rows on their first n columns.
+
+    Returns (reduced rows, pivot column of each leading row, determinant of
+    the first n columns); the determinant is 0 when those columns are
+    singular.  This is the one pivot loop behind det, inverse, solve,
+    resultant and the HalfIntegralMatrix check.
+    """
+    m = [list(row) for row in rows]
+    pivots = []
+    det = Fraction(1)
+    for col in range(n):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != top:
+            m[top], m[pivot] = m[pivot], m[top]
+            det = -det
+        # The pivot row is 0 left of col, so only columns from col on change.
+        # Zero entries are skipped: Fraction arithmetic is the whole cost and
+        # companion and Sylvester matrices are sparse.
+        p = m[top][col]
+        det *= p
+        tail = [x / p if x else x for x in m[top][col:]]
+        m[top][col:] = tail
+        for r, row in enumerate(m):
+            f = row[col]
+            if r != top and f:
+                row[col:] = [x - f * y if y else x for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return m, pivots, det
+
 
 class RationalMatrix:
     """Dense square matrix of Fractions."""
@@ -305,7 +248,9 @@ class RationalMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+        )
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionError("matrix must be square and non-empty")
@@ -320,9 +265,8 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        )
+        one, zero = Fraction(1), Fraction(0)
+        return cls(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
     def __add__(self, other):
         self._same_dim(other)
@@ -377,79 +321,38 @@ class RationalMatrix:
         return sum(self.rows[i][i] for i in range(self.dim))
 
     def det(self) -> Fraction:
+        return _gauss_jordan(self.rows, self.dim)[2]
+
+    def _inverse_rows(self):
+        """(det, rows of the inverse) from one elimination on [self | I];
+        the rows mean nothing when det is 0."""
         n = self.dim
-        m = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] == 0:
-                    continue
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-        return det
+        eye = RationalMatrix.identity(n).rows
+        rows, _, det = _gauss_jordan([a + b for a, b in zip(self.rows, eye)], n)
+        return det, [row[n:] for row in rows]
 
     def inverse(self) -> "RationalMatrix":
-        n = self.dim
-        m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                raise MatrixError("matrix is singular")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return RationalMatrix(tuple(row[n:]) for row in m)
+        det, rows = self._inverse_rows()
+        if det == 0:
+            raise MatrixError("matrix is singular")
+        return RationalMatrix(rows)
 
     def solve(self, vec) -> tuple[Fraction, ...] | None:
         """Unique-or-particular exact solution of self @ x = vec, else None.
 
-        When the system is underdetermined the free variables are set to 0
-        and the candidate is checked; inconsistent systems return None.
+        When the system is underdetermined the free variables are set to 0;
+        inconsistent systems return None.
         """
         n = self.dim
         vec = tuple(Fraction(x) for x in vec)
         if len(vec) != n:
             raise DimensionError("vector length mismatch")
-        m = [list(row) + [vec[i]] for i, row in enumerate(self.rows)]
-        pivots = []
-        row = 0
-        for col in range(n):
-            pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
-            if pivot is None:
-                continue
-            m[row], m[pivot] = m[pivot], m[row]
-            inv = 1 / m[row][col]
-            m[row] = [x * inv for x in m[row]]
-            for r in range(n):
-                if r != row and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-            pivots.append(col)
-            row += 1
-        for r in range(row, n):
-            if m[r][n] != 0:
-                return None
+        rows, pivots, _ = _gauss_jordan([row + (b,) for row, b in zip(self.rows, vec)], n)
+        if any(row[n] != 0 for row in rows[len(pivots):]):
+            return None
         x = [Fraction(0)] * n
-        for r, col in enumerate(pivots):
-            x[col] = m[r][n]
-        if len(pivots) < n:
-            got = self.apply(x)
-            if got != vec:
-                return None
+        for row, col in zip(rows, pivots):
+            x[col] = row[n]
         return tuple(x)
 
     def __eq__(self, other):
@@ -468,9 +371,13 @@ class RationalMatrix:
 
 
 class HalfIntegralMatrix:
-    """Matrix with half-integral first column, integral rest, det = +-1/2."""
+    """Matrix with half-integral first column, integral rest, det = +-1/2.
 
-    __slots__ = ("inner",)
+    Its inverse is integral (it is +-2 adj(A)); `inv_rows` holds its rows
+    as int tuples, computed once with the determinant check.
+    """
+
+    __slots__ = ("inner", "inv_rows")
 
     def __init__(self, inner: RationalMatrix):
         if not isinstance(inner, RationalMatrix):
@@ -483,11 +390,14 @@ class HalfIntegralMatrix:
             for j, x in enumerate(row[1:], start=1):
                 if x.denominator != 1:
                     raise MatrixError(f"entry ({i}, {j}) = {x} must be an integer")
-        if abs(inner.det()) != HALF:
-            raise MatrixError(
-                f"determinant {inner.det()} must have absolute value 1/2"
-            )
+        det, inv = inner._inverse_rows()
+        if abs(det) != HALF:
+            raise MatrixError(f"determinant {det} must have absolute value 1/2")
+        if any(x.denominator != 1 for row in inv for x in row):
+            raise RuntimeError(f"half-integral matrix with determinant {det} has a "
+                               "non-integral inverse")
         object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "inv_rows", tuple(tuple(map(int, row)) for row in inv))
 
     def __setattr__(self, *a):
         raise AttributeError("HalfIntegralMatrix is immutable")
@@ -518,18 +428,7 @@ class HalfIntegralMatrix:
         return f"HalfIntegralMatrix({self.inner!r})"
 
 
-@lru_cache(maxsize=256)
-def _inverse_int_rows(A: HalfIntegralMatrix) -> tuple[tuple[int, ...], ...]:
-    inv = A.inner.inverse()
-    rows = []
-    for row in inv.rows:
-        if any(x.denominator != 1 for x in row):
-            raise MatrixError("inverse is not integral")
-        rows.append(tuple(int(x) for x in row))
-    return tuple(rows)
-
-
-def char_poly(M) -> RationalPolynomial:
+def char_poly(M) -> Polynomial:
     """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier scheme."""
     if isinstance(M, HalfIntegralMatrix):
         M = M.inner
@@ -542,11 +441,11 @@ def char_poly(M) -> RationalPolynomial:
         c = -MB.trace() / k
         coeffs[n - k] = c
         B = MB + RationalMatrix.identity(n).scale(c)
-    return RationalPolynomial(coeffs)
+    return Polynomial(coeffs)
 
 
-def _validate_chi(chi: RationalPolynomial) -> RationalPolynomial:
-    chi = _coerce_rat_poly(chi)
+def _validate_chi(chi: Polynomial) -> Polynomial:
+    chi = _rat_poly(chi)
     if chi.degree < 1:
         raise MatrixError(f"chi must have degree >= 1, got {chi}")
     if not chi.is_monic():
@@ -582,7 +481,7 @@ def is_contracting(chi) -> bool:
     f~ has the reversed coefficients.  |f(0)| >= |lead f| means some root has
     modulus >= 1.  Everything stays rational, so the answer is exact.
     """
-    chi = _coerce_rat_poly(chi)
+    chi = _rat_poly(chi)
     if not chi.is_monic() or chi.degree < 0:
         raise MatrixError(f"chi must be monic, got {chi}")
     f = list(chi.coeffs)
@@ -595,38 +494,34 @@ def is_contracting(chi) -> bool:
     return True
 
 
-def chi_star(chi) -> IntPolynomial:
+def chi_star(chi) -> Polynomial:
     """Reversal x^m chi(1/x) / chi(0): the characteristic polynomial of the
     inverse matrix.  Monic, integral, constant term +-2."""
-    chi = _coerce_rat_poly(chi)
+    chi = _rat_poly(chi)
     if chi.degree < 1:
         raise MatrixError(f"chi must have degree >= 1, got {chi}")
     c0 = chi.constant
     if c0 == 0:
         raise MatrixError("chi has zero constant term; reversal undefined")
-    rev = RationalPolynomial(c / c0 for c in reversed(chi.coeffs))
+    rev = Polynomial(Fraction(c) / c0 for c in reversed(chi.coeffs))
     if not rev.is_integral():
         raise MatrixError(f"reversal of {chi} is not integral")
-    return rev.to_int()
+    return rev
 
 
 # -- arithmetic in Z[x] / modulus ------------------------------------------------
 
-def _check_modulus(modulus: IntPolynomial) -> IntPolynomial:
-    modulus = _as_int_poly(modulus)
-    if modulus is NotImplemented:
-        raise TypeError("integer polynomial modulus expected")
+def _check_modulus(modulus) -> Polynomial:
+    modulus = _int_poly(modulus)
     if modulus.degree < 1 or not modulus.is_monic():
         raise MatrixError(f"modulus must be monic of degree >= 1, got {modulus}")
     return modulus
 
 
-def reduce_mod(p: IntPolynomial, modulus: IntPolynomial) -> IntPolynomial:
+def reduce_mod(p, modulus) -> Polynomial:
     """Remainder of p modulo a monic integer polynomial (division-free)."""
     modulus = _check_modulus(modulus)
-    p = _as_int_poly(p)
-    if p is NotImplemented:
-        raise TypeError("integer polynomial expected")
+    p = _int_poly(p)
     d = modulus.degree
     r = list(p.coeffs)
     for i in range(len(r) - 1, d - 1, -1):
@@ -634,14 +529,14 @@ def reduce_mod(p: IntPolynomial, modulus: IntPolynomial) -> IntPolynomial:
         if c:
             for j, mc in enumerate(modulus.coeffs):
                 r[i - d + j] -= c * mc
-    return IntPolynomial(r[:d])
+    return Polynomial(r[:d])
 
 
-def mul_mod(p: IntPolynomial, q: IntPolynomial, modulus: IntPolynomial) -> IntPolynomial:
-    return reduce_mod(_as_int_poly(p) * _as_int_poly(q), modulus)
+def mul_mod(p, q, modulus) -> Polynomial:
+    return reduce_mod(_int_poly(p) * _int_poly(q), modulus)
 
 
-def _mul_matrix_mod(p: IntPolynomial, modulus: IntPolynomial) -> RationalMatrix:
+def _mul_matrix_mod(p: Polynomial, modulus: Polynomial) -> RationalMatrix:
     """d x d matrix of multiplication by p on the basis 1, x, ..., x^(d-1)."""
     d = modulus.degree
     cols = []
@@ -653,9 +548,7 @@ def _mul_matrix_mod(p: IntPolynomial, modulus: IntPolynomial) -> RationalMatrix:
     return RationalMatrix(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
 
 
-def try_divide_mod(
-    q: IntPolynomial, p: IntPolynomial, modulus: IntPolynomial
-) -> IntPolynomial | None:
+def try_divide_mod(q, p, modulus) -> Polynomial | None:
     """Integer solution r of r*p = q in Z[x]/modulus, or None.
 
     Solves the d x d linear system of multiplication by p exactly over the
@@ -672,18 +565,18 @@ def try_divide_mod(
     M = _mul_matrix_mod(p_red, modulus)
     target = tuple(q_red.coeffs) + (0,) * (d - len(q_red.coeffs))
     sol = M.solve(target)
-    if sol is None or any(x.denominator != 1 for x in sol):
+    if sol is None:
         return None
-    r = IntPolynomial(int(x) for x in sol)
-    if mul_mod(r, p_red, modulus) != q_red:
+    r = Polynomial(sol)
+    if not r.is_integral() or mul_mod(r, p_red, modulus) != q_red:
         return None
     return r
 
 
-def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
+def resultant(p, q) -> int:
     """Resultant of two integer polynomials via the Sylvester determinant."""
-    p = _as_int_poly(p)
-    q = _as_int_poly(q)
+    p = _int_poly(p)
+    q = _int_poly(q)
     if p.is_zero() or q.is_zero():
         return 0
     n, m = p.degree, q.degree
@@ -705,7 +598,7 @@ def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     return int(det)
 
 
-def is_unit_mod(p: IntPolynomial, modulus: IntPolynomial) -> bool:
+def is_unit_mod(p, modulus) -> bool:
     """p is a unit of Z[x]/modulus iff |Res(p, modulus)| = 1."""
     modulus = _check_modulus(modulus)
     p_red = reduce_mod(p, modulus)
@@ -719,7 +612,7 @@ def is_unit_mod(p: IntPolynomial, modulus: IntPolynomial) -> bool:
 MAX_IRREDUCIBILITY_DEGREE = 6
 
 
-def _primitive_int(chi: RationalPolynomial) -> list[int]:
+def _primitive_int(chi: Polynomial) -> list[int]:
     from math import gcd, lcm
 
     denom = lcm(*(c.denominator for c in chi.coeffs))
@@ -744,7 +637,7 @@ def is_irreducible(chi) -> bool:
     constant dividing f(0); candidate survival is decided by exact division.
     Raises UnsupportedError beyond degree 6.
     """
-    chi = _coerce_rat_poly(chi)
+    chi = _rat_poly(chi)
     if chi.degree > MAX_IRREDUCIBILITY_DEGREE:
         raise UnsupportedError(
             f"irreducibility is only decided up to degree {MAX_IRREDUCIBILITY_DEGREE}; "
@@ -763,7 +656,6 @@ def is_irreducible(chi) -> bool:
     if fp1 == 0 or fm1 == 0:
         return False  # root at +-1
     norm2 = isqrt(sum(c * c for c in f))
-    frat = RationalPolynomial(f)
     for k in range(1, deg // 2 + 1):
         bound = (1 << k) * (norm2 + 1)
         span = range(-bound, bound + 1)
@@ -778,14 +670,14 @@ def is_irreducible(chi) -> bool:
                         hm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(h))
                         if hm1 == 0 or fm1 % hm1:
                             continue
-                        if _divides(RationalPolynomial(h), frat):
+                        if _divides(h, f):
                             return False
     return True
 
 
-def _divides(h: RationalPolynomial, f: RationalPolynomial) -> bool:
-    r = list(f.coeffs)
-    hc = h.coeffs
+def _divides(hc, f) -> bool:
+    """Exact divisibility over Q of coefficient lists, constant first."""
+    r = [Fraction(c) for c in f]
     dh = len(hc) - 1
     lead = hc[-1]
     while len(r) - 1 >= dh and any(c != 0 for c in r):
@@ -834,7 +726,7 @@ def parse_matrix(text: str) -> HalfIntegralMatrix:
         if coeffs[-1] != 1:
             raise FormatError("chi must be written monic (last coefficient 1)", line=n0)
         try:
-            return companion_from_chi(RationalPolynomial(coeffs))
+            return companion_from_chi(Polynomial(coeffs))
         except MatrixError as exc:
             raise FormatError(str(exc), line=n0) from None
     if toks[0] != "dim" or len(toks) != 2:

@@ -258,26 +258,6 @@ def parse_automaton(text: str) -> MealyAutomaton:
     return MealyAutomaton.parse(text)
 
 
-def serialize_automaton(aut: MealyAutomaton) -> str:
-    return aut.serialize()
-
-
-def step(aut: MealyAutomaton, state: str, bit: int) -> tuple[str, int]:
-    return aut.step(state, bit)
-
-
-def transduce(aut: MealyAutomaton, state: str, word: str) -> str:
-    return aut.transduce(state, word)
-
-
-def is_invertible(aut: MealyAutomaton) -> bool:
-    return aut.is_invertible()
-
-
-def state_parity(aut: MealyAutomaton, state: str) -> Parity:
-    return aut.state_parity(state)
-
-
 def find_isomorphism(a: MealyAutomaton, b: MealyAutomaton) -> dict[str, str] | None:
     """Transition- and output-preserving bijection between state sets, or None.
 

@@ -48,6 +48,7 @@ from abmealy.exactalg import (
     HALF,
     HalfIntegralMatrix,
     IntPolynomial,
+    RationalMatrix,
     RationalPolynomial,
     chi_star,
     char_poly,
@@ -163,6 +164,15 @@ def test_residual_vector_matches_the_fraction_reference(g, mat_a):
     for v in vectors:
         for bit in (0, 1):
             assert residual_vector(cfg, v, bit) == reference_step(cfg, v, bit)
+
+
+@pytest.mark.parametrize("g", [None] + ORBIT_CLASS_GS)
+def test_inv_rows_is_the_integral_inverse(g, mat_a):
+    A = mat_a if g is None else unit_config(g).A
+    inverse = A.inner.inverse()
+    assert A.inv_rows == tuple(tuple(int(x) for x in row) for row in inverse.rows)
+    assert all(type(x) is int for row in A.inv_rows for x in row)
+    assert A.inner @ RationalMatrix(A.inv_rows) == RationalMatrix.identity(A.dim)
 
 
 def test_transduce_vector_tracks_located_states(a32, mat_a):

@@ -15,11 +15,14 @@ from abmealy.errors import (
     MatrixError,
     UnsupportedError,
 )
+from abmealy.analysis import witness_search
+from abmealy.complete import GTildeElement, LocationMap, embed_scale, poly_action
 from abmealy.exactalg import (
     HALF,
     X,
     HalfIntegralMatrix,
     IntPolynomial,
+    Polynomial,
     RationalMatrix,
     RationalPolynomial,
     char_poly,
@@ -89,14 +92,33 @@ def test_rational_polynomial_basics():
     assert p.degree == 2 and p.is_monic()
     assert p(Fraction(1, 2)) == Fraction(5, 4)
     assert not p.is_integral()
-    with pytest.raises(MatrixError):
-        p.to_int()
+    with pytest.raises(TypeError):
+        IntPolynomial(p.coeffs)
     q = RationalPolynomial.of(2, 3)
-    assert q.is_integral() and q.to_int() == IntPolynomial.of(2, 3)
-    assert IntPolynomial.of(2, 3).to_rational() == q
+    assert q.is_integral() and q == IntPolynomial.of(2, 3)
+    assert IntPolynomial.of(2, 3) == q and IntPolynomial.of(2, 3).is_integral()
     assert RationalPolynomial.of(1, 1) == IntPolynomial.of(1, 1)
     with pytest.raises(AttributeError):
         p.coeffs = ()
+
+
+def test_equal_polynomials_hash_equal():
+    assert RationalPolynomial is Polynomial and type(IntPolynomial.of(1)) is Polynomial
+    groups = [
+        [IntPolynomial((1, 2)), RationalPolynomial((1, 2)),
+         Polynomial((Fraction(1), Fraction(2))), RationalPolynomial.of(1, 2, 0),
+         Polynomial.of(1 / 2) * 2 + X * Fraction(4, 2), (X + HALF) * 2 - X * 0],
+        [IntPolynomial.of(1), Polynomial.of(1 / 2) * 2, Polynomial.of(Fraction(3, 2)) - HALF],
+        [RationalPolynomial.of(HALF, 1), Polynomial.of(1 / 2, 1), (2 * X + 1) * HALF],
+        [IntPolynomial(), Polynomial.of(HALF) - HALF, Polynomial((Fraction(0),))],
+    ]
+    for group in groups:
+        first = group[0]
+        for p in group:
+            assert p == first and hash(p) == hash(first)
+            assert [type(c) for c in p.coeffs] == [type(c) for c in first.coeffs]
+        assert len(set(group)) == 1
+    assert len({p for group in groups for p in group}) == len(groups)
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,6 +217,117 @@ def test_matrix_laws_random():
             assert a @ a.inverse() == RationalMatrix.identity(n)
             v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
             assert a.solve(a.apply(v)) == v
+
+
+# The three separate pivot loops that det, inverse and solve ran before they
+# shared one Gauss-Jordan routine, kept as the oracle for that routine.
+
+
+def oracle_det(rows):
+    n = len(rows)
+    m = [list(row) for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            f = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] -= f * m[col][c]
+    return det
+
+
+def oracle_inverse(rows):
+    n = len(rows)
+    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise MatrixError("matrix is singular")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def oracle_solve(rows, vec):
+    n = len(rows)
+    vec = tuple(Fraction(x) for x in vec)
+    m = [list(row) + [vec[i]] for i, row in enumerate(rows)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(n):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    for r in range(row, n):
+        if m[r][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        x[col] = m[r][n]
+    if len(pivots) < n:
+        if tuple(sum(a * b for a, b in zip(r_, x)) for r_ in rows) != vec:
+            return None
+    return tuple(x)
+
+
+def test_elimination_matches_the_separate_loops():
+    rng = random.Random(2024)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    singular = 0
+    for trial in range(600):
+        n = 1 + trial % 6
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 1:  # rank-deficient: a zero column or a dependent row
+            if n == 1 or rng.random() < 0.3:
+                col = rng.randrange(n)
+                for row in rows:
+                    row[col] = Fraction(0)
+            else:
+                i = rng.randrange(n)
+                j, k = (rng.choice([r for r in range(n) if r != i]) for _ in range(2))
+                a, b = entry(), entry()
+                rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        a = RationalMatrix(rows)
+        assert a.det() == oracle_det(a.rows)
+        try:
+            want = oracle_inverse(a.rows)
+        except MatrixError:
+            singular += 1
+            with pytest.raises(MatrixError, match="singular"):
+                a.inverse()
+        else:
+            assert a.inverse().rows == want
+        x = tuple(entry() for _ in range(n))
+        for vec in (a.apply(x), tuple(entry() for _ in range(n))):
+            assert a.solve(vec) == oracle_solve(a.rows, vec)
+    assert singular >= 200
 
 
 # -- half-integral matrices --------------------------------------------------------
@@ -339,7 +472,7 @@ def test_chi_star_is_char_poly_of_inverse(mat_a):
     for A in (mat_a, companion_from_chi(RationalPolynomial.of(-HALF, 1, 0, 1))):
         chi = char_poly(A)
         inv = A.inner.inverse()
-        assert char_poly(inv) == chi_star(chi).to_rational()
+        assert chi_star(chi).is_integral() and char_poly(inv) == chi_star(chi)
 
 
 # -- modular arithmetic in Z[x]/modulus ----------------------------------------
@@ -445,6 +578,39 @@ def test_is_unit_mod():
     u = IntPolynomial.of(1, 1)
     got = try_divide_mod(IntPolynomial.of(1), u, CHI_STAR_A)
     assert got is not None and mul_mod(got, u, CHI_STAR_A) == IntPolynomial.of(1)
+
+
+# -- integer-only entry points -------------------------------------------------
+
+MAT_A = parse_matrix(MAT_A_TEXT)
+GOOD_P = Polynomial.of(Fraction(3), Fraction(2))  # 3 + 2x, integral
+BAD_P = Polynomial.of(Fraction(1, 2), 1)
+GOOD_MODULUS = Polynomial.of(Fraction(2), Fraction(2), Fraction(1))  # CHI_STAR_A
+BAD_MODULUS = CHI_A
+
+INTEGER_ONLY = {
+    "reduce_mod": (lambda p: reduce_mod(p, CHI_STAR_A), False),
+    "reduce_mod-modulus": (lambda m: reduce_mod(X * X, m), True),
+    "mul_mod": (lambda p: mul_mod(X, p, CHI_STAR_A), False),
+    "mul_mod-modulus": (lambda m: mul_mod(X, X, m), True),
+    "resultant": (lambda p: resultant(p, CHI_STAR_A), False),
+    "is_unit_mod": (lambda p: is_unit_mod(p, CHI_STAR_A), False),
+    "try_divide_mod": (lambda p: try_divide_mod(p, IntPolynomial.of(1, 1), CHI_STAR_A), False),
+    "poly_action": (lambda p: poly_action(p, (1, 0), MAT_A), False),
+    "witness_search": (lambda m: witness_search(m, 4), True),
+    "embed_scale": (lambda p: embed_scale(IntPolynomial.of(1), p, CHI_STAR_A), False),
+    "GTildeElement": (lambda p: GTildeElement((1, 0), p), False),
+    "LocationMap": (lambda p: LocationMap(p=p, e=(3, 2), assignment={}), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ONLY))
+def test_integer_only_functions_reject_non_integral_polynomials(name):
+    call, modulus = INTEGER_ONLY[name]
+    good, bad = (GOOD_MODULUS, BAD_MODULUS) if modulus else (GOOD_P, BAD_P)
+    with pytest.raises(TypeError, match="integer polynomial expected"):
+        call(bad)
+    assert call(good) == call(IntPolynomial(int(c) for c in good.coeffs))
 
 
 # -- irreducibility ---------------------------------------------------------------

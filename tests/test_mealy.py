@@ -13,7 +13,6 @@ from abmealy import (
     UnknownStateError,
     find_isomorphism,
     parse_automaton,
-    serialize_automaton,
 )
 
 from conftest import A32_TEXT
@@ -100,7 +99,7 @@ def test_serialize_roundtrip_and_canonical_form(a32):
 
 
 def test_serialize_expands_copy(identity_machine):
-    text = serialize_automaton(identity_machine)
+    text = identity_machine.serialize()
     assert "copy" not in text
     assert "trans I 0 0 I" in text
     assert "trans I 1 1 I" in text
