@@ -25,17 +25,16 @@ from .complete import (
     unit_vector,
     verify_location,
 )
-from .errors import FormatError, LocateError, MatrixError
+from .errors import BoundExceededError, FormatError, LocateError, MatrixError
 from .exactalg import (
     HalfIntegralMatrix,
     Polynomial,
-    _int_poly,
+    _check_modulus,
     char_poly,
     chi_star,
     companion_from_chi,
     is_contracting,
     is_irreducible,
-    reduce_mod,
 )
 from .group import DEFAULT_BOUND
 from .mealy import MealyAutomaton
@@ -167,45 +166,60 @@ def path_polynomial(word: str) -> Polynomial:
 def witness_search(chi_star_poly, max_degree: int = 12) -> Polynomial | None:
     """Least monic polynomial with coefficients in {-1,0,1} congruent to -1.
 
-    Searches degrees upward; within a degree the choice for the constant
-    term varies slowest and -1 precedes 0 precedes 1, so the first hit is
-    minimal in the (degree, lexicographic) order.  Returns None when no
-    witness of degree <= max_degree exists modulo chi*.
+    w = c_0 + ... + x^d is a witness when chi* divides w + 1.  Dividing w + 1
+    by chi* from the constant term up leaves a carry of degree < deg chi*,
+    first 1: c_k is allowed when q = (carry(0) + c_k) / chi*(0) is an
+    integer, the next carry is (carry + c_k - q chi*) / x, and w is a witness
+    when its d lower coefficients end at the carry -1.  The search walks the
+    carries breadth first, each kept once with one parent link, layers in
+    discovery order and digits -1, 0, 1, so the first -1 found spells the
+    least witness by (degree, lexicographic order from c_0).  It costs the
+    reachable carries times deg chi*; |chi*(0)| = 2, as for every
+    half-integral matrix, allows two digits a step.  If chi* = x^s h with
+    h(0) != 0, w starts -1, 0, ..., 0 (s digits) and the carries, from 0,
+    run modulo h.
+
+    Returns None when no witness of degree <= max_degree exists modulo
+    chi*.  Raises BoundExceededError past DEFAULT_BOUND carries, which at
+    degree 12 only h(0) = +-1 can reach.
     """
-    chi_star_poly = _int_poly(chi_star_poly)
-    if chi_star_poly.degree < 1 or not chi_star_poly.is_monic():
-        raise MatrixError(f"modulus must be monic of degree >= 1, got {chi_star_poly}")
-    m = chi_star_poly.degree
-
-    def residue(p: Polynomial) -> tuple[int, ...]:
-        r = reduce_mod(p, chi_star_poly)
-        return tuple(r.coeffs) + (0,) * (m - len(r.coeffs))
-
-    minus_one = residue(Polynomial((-1,)))
-    x_power = [residue(Polynomial((0,) * i + (1,))) for i in range(max_degree + 1)]
-
-    for degree in range(0, max_degree + 1):
-        # need sum_{i<degree} c_i x^i = -1 - x^degree (mod chi*)
-        target = tuple(a - b for a, b in zip(minus_one, x_power[degree]))
-        found = _witness_dfs(x_power, target, degree, 0, (0,) * m, [])
-        if found is not None:
-            return Polynomial(found + [1])
-    return None
-
-
-def _witness_dfs(x_power, target, degree, pos, acc, chosen):
-    if pos == degree:
-        return list(chosen) if acc == target else None
-    for c in (-1, 0, 1):
-        if c == 0:
-            nxt = acc
-        else:
-            nxt = tuple(a + c * b for a, b in zip(acc, x_power[pos]))
-        chosen.append(c)
-        found = _witness_dfs(x_power, target, degree, pos + 1, nxt, chosen)
-        if found is not None:
-            return found
-        chosen.pop()
+    coeffs = _check_modulus(chi_star_poly).coeffs
+    s = next(i for i, c in enumerate(coeffs) if c)
+    forced = (-1,) + (0,) * (s - 1) if s else ()
+    h = coeffs[s:]
+    if len(h) == 1:  # chi* = x^s, so w = -1 + x^s
+        return Polynomial(forced + (1,)) if s <= max_degree else None
+    h0, mid = h[0], h[1:-1]
+    m = len(h) - 1
+    start = (0 if s else 1,) + (0,) * (m - 1)
+    target = (-1,) + (0,) * (m - 1)
+    parent = {start: None}
+    layer = [start]
+    for degree in range(s + 1, max_degree + 1):
+        nxt = []
+        for r in layer:
+            for c in (-1, 0, 1):
+                q, rem = divmod(r[0] + c, h0)
+                if rem:
+                    continue
+                child = tuple(a - q * b for a, b in zip(r[1:], mid)) + (-q,)
+                if child in parent:
+                    continue
+                if len(parent) >= DEFAULT_BOUND:
+                    raise BoundExceededError(
+                        f"witness search reached {len(parent) + 1} carries by "
+                        f"degree {degree}, over the bound {DEFAULT_BOUND}; "
+                        "lower the degree"
+                    )
+                parent[child] = (r, c)
+                if child == target:
+                    digits = []
+                    while parent[child] is not None:
+                        child, c = parent[child]
+                        digits.append(c)
+                    return Polynomial(forced + tuple(reversed(digits)) + (1,))
+                nxt.append(child)
+        layer = nxt
     return None
 
 

@@ -267,14 +267,12 @@ def vector_to_poly(v, A: HalfIntegralMatrix,
         cols.append(b)
         b = _apply_int(inv, b)
     basis = RationalMatrix(tuple(tuple(cols[j][i] for j in range(m)) for i in range(m)))
-    if basis.det() == 0:
+    sol = basis.solve_unique(v)
+    if sol is None:
         raise MatrixError(
             "powers of the inverse matrix applied to e1 are linearly "
             "dependent; no polynomial names this vector uniquely"
         )
-    sol = basis.solve(v)
-    if sol is None:
-        raise RuntimeError("nonsingular basis gave no solution")
     p = Polynomial(sol)
     if not p.is_integral():
         raise MatrixError(
@@ -543,15 +541,12 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
                 term = powers[L - i].scale(sig)
                 lhs = term if lhs is None else lhs + term
             state = aut.residual(state, int(ch))
-        if lhs is None or lhs.det() == 0:
+        sol = None if lhs is None else lhs.solve_unique((eye - powers[L]).apply(e1))
+        if sol is None:
             tried += 1
             if tried >= cycle_limit:
                 break
             continue
-        rhs = (eye - powers[L]).apply(e1)
-        sol = lhs.solve(rhs)
-        if sol is None:
-            raise RuntimeError("nonsingular cycle equation gave no solution")
         if any(x.denominator != 1 for x in sol) or sol[0].numerator % 2 == 0:
             raise LocateError(
                 f"cycle {word!r} at {anchor} forces translation vector "

@@ -337,6 +337,25 @@ class RationalMatrix:
             raise MatrixError("matrix is singular")
         return RationalMatrix(rows)
 
+    def _reduce_with(self, vec):
+        """(reduced rows, pivot columns) of the augmented matrix [self | vec]."""
+        n = self.dim
+        vec = tuple(Fraction(x) for x in vec)
+        if len(vec) != n:
+            raise DimensionError("vector length mismatch")
+        return _gauss_jordan([row + (b,) for row, b in zip(self.rows, vec)], n)[:2]
+
+    def solve_unique(self, vec) -> tuple[Fraction, ...] | None:
+        """The solution of self @ x = vec, or None when self is singular.
+
+        One elimination decides both: n pivots leave the solution in the
+        last column of the reduced rows.
+        """
+        rows, pivots = self._reduce_with(vec)
+        if len(pivots) < self.dim:
+            return None
+        return tuple(row[-1] for row in rows)
+
     def solve(self, vec) -> tuple[Fraction, ...] | None:
         """Unique-or-particular exact solution of self @ x = vec, else None.
 
@@ -344,10 +363,7 @@ class RationalMatrix:
         inconsistent systems return None.
         """
         n = self.dim
-        vec = tuple(Fraction(x) for x in vec)
-        if len(vec) != n:
-            raise DimensionError("vector length mismatch")
-        rows, pivots, _ = _gauss_jordan([row + (b,) for row, b in zip(self.rows, vec)], n)
+        rows, pivots = self._reduce_with(vec)
         if any(row[n] != 0 for row in rows[len(pivots):]):
             return None
         x = [Fraction(0)] * n

@@ -20,7 +20,7 @@ from abmealy.analysis import (
     witness_search,
 )
 from abmealy.complete import CompleteConfig, residual_vector
-from abmealy.errors import FormatError, MatrixError, NotAbelianError
+from abmealy.errors import BoundExceededError, FormatError, MatrixError, NotAbelianError
 from abmealy.exactalg import (
     HALF,
     IntPolynomial,
@@ -208,6 +208,124 @@ def test_witness_word_drives_unit_to_negation(mat_a):
         bit = (1 if s > 0 else 0) if odd else 0
         v, _ = residual_vector(cfg, v, bit)
     assert v == (-1, 0)
+
+
+def _dfs_witness(star, max_degree):
+    """The exhaustive search that witness_search replaced, kept as an oracle:
+    every {-1,0,1} word of each degree, the constant term varying slowest,
+    tested against the residue of -1 - x^degree at the leaves."""
+    star = IntPolynomial(star)
+    m = star.degree
+
+    def residue(p):
+        r = reduce_mod(p, star)
+        return tuple(r.coeffs) + (0,) * (m - len(r.coeffs))
+
+    minus_one = residue(IntPolynomial.of(-1))
+    x_power = [residue(IntPolynomial((0,) * i + (1,))) for i in range(max_degree + 1)]
+
+    def dfs(target, degree, pos, acc, chosen):
+        if pos == degree:
+            return list(chosen) if acc == target else None
+        for c in (-1, 0, 1):
+            nxt = tuple(a + c * b for a, b in zip(acc, x_power[pos])) if c else acc
+            chosen.append(c)
+            found = dfs(target, degree, pos + 1, nxt, chosen)
+            if found is not None:
+                return found
+            chosen.pop()
+        return None
+
+    for degree in range(max_degree + 1):
+        target = tuple(a - b for a, b in zip(minus_one, x_power[degree]))
+        found = dfs(target, degree, 0, (0,) * m, [])
+        if found is not None:
+            return IntPolynomial(found + [1])
+    return None
+
+
+def test_witness_search_matches_the_dfs_on_every_small_modulus():
+    """Every monic chi* of degree 1-3 with lower coefficients in [-3, 3]:
+    constant term 0 (chi* divisible by x), +-1 (three digits a step) and
+    +-2, +-3."""
+    from itertools import product as iproduct
+
+    found = 0
+    for degree in (1, 2, 3):
+        for lower in iproduct(range(-3, 4), repeat=degree):
+            star = lower + (1,)
+            for max_degree in (0, 1, 3, 6):
+                want = _dfs_witness(star, max_degree)
+                assert witness_search(star, max_degree) == want, (star, max_degree)
+                found += want is not None
+    assert found == 122  # the comparison is not all None
+
+
+def test_witness_search_matches_the_dfs_on_random_moduli():
+    rng = random.Random(2024)
+    for _ in range(120):
+        degree = rng.randint(1, 6)
+        star = tuple(rng.randint(-4, 4) for _ in range(degree)) + (1,)
+        max_degree = rng.randint(0, 8)
+        assert witness_search(star, max_degree) == _dfs_witness(star, max_degree), (
+            star, max_degree)
+
+
+# chi* of both chi of every corpus size class o7-o55275, and of
+# chi = 1/2 + x + x^2 + x^3 + x^4, with the least witness of degree <= 12.
+CORPUS_WITNESSES = {
+    (2, 2, 1): (1, 0, 1, 1, 1),
+    (2, -2, 1): (1, 0, -1, 1),
+    (2, 1, 1, 1, 1): (1, 1, 1, 1, 1),
+    (2, -1, 1, -1, 1): (1, -1, 1, -1, 1),
+    (2, -2, 0, 1): (1, 0, 0, -1, 1, 1),
+    (-2, -2, 0, 1): (1, 0, 0, -1, -1, -1, 1),
+    (2, -1, 1, 0, 1): (1, -1, 1, 0, 1),
+    (2, 1, 1, 0, 1): (1, 1, 1, 0, 1),
+    (2, -1, -1, 0, 1): (1, -1, -1, 0, 1),
+    (2, 1, -1, 0, 1): (1, 1, -1, 0, 1),
+    (-2, 0, 0, 0, -1, 0, 1): (1, 0, 0, 0, -1, 0, -1, 0, -1, 0, 1),
+    (2, 0, 0, 0, 1, 0, 1): (1, 0, 0, 0, 1, 0, 1),
+    (2, -3, 3, -2, 1): (1, -1, 0, 1, -1, 1),
+    (2, 3, 3, 2, 1): (1, -1, -1, -1, 0, 0, 1),
+    (2, 1, 2, 1, 1, 1): (1, -1, -1, 0, -1, 1, -1, 0, 1),
+    (-2, 1, -2, 1, -1, 1): (1, -1, 0, 0, -1, 0, -1, 1),
+    (2, 0, 1, 0, 1, 1): (1, 0, 1, 0, 1, 1),
+    (-2, 0, -1, 0, -1, 1): (1, 0, -1, 0, 0, -1, -1, 1),
+    (2, 0, 0, 1, 0, -1, 1): (1, 0, 0, 1, 0, -1, 1),
+    (2, 0, 0, -1, 0, 1, 1): (1, 0, 0, -1, 0, 1, 1),
+    (-2, 1, 0, 0, -1, 0, 1): (1, -1, 0, 0, -1, 1, -1, 0, -1, 0, 1),
+    (-2, -1, 0, 0, -1, 0, 1): (1, -1, -1, 0, 1, -1, -1, 1),
+    (2, 2, 2, 2, 1): None,
+}
+
+
+def test_witness_search_matches_the_dfs_on_the_corpus():
+    for star, want in CORPUS_WITNESSES.items():
+        got = witness_search(star)
+        assert got == _dfs_witness(star, 12), star
+        assert got == (None if want is None else IntPolynomial(want)), star
+
+
+def test_witness_search_beyond_the_dfs_reach():
+    """Degrees whose 3^d words the exhaustive search could not walk."""
+    w16 = witness_search((2, 2, 2, 2, 1), 16)
+    assert w16 == IntPolynomial.of(1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1)
+    assert witness_search((2, 2, 2, 2, 1), 15) is None
+    w25 = witness_search((2, 2, 2, 2, 2, 1), 25)
+    assert w25.degree == 25
+    for w, star in ((w16, (2, 2, 2, 2, 1)), (w25, (2, 2, 2, 2, 2, 1))):
+        assert reduce_mod(w + 1, star).is_zero()
+
+
+def test_witness_search_budget_on_unit_constant_term():
+    """chi*(0) = 1 admits all three digits a step; the carries outgrow
+    DEFAULT_BOUND before degree 12 and the search stops with an error."""
+    with pytest.raises(BoundExceededError, match=(
+            r"^witness search reached 100001 carries by degree 12, over the "
+            r"bound 100000; lower the degree$")):
+        witness_search((1, 3, 1))
+    assert witness_search((1, 3, 1), 8) == _dfs_witness((1, 3, 1), 8)
 
 
 # -- one experiment instance --------------------------------------------------------

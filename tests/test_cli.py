@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from abmealy import parse_automaton
+from abmealy import parse_automaton, parse_int_poly, reduce_mod
 from abmealy.cli import main
 from conftest import (
     A32_TEXT,
@@ -486,6 +486,30 @@ def test_witness_finds_the_degree_four_witness(capsys, files):
 def test_witness_none_is_a_clean_result(capsys, files):
     assert run(capsys, "witness", "--", "-2 1") == (0, "none\n", "")
     assert run(capsys, "witness", "2 2 1", "--degree", "3") == (0, "none\n", "")
+
+
+def test_witness_degree_bounds_what_none_means(capsys, files):
+    """A "none" means none up to --degree: the least witness modulo
+    2 + 2x + 2x^2 + 2x^3 + x^4 has degree 16, and modulo
+    2 + 2x + ... + 2x^4 + x^5 it has degree 25."""
+    assert run(capsys, "witness", "2 2 2 2 1") == (0, "none\n", "")
+    code, out, err = run(capsys, "witness", "2 2 2 2 1", "--degree", "16")
+    assert (code, out, err) == (
+        0, "1 + x^4 + x^5 + x^8 + x^10 + x^12 + x^15 + x^16\n", "")
+    assert reduce_mod(parse_int_poly(out.strip()) + 1, (2, 2, 2, 2, 1)).is_zero()
+    code, out, err = run(capsys, "witness", "2 2 2 2 2 1", "--degree", "25")
+    assert code == 0 and err == ""
+    w = parse_int_poly(out.strip())
+    assert w.degree == 25 and w.is_monic()
+    assert all(c in (-1, 0, 1) for c in w.coeffs)
+    assert reduce_mod(w + 1, (2, 2, 2, 2, 2, 1)).is_zero()
+
+
+def test_witness_search_budget_exits_one(capsys, files):
+    code, out, err = run(capsys, "witness", "1 3 1")
+    assert (code, out) == (1, "")
+    assert err == ("error: witness search reached 100001 carries by degree 12, "
+                   "over the bound 100000; lower the degree\n")
 
 
 def test_witness_json(capsys, files):

@@ -326,7 +326,9 @@ def test_elimination_matches_the_separate_loops():
             assert a.inverse().rows == want
         x = tuple(entry() for _ in range(n))
         for vec in (a.apply(x), tuple(entry() for _ in range(n))):
-            assert a.solve(vec) == oracle_solve(a.rows, vec)
+            want = oracle_solve(a.rows, vec)
+            assert a.solve(vec) == want
+            assert a.solve_unique(vec) == (None if a.det() == 0 else want)
     assert singular >= 200
 
 
