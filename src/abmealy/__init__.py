@@ -48,7 +48,6 @@ from .complete import (
     unit_vector,
     vector_label,
     vector_to_poly,
-    verify_location,
 )
 from .errors import (
     AbmealyError,

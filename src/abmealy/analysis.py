@@ -23,14 +23,12 @@ from .complete import (
     _walk,
     locate,
     unit_vector,
-    verify_location,
 )
 from .errors import BoundExceededError, FormatError, LocateError, MatrixError
 from .exactalg import (
     HalfIntegralMatrix,
     Polynomial,
     _check_modulus,
-    char_poly,
     chi_star,
     companion_from_chi,
     is_contracting,
@@ -250,7 +248,7 @@ def check_scc_instance(A: HalfIntegralMatrix, *, witness_degree: int = 12,
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
-    chi = char_poly(A)
+    chi = A.chi
     star = chi_star(chi)
     e1 = unit_vector(A.dim)
     config = CompleteConfig(A, e1)
@@ -288,7 +286,6 @@ class InferResult:
 
 
 def infer_matrix(aut: MealyAutomaton, *, max_dim: int = 3, coeff_bound: int = 2,
-                 max_len: int = 10,
                  bound: int = DEFAULT_BOUND) -> InferResult | None:
     """Search for a matrix whose complete automaton contains the machine.
 
@@ -296,9 +293,26 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int = 3, coeff_bound: int = 2,
     and the remaining coefficients of g ranging over [-coeff_bound,
     coeff_bound] in lexicographic order, keeps the contracting (and, up to
     degree 6, irreducible) ones, and accepts the first whose companion
-    matrix both locates the machine and survives exhaustive word comparison
-    up to max_len.  Returns None when the space is exhausted.
+    matrix locates the machine.  The location is accepted only after
+    `LocationMap.validate` has checked it on every transition: a map that
+    is a homomorphism there agrees with the machine on every word, by
+    induction on its length, so each result is proven for all lengths.
+    Returns None when the space is exhausted.
+
+    Raises BoundExceededError, before any search, when the box holds more
+    than `bound` polynomials: sum over m <= max_dim of
+    2 (2 coeff_bound + 1)^(m - 1), 62 at the defaults.
     """
+    width = max(2 * coeff_bound + 1, 0)
+    total = 0
+    for m in range(1, max_dim + 1):
+        total += 2 * width ** (m - 1)
+        if total > bound:
+            raise BoundExceededError(
+                f"infer candidate box reached {total} candidate polynomials "
+                f"by dimension {m}, over the bound {bound}; lower the "
+                "dimension or the coefficient bound"
+            )
     for m in range(1, max_dim + 1):
         for g0 in (-1, 1):
             for rest in product(range(-coeff_bound, coeff_bound + 1), repeat=m - 1):
@@ -310,9 +324,8 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int = 3, coeff_bound: int = 2,
                 A = companion_from_chi(chi)
                 try:
                     locmap = locate(aut, A, bound=bound)
+                    locmap.validate(aut, A)
                 except (LocateError, MatrixError):
-                    continue
-                if not verify_location(aut, A, locmap, max_len):
                     continue
                 return InferResult(matrix=A, chi=chi, location=locmap)
     return None

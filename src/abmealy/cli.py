@@ -34,10 +34,9 @@ from .complete import (
     parse_vector,
     unit_vector,
 )
-from .errors import AbmealyError, FormatError
+from .errors import AbmealyError, BoundExceededError, FormatError
 from .exactalg import (
     Polynomial,
-    char_poly,
     chi_star,
     companion_from_chi,
     parse_matrix,
@@ -188,6 +187,14 @@ def _cmd_verify(args) -> int:
         locmap = LocationMap.parse(_read(args.map))
     else:
         locmap = locate(aut, A, bound=args.bound)
+    words = 0
+    for length in range(1, args.maxlen + 1):
+        words += len(aut.states) << length
+        if words > args.bound:
+            raise BoundExceededError(
+                f"verify reached {words} words by length {length}, over the "
+                f"bound {args.bound}; lower --maxlen"
+            )
     mismatch = find_location_mismatch(aut, A, locmap, max_len=args.maxlen)
     if mismatch is None:
         _emit(args, {"ok": True, "maxlen": args.maxlen, "mismatch": None},
@@ -212,7 +219,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_embed(args) -> int:
     A = _load_matrix(args.matrix)
-    star = chi_star(char_poly(A))
+    star = chi_star(A.chi)
     p = parse_int_poly(args.p)
     q = parse_int_poly(args.q)
     r = embed_scale(p, q, star)
@@ -312,7 +319,6 @@ def _cmd_infer(args) -> int:
         aut,
         max_dim=args.max_dim,
         coeff_bound=args.coeff_bound,
-        max_len=args.maxlen,
         bound=args.bound,
     )
     if result is None:
@@ -464,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("aut")
     p.add_argument("--max-dim", type=int, default=3)
     p.add_argument("--coeff-bound", type=int, default=2)
-    p.add_argument("--maxlen", type=int, default=10)
     _add_bound(p)
     _add_json(p)
     p.set_defaults(func=_cmd_infer)

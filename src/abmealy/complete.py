@@ -45,9 +45,7 @@ from .exactalg import (
     Polynomial,
     RationalMatrix,
     _int_poly,
-    char_poly,
     chi_star,
-    is_contracting,
     is_irreducible,
     reduce_mod,
     try_divide_mod,
@@ -121,7 +119,7 @@ class CompleteConfig:
                 f"translation vector {format_vector(self.e)} must have odd "
                 "first coordinate"
             )
-        if not self.non_contracting and not is_contracting(char_poly(self.A)):
+        if not self.non_contracting and not self.A.contracting:
             raise MatrixError(
                 "characteristic polynomial is not contracting; pass "
                 "non_contracting=True to allow infinite orbits"
@@ -255,7 +253,7 @@ def vector_to_poly(v, A: HalfIntegralMatrix,
     """
     m = A.dim
     v = _coerce_vector(v, m)
-    if not assume_irreducible and not is_irreducible(char_poly(A)):
+    if not assume_irreducible and not is_irreducible(A.chi):
         raise MatrixError(
             "characteristic polynomial is reducible; polynomial coordinates "
             "are not canonical (pass assume_irreducible=True to override)"
@@ -403,7 +401,7 @@ def parse_int_poly(text: str) -> Polynomial:
     toks = text.split()
     if toks and all(_is_int(t) for t in toks):
         return Polynomial(int(t) for t in toks)
-    s = text.replace(" ", "")
+    s = "".join(text.split())
     if not s:
         raise FormatError("empty polynomial")
     if s == "0":
@@ -506,9 +504,8 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
-    chi = char_poly(A)
-    if not is_contracting(chi):
-        raise MatrixError(f"characteristic polynomial {chi} is not contracting")
+    if not A.contracting:
+        raise MatrixError(f"characteristic polynomial {A.chi} is not contracting")
     _require_abelian_free(aut, bound)
 
     parity = {s: aut.state_parity(s) for s in aut.states}
@@ -646,11 +643,6 @@ def find_location_mismatch(aut: MealyAutomaton, A: HalfIntegralMatrix,
     return None
 
 
-def verify_location(aut: MealyAutomaton, A: HalfIntegralMatrix,
-                    locmap: LocationMap, max_len: int = 10) -> bool:
-    return find_location_mismatch(aut, A, locmap, max_len) is None
-
-
 # -- embeddings between complete automata ---------------------------------------------
 
 
@@ -696,7 +688,7 @@ def gtilde_eq(a: GTildeElement, b: GTildeElement, A: HalfIntegralMatrix) -> bool
 
 def gtilde_add(a: GTildeElement, b: GTildeElement,
                A: HalfIntegralMatrix) -> GTildeElement:
-    star = chi_star(char_poly(A))
+    star = chi_star(A.chi)
     v = tuple(map(add, poly_action(b.p, a.v, A), poly_action(a.p, b.v, A)))
     return GTildeElement(v, reduce_mod(a.p * b.p, star))
 

@@ -390,10 +390,11 @@ class HalfIntegralMatrix:
     """Matrix with half-integral first column, integral rest, det = +-1/2.
 
     Its inverse is integral (it is +-2 adj(A)); `inv_rows` holds its rows
-    as int tuples, computed once with the determinant check.
+    as int tuples, computed once with the determinant check.  `chi` and
+    `contracting` are computed on first use and kept in the instance.
     """
 
-    __slots__ = ("inner", "inv_rows")
+    __slots__ = ("inner", "inv_rows", "_chi", "_contracting")
 
     def __init__(self, inner: RationalMatrix):
         if not isinstance(inner, RationalMatrix):
@@ -414,6 +415,8 @@ class HalfIntegralMatrix:
                                "non-integral inverse")
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "inv_rows", tuple(tuple(map(int, row)) for row in inv))
+        object.__setattr__(self, "_chi", None)
+        object.__setattr__(self, "_contracting", None)
 
     def __setattr__(self, *a):
         raise AttributeError("HalfIntegralMatrix is immutable")
@@ -428,6 +431,20 @@ class HalfIntegralMatrix:
 
     def apply(self, vec):
         return self.inner.apply(vec)
+
+    @property
+    def chi(self) -> Polynomial:
+        """The characteristic polynomial."""
+        if self._chi is None:
+            object.__setattr__(self, "_chi", char_poly(self))
+        return self._chi
+
+    @property
+    def contracting(self) -> bool:
+        """Whether every root of chi lies strictly inside the unit disk."""
+        if self._contracting is None:
+            object.__setattr__(self, "_contracting", is_contracting(self.chi))
+        return self._contracting
 
     def __eq__(self, other):
         if not isinstance(other, HalfIntegralMatrix):
@@ -486,7 +503,9 @@ def companion_from_chi(chi) -> HalfIntegralMatrix:
         if i + 1 < m:
             row[i + 1] = Fraction(1)
         rows.append(tuple(row))
-    return HalfIntegralMatrix(RationalMatrix(rows))
+    A = HalfIntegralMatrix(RationalMatrix(rows))
+    object.__setattr__(A, "_chi", chi)
+    return A
 
 
 def is_contracting(chi) -> bool:

@@ -6,7 +6,7 @@ these rather than re-deriving them with library code.
 
 import pytest
 
-from abmealy import MealyAutomaton, parse_automaton, parse_matrix
+from abmealy import MealyAutomaton, find_location_mismatch, parse_automaton, parse_matrix
 
 A32_TEXT = """\
 aut a32
@@ -122,3 +122,13 @@ def union_machine():
     for (s, b), (d, o) in base.transitions.items():
         trans[(ren[s], b)] = (ren[d], o)
     return MealyAutomaton(trans, name="union")
+
+
+def verify_location(aut, A, locmap, max_len=10):
+    """Brute-force oracle for a location map.
+
+    Runs every non-empty word up to max_len from every state through both
+    machines; it shares no code with `locate` or `LocationMap.validate`,
+    which decide the same question exactly, transition by transition.
+    """
+    return find_location_mismatch(aut, A, locmap, max_len) is None

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from abmealy import analysis, group
+from abmealy import analysis, complete, exactalg, group
 from abmealy.analysis import (
     InferResult,
     SccDecomposition,
@@ -19,7 +19,7 @@ from abmealy.analysis import (
     scc_decompose,
     witness_search,
 )
-from abmealy.complete import CompleteConfig, residual_vector
+from abmealy.complete import CompleteConfig, orbit_automaton, residual_vector, unit_vector
 from abmealy.errors import BoundExceededError, FormatError, MatrixError, NotAbelianError
 from abmealy.exactalg import (
     HALF,
@@ -28,6 +28,8 @@ from abmealy.exactalg import (
     companion_from_chi,
     reduce_mod,
 )
+
+from conftest import verify_location
 
 CHI_A = RationalPolynomial.of(HALF, 1, 1)
 CHI_STAR_A = IntPolynomial.of(2, 2, 1)
@@ -398,7 +400,7 @@ def test_infer_matrix_principal(principal_figure, mat_a):
 
 
 def test_infer_matrix_classifies_the_machine_once(a32, monkeypatch):
-    calls = {"check_abelian": 0, "locate": 0}
+    calls = {"check_abelian": 0, "locate": 0, "char_poly": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -408,10 +410,16 @@ def test_infer_matrix_classifies_the_machine_once(a32, monkeypatch):
 
     monkeypatch.setattr(group, "check_abelian", counted("check_abelian", group.check_abelian))
     monkeypatch.setattr(analysis, "locate", counted("locate", analysis.locate))
+    char_poly = counted("char_poly", exactalg.char_poly)
+    for module in (exactalg, complete, analysis, group):
+        if hasattr(module, "char_poly"):
+            monkeypatch.setattr(module, "char_poly", char_poly)
     group._require_abelian_free.cache_clear()
     assert infer_matrix(a32, max_dim=2) is not None
     assert calls["locate"] > 1
     assert calls["check_abelian"] == 1
+    # each candidate matrix's chi is computed at most once
+    assert calls["char_poly"] <= calls["locate"]
 
 
 def test_infer_matrix_exhaustion(a32):
@@ -424,3 +432,56 @@ def test_infer_matrix_requires_abelian_free(lamplighter, xyz):
         infer_matrix(lamplighter, max_dim=1)
     with pytest.raises(NotAbelianError):
         infer_matrix(xyz, max_dim=1)
+
+
+def test_infer_matrix_budget_on_the_candidate_box(a32):
+    # sum over m <= 3 of 2 * 5^(m - 1) = 2 + 10 + 50 = 62 polynomials
+    assert infer_matrix(a32, bound=62) is not None
+    with pytest.raises(BoundExceededError, match=(
+            r"^infer candidate box reached 62 candidate polynomials by "
+            r"dimension 3, over the bound 61; lower the dimension or the "
+            r"coefficient bound$")):
+        infer_matrix(a32, bound=61)
+    with pytest.raises(BoundExceededError, match="275122 candidate polynomials by dimension 5"):
+        infer_matrix(a32, max_dim=9, coeff_bound=9)
+
+
+def _orbit_machine(g):
+    A = companion_from_chi(RationalPolynomial([Fraction(c, 2) for c in g] + [1]))
+    e1 = unit_vector(A.dim)
+    return orbit_automaton(CompleteConfig(A, e1), [e1])
+
+
+# Both chi of each corpus size class o7-o31, as g in chi = x^m + g(x)/2, with
+# the chi that `infer` places the orbit machine in at its default bounds.
+ORBIT_INFER = {
+    (1, 2): "1/2 + x + x^2",
+    (1, -2): "1/2 - x + x^2",
+    (1, 1, 1, 1): None,
+    (1, -1, 1, -1): None,
+    (1, 0, -2): None,
+    (-1, 0, 2): "-1/2 + x^2 + x^3",
+    (1, 0, 1, -1): None,
+    (1, 0, 1, 1): None,
+    (1, 0, -1, -1): None,
+    (1, 0, -1, 1): None,
+}
+
+
+def _assert_oracle_accepts(aut, want_chi):
+    """The accepted location agrees with the machine on all words up to
+    length 10, checked word by word, independently of validate."""
+    result = infer_matrix(aut)
+    assert (None if result is None else str(result.chi)) == want_chi
+    if result is not None:
+        assert verify_location(aut, result.matrix, result.location, 10)
+
+
+def test_infer_results_pass_the_brute_force_oracle(a32, principal_figure):
+    _assert_oracle_accepts(a32, "1/2 + x + x^2")
+    _assert_oracle_accepts(principal_figure, "1/2 + x + x^2")
+
+
+@pytest.mark.parametrize("g", list(ORBIT_INFER))
+def test_infer_results_on_orbit_machines_pass_the_brute_force_oracle(g):
+    _assert_oracle_accepts(_orbit_machine(g), ORBIT_INFER[g])

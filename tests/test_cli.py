@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,27 @@ def test_verify_json_ok(capsys, files):
     assert payload == {"ok": True, "maxlen": 3, "mismatch": None}
 
 
+def test_verify_budget_on_the_words_to_run(capsys, files):
+    """verify runs n (2^(L+1) - 2) words: 3 states at length 12 run 24,570,
+    at length 30 over 6 * 10^9, so it stops at length 15 (196,602)."""
+    code, out, err = run(
+        capsys, "verify", str(files / "a32.aut"), str(files / "A.mat"),
+        "--maxlen", "12")
+    assert (code, out, err) == (0, "ok: all words up to length 12 agree\n", "")
+    code, out, err = run(
+        capsys, "verify", str(files / "a32.aut"), str(files / "A.mat"),
+        "--maxlen", "30")
+    assert (code, out) == (1, "")
+    assert err == ("error: verify reached 196602 words by length 15, over the "
+                   "bound 100000; lower --maxlen\n")
+    code, out, err = run(
+        capsys, "verify", str(files / "a32.aut"), str(files / "A.mat"),
+        "--maxlen", "4", "--bound", "89")
+    assert (code, out) == (1, "")
+    assert err == ("error: verify reached 90 words by length 4, over the "
+                   "bound 89; lower --maxlen\n")
+
+
 def test_verify_rejects_a_map_missing_a_state(capsys, files):
     code, out, err = run(
         capsys, "verify", str(files / "a32.aut"), str(files / "A.mat"),
@@ -480,7 +502,10 @@ def test_pathpoly_rejects_bad_letters(capsys, files):
 
 
 def test_witness_finds_the_degree_four_witness(capsys, files):
-    assert run(capsys, "witness", "2 2 1") == (0, "1 + x^2 + x^3 + x^4\n", "")
+    code, out, err = run(capsys, "witness", "2 2 1")
+    assert (code, out, err) == (0, "1 + x^2 + x^3 + x^4\n", "")
+    # the printed form parses back as it is, trailing newline included
+    assert reduce_mod(parse_int_poly(out) + 1, (2, 2, 1)).is_zero()
 
 
 def test_witness_none_is_a_clean_result(capsys, files):
@@ -567,6 +592,25 @@ def test_infer_json(capsys, files):
         capsys, "infer", str(files / "a32.aut"), "--max-dim", "1")
     assert code == 1
     assert payload == {"found": False, "chi": None, "matrix": None, "location": None}
+
+
+def test_infer_budget_on_the_candidate_box(capsys, files):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "infer", str(files / "a32.aut"), "--max-dim", "9",
+        "--coeff-bound", "9")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == ("error: infer candidate box reached 275122 candidate "
+                   "polynomials by dimension 5, over the bound 100000; lower "
+                   "the dimension or the coefficient bound\n")
+
+
+def test_infer_has_no_length_option(capsys, files):
+    # acceptance is exact for every word length, so no length is taken
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", str(files / "a32.aut"), "--maxlen", "10"])
+    assert exc.value.code == 2
 
 
 def test_infer_propagates_non_abelian_failure(capsys, files):

@@ -34,7 +34,6 @@ from abmealy.complete import (
     unit_vector,
     vector_label,
     vector_to_poly,
-    verify_location,
 )
 from abmealy.errors import (
     BoundExceededError,
@@ -57,7 +56,7 @@ from abmealy.exactalg import (
 )
 from abmealy.mealy import find_isomorphism
 
-from conftest import union_machine
+from conftest import union_machine, verify_location
 
 CHI_STAR_A = IntPolynomial.of(2, 2, 1)
 
@@ -298,6 +297,8 @@ def test_vector_to_poly_dependent_basis():
         ("0", ()),
         ("1 + x + x^2 + x^3 + x^4", (1, 1, 1, 1, 1)),
         ("x - x", ()),
+        ("1 + x^4\n", (1, 0, 0, 0, 1)),
+        ("1 +\tx^4", (1, 0, 0, 0, 1)),
     ],
 )
 def test_parse_int_poly(text, coeffs):
@@ -437,6 +438,35 @@ def test_locate_allows_duplicate_vectors(a32, mat_a):
     locmap = locate(bigger, mat_a)
     assert locmap.assignment["o"] == locmap.assignment["f"] == (1, 0)
     assert verify_location(bigger, mat_a, locmap)
+
+
+def test_validate_rejects_every_shift_the_brute_force_rejects(a32, mat_a):
+    """Move one state's vector by +-1 in one coordinate: whenever some word
+    up to length 6 tells the shifted map apart, validate must raise."""
+    chi7 = RationalPolynomial.of(HALF, -1, 1)  # the o7 orbit machine's chi
+    A7 = companion_from_chi(chi7)
+    e1 = unit_vector(2)
+    o7 = orbit_automaton(CompleteConfig(A7, e1), [e1])
+    mismatches = 0
+    for aut, A in ((a32, mat_a), (o7, A7)):
+        locmap = locate(aut, A)
+        locmap.validate(aut, A)
+        assert verify_location(aut, A, locmap)
+        for s in sorted(locmap.assignment):
+            for i in range(A.dim):
+                for delta in (-1, 1):
+                    v = list(locmap.assignment[s])
+                    v[i] += delta
+                    shifted = LocationMap(
+                        p=locmap.p, e=locmap.e,
+                        assignment={**locmap.assignment, s: tuple(v)},
+                    )
+                    if verify_location(aut, A, shifted, max_len=6):
+                        continue
+                    mismatches += 1
+                    with pytest.raises(LocateError):
+                        shifted.validate(aut, A)
+    assert mismatches == 2 * 2 * (3 + 7)
 
 
 def test_find_location_mismatch(a32, mat_a):

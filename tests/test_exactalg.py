@@ -392,7 +392,39 @@ def test_companion_round_trip_sample():
         (-HALF, 2, -1, HALF, 1),
     ):
         chi = RationalPolynomial.of(*coeffs)
-        assert char_poly(companion_from_chi(chi)) == chi
+        A = companion_from_chi(chi)
+        assert char_poly(A) == chi == A.chi
+
+
+def test_matrix_keeps_chi_and_contraction_verdict(mat_a, monkeypatch):
+    from abmealy import exactalg
+
+    calls = {"char_poly": 0, "is_contracting": 0}
+
+    def counted(name):
+        fn = getattr(exactalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(exactalg, name, wrapper)
+
+    counted("char_poly")
+    counted("is_contracting")
+    A = parse_matrix(MAT_A_TEXT)
+    for _ in range(3):
+        assert A.chi == CHI_A
+        assert A.contracting is True
+    assert calls == {"char_poly": 1, "is_contracting": 1}
+    # the kept values leave equality, hashing and repr as they were
+    fresh = parse_matrix(MAT_A_TEXT)
+    assert A == fresh and hash(A) == hash(fresh) and repr(A) == repr(fresh)
+    # a companion matrix keeps the chi it was built from
+    companion = companion_from_chi(CHI_A)
+    assert companion.chi == CHI_A
+    assert calls["char_poly"] == 1
+    expanding = companion_from_chi(RationalPolynomial.of(HALF, Fraction(-3, 2), 1))
+    assert expanding.contracting is False
 
 
 def test_companion_validation():
