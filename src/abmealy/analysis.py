@@ -29,7 +29,6 @@ from .exactalg import (
     HalfIntegralMatrix,
     Polynomial,
     _check_modulus,
-    chi_star,
     companion_from_chi,
     is_contracting,
     is_irreducible,
@@ -248,8 +247,6 @@ def check_scc_instance(A: HalfIntegralMatrix, *, witness_degree: int = 12,
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
-    chi = A.chi
-    star = chi_star(chi)
     e1 = unit_vector(A.dim)
     config = CompleteConfig(A, e1)
     graph = {}
@@ -262,10 +259,10 @@ def check_scc_instance(A: HalfIntegralMatrix, *, witness_degree: int = 12,
     nontrivial = tuple(
         i for i, comp in enumerate(dec.components) if zero not in comp
     )
-    witness = witness_search(star, witness_degree)
+    witness = witness_search(A.chi_star, witness_degree)
     return SccInstanceReport(
-        chi=chi,
-        chi_star=star,
+        chi=A.chi,
+        chi_star=A.chi_star,
         states=tuple(sorted(graph)),
         decomposition=dec,
         nontrivial_components=nontrivial,

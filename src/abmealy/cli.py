@@ -37,7 +37,6 @@ from .complete import (
 from .errors import AbmealyError, BoundExceededError, FormatError
 from .exactalg import (
     Polynomial,
-    chi_star,
     companion_from_chi,
     parse_matrix,
     serialize_matrix,
@@ -219,10 +218,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_embed(args) -> int:
     A = _load_matrix(args.matrix)
-    star = chi_star(A.chi)
     p = parse_int_poly(args.p)
     q = parse_int_poly(args.q)
-    r = embed_scale(p, q, star)
+    r = embed_scale(p, q, A.chi_star)
     rc, rs = _poly_json(r)
     _emit(args, {"r": rc, "r_str": rs}, [f"r: {rs}"])
     return 0

@@ -15,8 +15,8 @@ ordinary Mealy automata.
 
 `locate` embeds an abelian Mealy automaton into c(A, e): it anchors the
 least odd state on a cycle at the first unit vector, solves the resulting
-exact linear cycle equation for e, and propagates vectors across the
-machine, failing loudly whenever the matrix cannot fit.
+cycle equation for e as one division in Q[x]/chi*, and propagates vectors
+across the machine, failing loudly whenever the matrix cannot fit.
 
 Polynomials enter through the module action of x as A^-1: a polynomial p
 names the vector p(A^-1) e1, and scaling by a polynomial r realises the
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import add, mul, sub
 
@@ -45,8 +45,7 @@ from .exactalg import (
     Polynomial,
     RationalMatrix,
     _int_poly,
-    chi_star,
-    is_irreducible,
+    _mul_matrix_mod,
     reduce_mod,
     try_divide_mod,
 )
@@ -101,28 +100,23 @@ def _apply_int(rows, v):
 
 @dataclass(frozen=True)
 class CompleteConfig:
-    """A matrix A and an odd translation vector e defining c(A, e)."""
+    """A matrix A and an odd translation vector e defining c(A, e).
+
+    Any half-integral A is accepted; `orbit` and `orbit_automaton` refuse
+    one whose chi is not contracting, as its orbits need not be finite.
+    """
 
     A: HalfIntegralMatrix
     e: tuple[int, ...]
-    non_contracting: bool = field(default=False, compare=False)
-    _rows2: tuple = field(init=False, compare=False, repr=False)  # integer rows of 2A
 
     def __post_init__(self):
         if not isinstance(self.A, HalfIntegralMatrix):
             object.__setattr__(self, "A", HalfIntegralMatrix(self.A))
-        rows2 = tuple(tuple(int(2 * x) for x in row) for row in self.A.rows)
-        object.__setattr__(self, "_rows2", rows2)
         object.__setattr__(self, "e", _coerce_vector(self.e, self.A.dim))
         if self.e[0] % 2 == 0:
             raise MatrixError(
                 f"translation vector {format_vector(self.e)} must have odd "
                 "first coordinate"
-            )
-        if not self.non_contracting and not self.A.contracting:
-            raise MatrixError(
-                "characteristic polynomial is not contracting; pass "
-                "non_contracting=True to allow infinite orbits"
             )
 
     @property
@@ -140,7 +134,7 @@ def _step(config: CompleteConfig, v: tuple[int, ...], bit: int) -> tuple[tuple[i
         w, out = tuple(map(sub, v, config.e)), 1
     # w has an even first coordinate, and 2A is even outside its first column
     # (A is integral there), so every component of 2A w is even: // 2 is exact.
-    return tuple([sum(map(mul, row, w)) // 2 for row in config._rows2]), out
+    return tuple([sum(map(mul, row, w)) // 2 for row in config.A.rows2]), out
 
 
 def residual_vector(config: CompleteConfig, v, bit: int) -> tuple[tuple[int, ...], int]:
@@ -169,12 +163,19 @@ def transduce_vector(config: CompleteConfig, v, word: str) -> str:
     return "".join(out)
 
 
+def _require_contracting(A: HalfIntegralMatrix) -> None:
+    if not A.contracting:
+        raise MatrixError(f"characteristic polynomial {A.chi} is not contracting")
+
+
 def _walk(config: CompleteConfig, starts, bound: int):
     """Breadth-first walk of c(A, e) from checked start vectors.
 
     Yields each reached vector once, in discovery order, with its two steps
     ((w0, out0), (w1, out1)); every w is the one tuple kept for its vector.
+    Raises MatrixError unless chi is contracting, so that orbits are finite.
     """
+    _require_contracting(config.A)
     first = {s: s for s in starts}
     queue = deque(first)
     while queue:
@@ -224,17 +225,19 @@ def orbit_automaton(config: CompleteConfig, starts, name: str | None = None,
 # -- polynomial coordinates -------------------------------------------------------
 
 
-def poly_action(p, v, A: HalfIntegralMatrix) -> tuple[int, ...]:
-    """p(A^-1) v for an integer polynomial p: the module action of Z[x]."""
-    p = _int_poly(p)
-    v = _coerce_vector(v, A.dim)
-    inv = A.inv_rows
-    acc = (0,) * A.dim
-    for c in reversed(p.coeffs):
-        acc = _apply_int(inv, acc)
+def _horner(coeffs, v, inv_rows) -> tuple:
+    """sum c_i A^-i v by Horner's rule; ints stay ints, Fractions stay exact."""
+    acc = (0,) * len(v)
+    for c in reversed(coeffs):
+        acc = _apply_int(inv_rows, acc)
         if c:
             acc = tuple(map(add, acc, (c * x for x in v)))
     return acc
+
+
+def poly_action(p, v, A: HalfIntegralMatrix) -> tuple[int, ...]:
+    """p(A^-1) v for an integer polynomial p: the module action of Z[x]."""
+    return _horner(_int_poly(p).coeffs, _coerce_vector(v, A.dim), A.inv_rows)
 
 
 def poly_to_vector(p, A: HalfIntegralMatrix) -> tuple[int, ...]:
@@ -242,22 +245,14 @@ def poly_to_vector(p, A: HalfIntegralMatrix) -> tuple[int, ...]:
     return poly_action(p, unit_vector(A.dim), A)
 
 
-def vector_to_poly(v, A: HalfIntegralMatrix,
-                   assume_irreducible: bool = False) -> Polynomial:
-    """Inverse of poly_to_vector: the integer polynomial naming v.
+def vector_to_poly(v, A: HalfIntegralMatrix) -> Polynomial:
+    """Inverse of poly_to_vector: the integer polynomial of degree < dim naming v.
 
-    Requires the characteristic polynomial to be irreducible so that the
-    powers of A^-1 applied to e1 form a basis; pass assume_irreducible=True
-    to skip that check (needed beyond degree 6, where irreducibility is not
-    decided here).
+    MatrixError unless e1, A^-1 e1, ..., A^-(m-1) e1 form a basis (as for
+    every companion or contracting A) in which v has integer coordinates.
     """
     m = A.dim
     v = _coerce_vector(v, m)
-    if not assume_irreducible and not is_irreducible(A.chi):
-        raise MatrixError(
-            "characteristic polynomial is reducible; polynomial coordinates "
-            "are not canonical (pass assume_irreducible=True to override)"
-        )
     inv = A.inv_rows
     cols = []
     b = unit_vector(m)
@@ -271,7 +266,10 @@ def vector_to_poly(v, A: HalfIntegralMatrix,
             "powers of the inverse matrix applied to e1 are linearly "
             "dependent; no polynomial names this vector uniquely"
         )
-    p = Polynomial(sol)
+    return _integral_name(Polynomial(sol), v)
+
+
+def _integral_name(p: Polynomial, v) -> Polynomial:
     if not p.is_integral():
         raise MatrixError(
             f"vector {format_vector(v)} is not an integer polynomial multiple "
@@ -360,7 +358,7 @@ class LocationMap:
         residuals in c(A, e) track the automaton's transitions bit for bit.
         Raises LocateError on the first violation.
         """
-        config = CompleteConfig(A, self.e, non_contracting=True)
+        config = CompleteConfig(A, self.e)
         missing = sorted(set(aut.states) - set(self.assignment))
         if missing:
             raise LocateError(f"states missing from the map: {', '.join(missing)}")
@@ -491,21 +489,35 @@ def _sigma(parity: Parity, bit: int) -> int:
     return -1 if bit == 0 else 1
 
 
+def _cycle_quotient(A: HalfIntegralMatrix, sigmas) -> Polynomial | None:
+    """q = (x^L - 1) / s in Q[x]/chi*, s = sum sigma_i x^i, L = len(sigmas);
+    None when s is a zero divisor there (s(A^-1) is singular)."""
+    star = A.chi_star
+    target = reduce_mod(Polynomial((-1,) + (0,) * (len(sigmas) - 1) + (1,)), star).coeffs
+    sol = _mul_matrix_mod(Polynomial(sigmas), star).solve_unique(
+        target + (0,) * (star.degree - len(target)))
+    return None if sol is None else Polynomial(sol)
+
+
+CYCLE_LIMIT = 64  # cycle words that may fail to determine e before locate gives up
+
+
 def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
-           bound: int = DEFAULT_BOUND, cycle_limit: int = 64) -> LocationMap:
+           bound: int = DEFAULT_BOUND) -> LocationMap:
     """Embed an abelian automaton into a complete automaton over A.
 
-    The least odd state lying on a cycle is pinned to the first unit vector;
-    walking one of its cycles gives an exact linear equation whose unique
-    solution is the translation vector e, and breadth-first propagation in
-    both directions assigns every remaining state.  Any inconsistency
+    The least odd state lying on a cycle is pinned to the first unit vector
+    e1.  With x acting as A^-1, a cycle word of length L through it forces
+    s e = (x^L - 1) e1, s = sum sigma_i x^i with sign sigma_i = -1, +1 (0 at
+    even states) on input 0, 1.  s has constant +-1, so e is named by the
+    fraction p = (x^L - 1)/s of Q[x]/chi*, one division.  Breadth-first
+    propagation both ways assigns every other state.  Any inconsistency
     (non-integral or even e, parity or transition mismatch, unreachable
     states) raises LocateError: the matrix does not fit the machine.
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
-    if not A.contracting:
-        raise MatrixError(f"characteristic polynomial {A.chi} is not contracting")
+    _require_contracting(A)
     _require_abelian_free(aut, bound)
 
     parity = {s: aut.state_parity(s) for s in aut.states}
@@ -517,49 +529,33 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
     if anchor is None:
         raise LocateError("no odd state lies on a cycle")
 
-    m = A.dim
-    e1 = unit_vector(m)
-    M = A.inner
-    eye = RationalMatrix.identity(m)
-
-    e = None
-    tried = 0
+    e1 = unit_vector(A.dim)
+    inv = A.inv_rows
+    q = None
     max_len = 2 * len(aut.states) + 2
-    for word in _cycle_words(aut, anchor, max_len):
-        L = len(word)
-        powers = [eye]
-        for _ in range(L):
-            powers.append(M @ powers[-1])
-        lhs = None
-        state = anchor
-        for i, ch in enumerate(word):
-            sig = _sigma(parity[state], int(ch))
-            if sig:
-                term = powers[L - i].scale(sig)
-                lhs = term if lhs is None else lhs + term
+    for tried, word in enumerate(_cycle_words(aut, anchor, max_len), start=1):
+        sigmas, state = [], anchor
+        for ch in word:
+            sigmas.append(_sigma(parity[state], int(ch)))
             state = aut.residual(state, int(ch))
-        sol = None if lhs is None else lhs.solve_unique((eye - powers[L]).apply(e1))
-        if sol is None:
-            tried += 1
-            if tried >= cycle_limit:
-                break
-            continue
-        if any(x.denominator != 1 for x in sol) or sol[0].numerator % 2 == 0:
-            raise LocateError(
-                f"cycle {word!r} at {anchor} forces translation vector "
-                f"({', '.join(str(x) for x in sol)}), which is not an odd "
-                "integer vector; the matrix does not fit"
-            )
-        e = tuple(int(x) for x in sol)
-        break
-    if e is None:
+        q = _cycle_quotient(A, sigmas)
+        if q is not None or tried >= CYCLE_LIMIT:
+            break
+    if q is None:
         raise LocateError(
             f"no cycle through {anchor} determines a translation vector "
             f"(tried words up to length {max_len})"
         )
+    sol = _horner(q.coeffs, e1, inv)
+    if any(x.denominator != 1 for x in sol) or sol[0] % 2 == 0:
+        raise LocateError(
+            f"cycle {word!r} at {anchor} forces translation vector "
+            f"({', '.join(str(x) for x in sol)}), which is not an odd "
+            "integer vector; the matrix does not fit"
+        )
+    e = tuple(map(int, sol))
 
     config = CompleteConfig(A, e)
-    inv = A.inv_rows
     assignment = {anchor: e1}
     queue = deque([anchor])
     back = {s: [] for s in aut.states}
@@ -607,8 +603,7 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
             f"states not connected to {anchor}: {', '.join(missing)}"
         )
 
-    p = vector_to_poly(e, A, assume_irreducible=True)
-    return LocationMap(p=p, e=e, assignment=assignment)
+    return LocationMap(p=_integral_name(q, e), e=e, assignment=assignment)
 
 
 @dataclass(frozen=True)
@@ -628,7 +623,7 @@ def find_location_mismatch(aut: MealyAutomaton, A: HalfIntegralMatrix,
     independently and reports the first disagreement.  This is deliberately
     brute force: it shares no code with `locate` or `LocationMap.validate`.
     """
-    config = CompleteConfig(A, locmap.e, non_contracting=True)
+    config = CompleteConfig(A, locmap.e)
     for s in aut.states:
         if s not in locmap.assignment:
             raise LocateError(f"state {s} missing from the map")
@@ -688,9 +683,8 @@ def gtilde_eq(a: GTildeElement, b: GTildeElement, A: HalfIntegralMatrix) -> bool
 
 def gtilde_add(a: GTildeElement, b: GTildeElement,
                A: HalfIntegralMatrix) -> GTildeElement:
-    star = chi_star(A.chi)
     v = tuple(map(add, poly_action(b.p, a.v, A), poly_action(a.p, b.v, A)))
-    return GTildeElement(v, reduce_mod(a.p * b.p, star))
+    return GTildeElement(v, reduce_mod(a.p * b.p, A.chi_star))
 
 
 def gtilde_neg(a: GTildeElement) -> GTildeElement:
@@ -701,6 +695,6 @@ def gtilde_residual(a: GTildeElement, bit: int,
                     A: HalfIntegralMatrix) -> tuple[GTildeElement, int]:
     """Step the numerator inside c(A, p . e1); the denominator rides along."""
     e = poly_to_vector(a.p, A)
-    config = CompleteConfig(A, e, non_contracting=True)
+    config = CompleteConfig(A, e)
     w, out = residual_vector(config, a.v, bit)
     return GTildeElement(w, a.p), out

@@ -390,11 +390,12 @@ class HalfIntegralMatrix:
     """Matrix with half-integral first column, integral rest, det = +-1/2.
 
     Its inverse is integral (it is +-2 adj(A)); `inv_rows` holds its rows
-    as int tuples, computed once with the determinant check.  `chi` and
-    `contracting` are computed on first use and kept in the instance.
+    as int tuples, computed once with the determinant check, and `rows2`
+    the int rows of 2A.  `chi`, `chi_star` and `contracting` are computed
+    on first use and kept in the instance.
     """
 
-    __slots__ = ("inner", "inv_rows", "_chi", "_contracting")
+    __slots__ = ("inner", "inv_rows", "rows2", "_chi", "_chi_star", "_contracting")
 
     def __init__(self, inner: RationalMatrix):
         if not isinstance(inner, RationalMatrix):
@@ -415,8 +416,10 @@ class HalfIntegralMatrix:
                                "non-integral inverse")
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "inv_rows", tuple(tuple(map(int, row)) for row in inv))
-        object.__setattr__(self, "_chi", None)
-        object.__setattr__(self, "_contracting", None)
+        object.__setattr__(self, "rows2", tuple(tuple(int(2 * x) for x in row)
+                                                for row in inner.rows))
+        for slot in ("_chi", "_chi_star", "_contracting"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, *a):
         raise AttributeError("HalfIntegralMatrix is immutable")
@@ -438,6 +441,13 @@ class HalfIntegralMatrix:
         if self._chi is None:
             object.__setattr__(self, "_chi", char_poly(self))
         return self._chi
+
+    @property
+    def chi_star(self) -> Polynomial:
+        """The characteristic polynomial of the inverse: the reversal of chi."""
+        if self._chi_star is None:
+            object.__setattr__(self, "_chi_star", chi_star(self.chi))
+        return self._chi_star
 
     @property
     def contracting(self) -> bool:
@@ -676,7 +686,7 @@ def is_irreducible(chi) -> bool:
     if chi.degree > MAX_IRREDUCIBILITY_DEGREE:
         raise UnsupportedError(
             f"irreducibility is only decided up to degree {MAX_IRREDUCIBILITY_DEGREE}; "
-            f"got degree {chi.degree} (pass assume_irreducible=True to skip)"
+            f"got degree {chi.degree}"
         )
     if chi.degree < 1:
         return False

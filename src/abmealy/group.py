@@ -23,7 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import (
     BoundExceededError,
@@ -320,10 +319,7 @@ def gamma_of(aut: MealyAutomaton) -> GroupElement:
     odd_states = [s for s in aut.states if aut._odd(s)]
     if not odd_states:
         raise NoOddStateError(f"automaton {aut.name!r} has no odd state")
-    o = odd_states[0]
-    d0, _ = aut.step(o, 0)
-    d1, _ = aut.step(o, 1)
-    return GroupElement.of(aut, {d1: 1}) - GroupElement.of(aut, {d0: 1})
+    return _residual_difference(aut, odd_states[0])
 
 
 def _residual_difference(aut: MealyAutomaton, s: str) -> GroupElement:
@@ -337,9 +333,10 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
 
     The criterion: the group is abelian iff even states have equal residuals
     (d1 f - d0 f = I) and all odd states share one residual difference gamma;
-    gamma = I separates the boolean case from the free one.  Identity checks
-    are bounded, so the answer can be Unknown; a NotAbelian verdict always
-    carries a definite witness.
+    gamma = I separates the boolean case from the free one.  Each odd state
+    is compared with the least one, whose difference is gamma.  Identity
+    checks are bounded, so the answer can be Unknown; a NotAbelian verdict
+    always carries a definite witness.
     """
     if not aut.is_invertible():
         raise NotInvertibleError(f"automaton {aut.name!r} is not invertible")
@@ -361,8 +358,10 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
         if res.verdict is Verdict.UNKNOWN:
             saw_unknown = True
 
-    for f, g in combinations(odd_states, 2):
-        diff = _residual_difference(aut, f) - _residual_difference(aut, g)
+    f = odd_states[0]
+    gamma = _residual_difference(aut, f)
+    for g in odd_states[1:]:
+        diff = gamma - _residual_difference(aut, g)
         res = identity_test(diff, bound)
         if res.verdict is Verdict.NOT_IDENTITY:
             why = (
@@ -373,7 +372,6 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
         if res.verdict is Verdict.UNKNOWN:
             saw_unknown = True
 
-    gamma = gamma_of(aut)
     res = identity_test(gamma, bound)
     if saw_unknown or res.verdict is Verdict.UNKNOWN:
         return AbelianReport(AbelianVerdict.UNKNOWN)

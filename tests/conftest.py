@@ -4,9 +4,24 @@ Every fixture is a frozen, hand-checked artifact; tests assert against
 these rather than re-deriving them with library code.
 """
 
+import functools
+
 import pytest
 
-from abmealy import MealyAutomaton, find_location_mismatch, parse_automaton, parse_matrix
+import abmealy
+import abmealy.analysis
+import abmealy.cli
+import abmealy.complete
+from abmealy import (
+    HalfIntegralMatrix,
+    MealyAutomaton,
+    RationalMatrix,
+    find_location_mismatch,
+    parse_automaton,
+    parse_matrix,
+    poly_to_vector,
+    unit_vector,
+)
 
 A32_TEXT = """\
 aut a32
@@ -132,3 +147,48 @@ def verify_location(aut, A, locmap, max_len=10):
     which decide the same question exactly, transition by transition.
     """
     return find_location_mismatch(aut, A, locmap, max_len) is None
+
+
+def cycle_solution_by_powers(A, sigmas):
+    """Oracle for the cycle equation `locate` solves in Q[x]/chi*.
+
+    A cycle through e1 with signs sigma_0..sigma_(L-1) forces
+    sum sigma_i A^(L-i) e = (I - A^L) e1.  This solves that system over
+    Fraction matrix powers of A itself and returns e, or None when the left
+    side is singular.
+    """
+    L, M = len(sigmas), A.inner
+    eye = RationalMatrix.identity(A.dim)
+    powers = [eye]
+    for _ in range(L):
+        powers.append(M @ powers[-1])
+    lhs = None
+    for i, sig in enumerate(sigmas):
+        if sig:
+            term = powers[L - i].scale(sig)
+            lhs = term if lhs is None else lhs + term
+    if lhs is None:
+        return None
+    return lhs.solve_unique((eye - powers[L]).apply(unit_vector(A.dim)))
+
+
+_locate = abmealy.complete.locate
+
+
+@functools.wraps(_locate)
+def checked_locate(aut, A, **kwargs):
+    """`locate`, checking that p names e: p(A^-1) e1 == e.
+
+    Bound in place of `locate` in every module that exposes it, before any
+    test module imports it, so every locate the suite runs is checked.
+    """
+    locmap = _locate(aut, A, **kwargs)
+    A = A if isinstance(A, HalfIntegralMatrix) else HalfIntegralMatrix(A)
+    assert poly_to_vector(locmap.p, A) == locmap.e
+    checked_locate.checked += 1
+    return locmap
+
+
+checked_locate.checked = 0
+for _module in (abmealy, abmealy.complete, abmealy.analysis, abmealy.cli):
+    _module.locate = checked_locate

@@ -240,6 +240,16 @@ def test_orbit_rejects_even_translation_vector(capsys, files):
     assert err.startswith("error:") and "odd" in err
 
 
+def test_orbit_commands_reject_a_non_contracting_chi(capsys, tmp_path):
+    mat = tmp_path / "expanding.mat"
+    mat.write_text("chi 1/2 -3/2 1\n")  # roots 1/2 and 1
+    want = "error: characteristic polynomial 1/2 - 3/2x + x^2 is not contracting\n"
+    for argv in (("orbit", str(mat), "--e", "(1,0)"),
+                 ("scc", str(mat)),
+                 ("principal", "--chi", "1/2 -3/2 1")):
+        assert run(capsys, *argv) == (1, "", want)
+
+
 # -- locate / verify ---------------------------------------------------------------
 
 

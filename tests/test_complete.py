@@ -7,10 +7,16 @@ is x^2 + x + 1/2, and the three-state machine locates in c(A, (3,2))."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from abmealy.complete import (
+    _cycle_quotient,
+    _cycle_words,
+    _horner,
+    _self_reachable,
+    _sigma,
     CompleteConfig,
     GTildeElement,
     LocationMap,
@@ -54,9 +60,10 @@ from abmealy.exactalg import (
     companion_from_chi,
     reduce_mod,
 )
-from abmealy.mealy import find_isomorphism
+from abmealy.mealy import Parity, find_isomorphism
 
-from conftest import union_machine, verify_location
+import conftest
+from conftest import cycle_solution_by_powers, union_machine, verify_location
 
 CHI_STAR_A = IntPolynomial.of(2, 2, 1)
 
@@ -99,13 +106,17 @@ def test_config_validation(mat_a):
         CompleteConfig(mat_a, (2, 1))
     with pytest.raises(MatrixError, match="length"):
         CompleteConfig(mat_a, (1, 0, 0))
+    # any half-integral matrix makes a configuration and steps; only the
+    # orbit walks, which need not end, refuse a non-contracting one
     bad = companion_from_chi(RationalPolynomial.of(HALF, Fraction(-3, 2), 1))
-    with pytest.raises(MatrixError, match="not contracting"):
-        CompleteConfig(bad, (1, 0))
-    loose = CompleteConfig(bad, (1, 0), non_contracting=True)
-    assert loose.e == (1, 0)
-    # the escape hatch is not part of the configuration's identity
-    assert CompleteConfig(mat_a, (3, 2), non_contracting=True) == cfg
+    loose = CompleteConfig(bad, (1, 0))
+    assert residual_vector(loose, (1, 0), 1) == ((3, -1), 0)  # A (2, 0)
+    for walk in (lambda: orbit(loose, (1, 0)),
+                 lambda: orbit_automaton(loose, [(1, 0)])):
+        with pytest.raises(MatrixError,
+                           match=r"^characteristic polynomial 1/2 - 3/2x \+ x\^2 "
+                                 "is not contracting$"):
+            walk()
 
 
 def test_configs_from_equal_matrices_are_equal():
@@ -115,7 +126,7 @@ def test_configs_from_equal_matrices_are_equal():
     ca, cb = CompleteConfig(a, (3, 2)), CompleteConfig(b, [3, 2])
     assert ca == cb and hash(ca) == hash(cb)
     assert {ca: 1}[cb] == 1
-    assert repr(ca) == f"CompleteConfig(A={a!r}, e=(3, 2), non_contracting=False)"
+    assert repr(ca) == f"CompleteConfig(A={a!r}, e=(3, 2))"
 
 
 def test_residual_vector_pinned(mat_a):
@@ -269,16 +280,17 @@ def test_vector_to_poly_non_integral():
 
 
 def test_vector_to_poly_reducible_guard():
+    # chi = (x - 1/2)(x - 1) is reducible, but e1 is cyclic for a companion
+    # matrix, so the name of every vector is still unique
     A = companion_from_chi(RationalPolynomial.of(HALF, Fraction(-3, 2), 1))
-    with pytest.raises(MatrixError, match="reducible"):
-        vector_to_poly((5, 7), A)
-    assert vector_to_poly((5, 7), A, assume_irreducible=True) == IntPolynomial.of(5, 7)
+    assert vector_to_poly((5, 7), A) == IntPolynomial.of(5, 7)
+    assert poly_to_vector(IntPolynomial.of(5, 7), A) == (5, 7)
 
 
 def test_vector_to_poly_dependent_basis():
     A = HalfIntegralMatrix([[HALF, 0], [0, 1]])
     with pytest.raises(MatrixError, match="linearly dependent"):
-        vector_to_poly((0, 1), A, assume_irreducible=True)
+        vector_to_poly((0, 1), A)
 
 
 # -- polynomial parsing ----------------------------------------------------------
@@ -427,6 +439,79 @@ def test_locate_errors(a32, lamplighter, mat_a):
         locate(a32, one_dim)
     with pytest.raises(LocateError, match="not connected"):
         locate(union_machine(), mat_a)
+
+
+# chi of the 14 corpus orbit machines of 7 to 61 states
+CORPUS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -2), (-1, 0, 2),
+             (1, 0, 1, -1), (1, 0, 1, 1), (1, 0, -1, -1), (1, 0, -1, 1),
+             (-1, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0), (1, -2, 3, -3), (1, 2, 3, 3)]
+
+
+def ring_solution(A, sigmas):
+    """e from the division in Q[x]/chi*, with Fraction entries when it is not integral."""
+    q = _cycle_quotient(A, sigmas)
+    return None if q is None else tuple(map(Fraction, _horner(q.coeffs, unit_vector(A.dim),
+                                                              A.inv_rows)))
+
+
+@pytest.mark.parametrize("g", CORPUS_GS)
+def test_cycle_division_matches_matrix_powers_on_the_corpus(g):
+    cfg = unit_config(g)
+    e1 = unit_vector(cfg.dim)
+    aut = orbit_automaton(cfg, [e1])
+    anchor = next(s for s in aut.states
+                  if aut.state_parity(s) is Parity.ODD and _self_reachable(aut, s))
+    words = list(islice(_cycle_words(aut, anchor, 2 * len(aut.states) + 2), 40))
+    assert words
+    for word in words:
+        sigmas, state = [], anchor
+        for ch in word:
+            sigmas.append(_sigma(aut.state_parity(state), int(ch)))
+            state = aut.residual(state, int(ch))
+        assert ring_solution(cfg.A, sigmas) == cycle_solution_by_powers(cfg.A, sigmas), word
+
+
+def random_half_integral(rng, m):
+    """A non-companion half-integral matrix with small entries, by rejection."""
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), 2)] + [rng.randint(-2, 2) for _ in range(m - 1)]
+                for _ in range(m)]
+        if abs(RationalMatrix(rows).det()) == HALF:
+            A = HalfIntegralMatrix(rows)
+            if A != companion_from_chi(A.chi):
+                return A
+
+
+def test_cycle_division_matches_matrix_powers_on_random_matrices():
+    rng = random.Random(8)
+    integral = fractional = 0
+    for _ in range(150):
+        A = random_half_integral(rng, rng.choice((2, 3)))
+        sigmas = [rng.choice((-1, 1))] + [rng.randint(-1, 1) for _ in range(rng.randint(0, 7))]
+        want = cycle_solution_by_powers(A, sigmas)
+        assert ring_solution(A, sigmas) == want
+        if want is not None:
+            if _cycle_quotient(A, sigmas).is_integral():
+                integral += 1
+            else:
+                fractional += 1
+    # both unimodular and non-unimodular bases e1, A^-1 e1, ... occur
+    assert integral > 20 and fractional > 20
+    # s = 1 - x vanishes at the eigenvalue 1 of A^-1 when chi = (x - 1/2)(x - 1)
+    A = companion_from_chi(RationalPolynomial.of(HALF, Fraction(-3, 2), 1))
+    assert ring_solution(A, [1, -1]) is None is cycle_solution_by_powers(A, [1, -1])
+
+
+def test_every_locate_in_the_suite_checks_that_p_names_e(a32, mat_a):
+    import abmealy
+    from abmealy import analysis, cli, complete
+
+    assert all(mod.locate is conftest.checked_locate
+               for mod in (abmealy, analysis, cli, complete))
+    assert locate is conftest.checked_locate
+    before = conftest.checked_locate.checked
+    locate(a32, mat_a)
+    assert conftest.checked_locate.checked == before + 1
 
 
 def test_locate_allows_duplicate_vectors(a32, mat_a):

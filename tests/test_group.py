@@ -7,6 +7,7 @@ residuation fold, and the fold must agree with it word for word.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from abmealy import (
     BoundExceededError,
     CompleteConfig,
     GroupElement,
+    MealyAutomaton,
     NoOddStateError,
     NotAbelianError,
     Parity,
@@ -34,6 +36,7 @@ from abmealy import (
     residuate_element,
     unit_vector,
 )
+from abmealy import group
 from abmealy.group import (
     DEFAULT_BOUND,
     _expand_terms,
@@ -295,6 +298,78 @@ def test_nonabelian_witness_is_honest(lamplighter):
     assert any(
         eval_element(lamplighter, diff, w) != w for w in _all_words(6)
     )
+
+
+def check_abelian_all_pairs(aut, bound=DEFAULT_BOUND):
+    """Oracle: the criterion with one identity test per pair of odd states."""
+    odd = [s for s in aut.states if aut._odd(s)]
+    if not odd:
+        return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
+
+    def diff(s):
+        return (GroupElement.unit(aut, aut.residual(s, 1))
+                - GroupElement.unit(aut, aut.residual(s, 0)))
+
+    unknown = False
+    for s in aut.states:
+        if s not in odd:
+            res = identity_test(diff(s), bound)
+            if res.verdict is Verdict.NOT_IDENTITY:
+                why = (f"d1({s}) - d0({s}) = {diff(s)} is not the identity "
+                       f"(odd element along path {res.witness_path!r})")
+                return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(s, why))
+            unknown |= res.verdict is Verdict.UNKNOWN
+    for f, g in combinations(odd, 2):
+        d = diff(f) - diff(g)
+        res = identity_test(d, bound)
+        if res.verdict is Verdict.NOT_IDENTITY:
+            why = (f"odd states {f} and {g} have different residual differences "
+                   f"({d} is odd along path {res.witness_path!r})")
+            return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(f, why))
+        unknown |= res.verdict is Verdict.UNKNOWN
+    gamma = diff(odd[0])
+    res = identity_test(gamma, bound)
+    if unknown or res.verdict is Verdict.UNKNOWN:
+        return AbelianReport(AbelianVerdict.UNKNOWN)
+    if res.verdict is Verdict.IS_IDENTITY:
+        return AbelianReport(AbelianVerdict.BOOLEAN_CANDIDATE, gamma=gamma)
+    return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE, gamma=gamma)
+
+
+def random_machine(rng, n):
+    states = [f"s{i}" for i in range(n)]
+    trans = {}
+    for s in states:
+        flip = rng.random() < 0.5
+        for b in (0, 1):
+            trans[(s, b)] = (rng.choice(states), b ^ flip)
+    return MealyAutomaton(trans, name="random")
+
+
+def test_check_abelian_matches_the_all_pairs_oracle(a32, lamplighter, principal_figure):
+    rng = random.Random(5)
+    machines = [a32, lamplighter, principal_figure, union_machine()]
+    machines += [random_machine(rng, rng.randint(2, 7)) for _ in range(400)]
+    verdicts = set()
+    for aut in machines:
+        rep = check_abelian(aut)
+        assert rep == check_abelian_all_pairs(aut), aut.serialize()
+        verdicts.add(rep.verdict)
+    assert len(verdicts) == 4  # every verdict but Unknown occurs
+
+
+def test_check_abelian_runs_one_identity_test_per_state(monkeypatch):
+    """Each even state, each odd state but the least, and gamma: n tests, not
+    the n(n - 1)/2 of comparing every pair of odd states."""
+    machine = unit_orbit_machine((1, -2, 3, -3))  # the 61-state corpus machine
+    tested = []
+    real = group.identity_test
+    monkeypatch.setattr(group, "identity_test",
+                        lambda e, bound: tested.append(e) or real(e, bound))
+    rep = check_abelian(machine)
+    assert rep.verdict is AbelianVerdict.ABELIAN_FREE_CANDIDATE
+    assert str(rep.gamma) == "-1_0_-1_0 - -4_3_-3_1"
+    assert len(tested) == len(machine.states) == 61
 
 
 # -- principal machines ----------------------------------------------------------------
