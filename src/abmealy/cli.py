@@ -353,8 +353,19 @@ def _add_json(p):
     p.add_argument("--json", action="store_true", help="emit one JSON object")
 
 
+def _at_least(low: int):
+    """argparse type: an int >= low; anything else is a usage error (exit 2)."""
+    def parse(text):
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse's message for a non-int: "invalid int value: 'x'"
+    return parse
+
+
 def _add_bound(p):
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+    p.add_argument("--bound", type=_at_least(1), default=DEFAULT_BOUND,
                    help=f"exploration bound (default {DEFAULT_BOUND})")
 
 
@@ -413,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("aut")
     p.add_argument("matrix")
     p.add_argument("--map", help="location map file (default: locate first)")
-    p.add_argument("--maxlen", type=int, default=10,
+    p.add_argument("--maxlen", type=_at_least(1), default=10,
                    help="exhaustive word length bound (default 10)")
     _add_bound(p)
     _add_json(p)
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scc", help="probe the orbit of the unit vector and its negation")
     p.add_argument("matrix")
-    p.add_argument("--degree", type=int, default=12,
+    p.add_argument("--degree", type=_at_least(0), default=12,
                    help="witness search degree (default 12)")
     _add_bound(p)
     _add_json(p)
@@ -460,14 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="search for a monic {-1,0,1} witness = -1 mod chi*")
     p.add_argument("chistar", help="modulus polynomial, constant first")
-    p.add_argument("--degree", type=int, default=12)
+    p.add_argument("--degree", type=_at_least(0), default=12)
     _add_json(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("infer", help="search for a matrix that fits a machine")
     p.add_argument("aut")
-    p.add_argument("--max-dim", type=int, default=3)
-    p.add_argument("--coeff-bound", type=int, default=2)
+    p.add_argument("--max-dim", type=_at_least(1), default=3)
+    p.add_argument("--coeff-bound", type=_at_least(0), default=2)
     _add_bound(p)
     _add_json(p)
     p.set_defaults(func=_cmd_infer)

@@ -31,7 +31,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import (
     BoundExceededError,
@@ -56,7 +56,8 @@ from .mealy import MealyAutomaton, Parity
 
 
 def format_vector(v) -> str:
-    return "(" + ",".join(str(int(c)) for c in v) + ")"
+    """'(3,2)'; a non-integer entry is printed exactly, never rounded."""
+    return "(" + ",".join(map(str, v)) + ")"
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
@@ -75,7 +76,7 @@ def parse_vector(text: str) -> tuple[int, ...]:
 
 def vector_label(v) -> str:
     """State label for a vector: components joined by underscores."""
-    return "_".join(str(int(c)) for c in v)
+    return "_".join(map(str, v))
 
 
 def unit_vector(m: int) -> tuple[int, ...]:
@@ -84,9 +85,18 @@ def unit_vector(m: int) -> tuple[int, ...]:
     return (1,) + (0,) * (m - 1)
 
 
-def _coerce_vector(v, m: int) -> tuple[int, ...]:
-    out = tuple(map(int, v))
-    if len(out) != m:
+def _coerce_vector(v, m: int | None = None) -> tuple[int, ...]:
+    """v as a tuple of ints, of length m unless m is None; MatrixError names
+    a non-integer entry or a wrong length."""
+    v = tuple(v)
+    try:
+        out = tuple(map(index, v))
+    except TypeError:  # a Fraction or a float is taken only when it is integral
+        out = tuple(map(int, v))
+    if out != v:
+        bad = next(x for x, y in zip(v, out) if x != y)
+        raise MatrixError(f"vector {format_vector(v)} has non-integer entry {bad}")
+    if m is not None and len(out) != m:
         raise MatrixError(f"vector {format_vector(out)} has length {len(out)}, need {m}")
     return out
 
@@ -132,8 +142,13 @@ def _step(config: CompleteConfig, v: tuple[int, ...], bit: int) -> tuple[tuple[i
         w, out = tuple(map(add, v, config.e)), 0
     else:
         w, out = tuple(map(sub, v, config.e)), 1
-    # w has an even first coordinate, and 2A is even outside its first column
-    # (A is integral there), so every component of 2A w is even: // 2 is exact.
+    # w has an even first coordinate, so h = w0 / 2 is exact, and so is // 2
+    # below: 2A is even outside its first column (A is integral there).
+    c = config.A.companion
+    if c is not None:
+        # row i of A is (c_i / 2) e1 + e_{i+1}: (A w)_i = c_i h + w_{i+1}
+        h = w[0] // 2
+        return tuple([ci * h + x for ci, x in zip(c, w[1:] + (0,))]), out
     return tuple([sum(map(mul, row, w)) // 2 for row in config.A.rows2]), out
 
 
@@ -147,7 +162,7 @@ def residual_vector(config: CompleteConfig, v, bit: int) -> tuple[tuple[int, ...
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return _step(config, _coerce_vector(v, config.dim), bit)
+    return _step(config, _coerce_vector(v, len(config.e)), bit)
 
 
 def transduce_vector(config: CompleteConfig, v, word: str) -> str:
@@ -176,13 +191,16 @@ def _walk(config: CompleteConfig, starts, bound: int):
     Raises MatrixError unless chi is contracting, so that orbits are finite.
     """
     _require_contracting(config.A)
+    # one product per vector: A (v + e) = A (v - e) + 2A e, and A v for both bits of an even v
+    shift = tuple(sum(map(mul, row, config.e)) for row in config.A.rows2)
     first = {s: s for s in starts}
     queue = deque(first)
     while queue:
         v = queue.popleft()
+        w, out = _step(config, v, 0)
+        pairs = ((w, 1), (tuple(map(add, w, shift)), 0)) if out else ((w, 0), (w, 1))
         steps = []
-        for bit in (0, 1):
-            w, out = _step(config, v, bit)
+        for w, out in pairs:
             if w not in first:
                 if len(first) >= bound:
                     raise BoundExceededError(
@@ -299,12 +317,9 @@ class LocationMap:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _int_poly(self.p))
-        object.__setattr__(self, "e", tuple(int(c) for c in self.e))
+        object.__setattr__(self, "e", _coerce_vector(self.e))
         object.__setattr__(
-            self,
-            "assignment",
-            {s: tuple(int(c) for c in v) for s, v in self.assignment.items()},
-        )
+            self, "assignment", {s: _coerce_vector(v) for s, v in self.assignment.items()})
 
     def serialize(self) -> str:
         lines = [f"p: {self.p}", f"e: {format_vector(self.e)}"]
@@ -665,7 +680,7 @@ class GTildeElement:
     p: Polynomial
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(c) for c in self.v))
+        object.__setattr__(self, "v", _coerce_vector(self.v))
         object.__setattr__(self, "p", _int_poly(self.p))
         if self.p.constant % 2 == 0:
             raise MatrixError(

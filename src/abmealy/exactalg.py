@@ -391,11 +391,14 @@ class HalfIntegralMatrix:
 
     Its inverse is integral (it is +-2 adj(A)); `inv_rows` holds its rows
     as int tuples, computed once with the determinant check, and `rows2`
-    the int rows of 2A.  `chi`, `chi_star` and `contracting` are computed
+    the int rows of 2A.  `companion` is 2A's first column when A has the
+    companion shape (columns 1..m-1 of 2A are 2 on the superdiagonal and 0
+    elsewhere), else None.  `chi`, `chi_star` and `contracting` are computed
     on first use and kept in the instance.
     """
 
-    __slots__ = ("inner", "inv_rows", "rows2", "_chi", "_chi_star", "_contracting")
+    __slots__ = ("inner", "inv_rows", "rows2", "companion", "_chi", "_chi_star",
+                 "_contracting")
 
     def __init__(self, inner: RationalMatrix):
         if not isinstance(inner, RationalMatrix):
@@ -416,8 +419,11 @@ class HalfIntegralMatrix:
                                "non-integral inverse")
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "inv_rows", tuple(tuple(map(int, row)) for row in inv))
-        object.__setattr__(self, "rows2", tuple(tuple(int(2 * x) for x in row)
-                                                for row in inner.rows))
+        rows2 = tuple(tuple(int(2 * x) for x in row) for row in inner.rows)
+        shape = all(x == 2 * (j == i + 1)
+                    for i, row in enumerate(rows2) for j, x in enumerate(row) if j)
+        object.__setattr__(self, "rows2", rows2)
+        object.__setattr__(self, "companion", tuple(r[0] for r in rows2) if shape else None)
         for slot in ("_chi", "_chi_star", "_contracting"):
             object.__setattr__(self, slot, None)
 

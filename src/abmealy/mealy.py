@@ -60,10 +60,8 @@ class MealyAutomaton:
 
     def __init__(self, transitions, name: str = "machine", states=None):
         delta = {}
-        for key, val in dict(transitions).items():
-            src, a = key
-            dst, out = val
-            delta[(src, _check_bit(a))] = (dst, _check_bit(out))
+        for (src, a), (dst, out) in dict(transitions).items():
+            delta[src, _check_bit(a)] = (dst, _check_bit(out))
         if states is None:
             states = {s for s, _ in delta}
         states = sorted(states)
@@ -72,17 +70,22 @@ class MealyAutomaton:
         stateset = set(states)
         if len(stateset) != len(states):
             raise AutomatonError("duplicate state label")
-        for s in states:
-            if not LABEL_RE.match(s):
-                raise AutomatonError(f"bad state label {s!r}")
-            for a in (0, 1):
-                if (s, a) not in delta:
-                    raise AutomatonError(f"state {s!r} has no transition on input {a}")
-        for (src, _a), (dst, _out) in delta.items():
-            if src not in stateset:
-                raise AutomatonError(f"transition from undeclared state {src!r}")
-            if dst not in stateset:
-                raise AutomatonError(f"transition into unknown state {dst!r}")
+        # keys lie in stateset x {0, 1} once every source is declared, and 2n
+        # keys fill it; the loops below only name the first fault
+        if not (len(delta) == 2 * len(states) and stateset.issuperset(s for s, _ in delta)
+                and stateset.issuperset(d for d, _ in delta.values())
+                and all(map(LABEL_RE.match, states))):
+            for s in states:
+                if not LABEL_RE.match(s):
+                    raise AutomatonError(f"bad state label {s!r}")
+                for a in (0, 1):
+                    if (s, a) not in delta:
+                        raise AutomatonError(f"state {s!r} has no transition on input {a}")
+            for (src, _a), (dst, _out) in delta.items():
+                if src not in stateset:
+                    raise AutomatonError(f"transition from undeclared state {src!r}")
+                if dst not in stateset:
+                    raise AutomatonError(f"transition into unknown state {dst!r}")
         if not LABEL_RE.match(name):
             raise AutomatonError(f"bad automaton name {name!r}")
         self.name = name

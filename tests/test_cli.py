@@ -655,6 +655,64 @@ def test_usage_errors_exit_with_two(capsys):
     capsys.readouterr()
 
 
+# Each flag below led to a traceback, an exit 1 or a vacuous answer before
+# it was checked in the parser.
+OUT_OF_RANGE = [
+    (("check", "a32.aut"), "--bound", 0, 1),
+    (("principal", "--aut", "a32.aut"), "--bound", -1, 1),
+    (("principal", "--chi", "1/2 1 1"), "--bound", 0, 1),
+    (("orbit", "A.mat", "--e", "(3,2)"), "--bound", 0, 1),
+    (("locate", "a32.aut", "A.mat"), "--bound", 0, 1),
+    (("verify", "a32.aut", "A.mat"), "--bound", 0, 1),
+    (("verify", "a32.aut", "A.mat"), "--maxlen", -3, 1),
+    (("verify", "a32.aut", "A.mat"), "--maxlen", 0, 1),
+    (("scc", "A.mat"), "--bound", 0, 1),
+    (("scc", "A.mat"), "--degree", -1, 0),
+    (("witness", "2 2 1"), "--degree", -5, 0),
+    (("infer", "a32.aut"), "--bound", 0, 1),
+    (("infer", "a32.aut"), "--max-dim", 0, 1),
+    (("infer", "a32.aut"), "--coeff-bound", -1, 0),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value,low", OUT_OF_RANGE)
+def test_numeric_flags_below_their_least_value_are_usage_errors(capsys, files, argv,
+                                                                 flag, value, low):
+    argv = [str(files / a) if a.endswith((".aut", ".mat")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, str(value)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"abmealy {argv[0]}: error: argument {flag}: must be at least {low}, got {value}")
+    # the least value itself is accepted by the parser
+    code, _, _ = run(capsys, *argv, flag, str(low))
+    assert code in (0, 1)
+
+
+def test_numeric_flags_keep_the_int_parse_error(capsys, files):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(files / "a32.aut"), "--bound", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "abmealy check: error: argument --bound: invalid int value: 'x'")
+
+
+def test_python_dash_m_runs_the_tool_uninstalled(files):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "abmealy", "transduce",
+                           str(files / "a32.aut"), "f", "0110"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1100\n", "")
+    proc = subprocess.run([sys.executable, "-m", "abmealy", "check",
+                           str(files / "a32.aut"), "--bound", "0"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: abmealy check")
+
+
 def test_console_script_is_installed(files, tmp_path):
     # The suite runs uninstalled, so write the wrapper that pip generates for
     # the declared entry point and run it against this checkout's src.

@@ -11,6 +11,7 @@ from itertools import islice
 
 import pytest
 
+from abmealy.analysis import check_scc_instance
 from abmealy.complete import (
     _cycle_quotient,
     _cycle_words,
@@ -58,7 +59,9 @@ from abmealy.exactalg import (
     chi_star,
     char_poly,
     companion_from_chi,
+    parse_matrix,
     reduce_mod,
+    serialize_matrix,
 )
 from abmealy.mealy import Parity, find_isomorphism
 
@@ -94,6 +97,28 @@ def test_vector_helpers():
             parse_vector(bad)
     with pytest.raises(MatrixError):
         unit_vector(0)
+
+
+def test_non_integer_vectors_are_refused_not_truncated(mat_a):
+    with pytest.raises(MatrixError, match=r"^vector \(3/2,0\) has non-integer entry 3/2$"):
+        CompleteConfig(mat_a, (Fraction(3, 2), 0))
+    cfg = CompleteConfig(mat_a, (1, 0))
+    with pytest.raises(MatrixError, match=r"^vector \(1.9,1/2\) has non-integer entry 1.9$"):
+        residual_vector(cfg, (1.9, Fraction(1, 2)), 0)
+    with pytest.raises(MatrixError, match="non-integer entry 1/2"):
+        orbit(cfg, (Fraction(1, 2), 0))
+    with pytest.raises(MatrixError, match="non-integer entry 7/2"):
+        LocationMap(p=IntPolynomial.of(3, 2), e=(Fraction(7, 2), 2), assignment={})
+    with pytest.raises(MatrixError, match="non-integer entry -1/2"):
+        LocationMap(p=IntPolynomial.of(1), e=(1, 0), assignment={"f": (1, Fraction(-1, 2))})
+    with pytest.raises(MatrixError, match="non-integer entry 0.5"):
+        GTildeElement((0.5, 0), IntPolynomial.of(1))
+    assert format_vector((Fraction(1, 2), 2.7)) == "(1/2,2.7)"
+    assert vector_label((Fraction(1, 2), -3)) == "1/2_-3"
+    # integral values of other types are taken, as ints
+    cfg = CompleteConfig(mat_a, (Fraction(3), 2.0))
+    assert cfg.e == (3, 2) and all(type(x) is int for x in cfg.e)
+    assert residual_vector(cfg, [Fraction(1), 0], 0) == ((0, 1), 1)
 
 
 # -- configurations --------------------------------------------------------------
@@ -226,6 +251,142 @@ def test_orbit_automaton_is_principal(mat_a, principal_figure):
         orbit_automaton(cfg, [])
     with pytest.raises(BoundExceededError):
         orbit_automaton(cfg, [(1, 1)], bound=2)
+
+
+# -- the companion-form step and the generic step -------------------------------------
+
+# chi of the 14 corpus orbit machines of 7 to 61 states
+CORPUS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -2), (-1, 0, 2),
+             (1, 0, 1, -1), (1, 0, 1, 1), (1, 0, -1, -1), (1, 0, -1, 1),
+             (-1, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0), (1, -2, 3, -3), (1, 2, 3, 3)]
+# and of the corpus orbit machines of 823 and 1,179 states
+CORPUS_TO_1179 = CORPUS_GS + [(1, 1, 1, 2, 1), (-1, 1, -1, 2, -1),
+                              (1, 1, 0, 1, 0), (-1, 1, 0, 1, 0)]
+
+
+def random_half_integral(rng, m):
+    """A non-companion half-integral matrix with small entries, by rejection."""
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), 2)] + [rng.randint(-2, 2) for _ in range(m - 1)]
+                for _ in range(m)]
+        if abs(RationalMatrix(rows).det()) == HALF:
+            A = HalfIntegralMatrix(rows)
+            if A != companion_from_chi(A.chi):
+                return A
+
+
+def generic_step(config, v, bit):
+    """The step by the rows of 2A, as every matrix took it before the companion form."""
+    if v[0] % 2 == 0:
+        w, out = v, bit
+    else:
+        sign = 1 if bit else -1
+        w, out = tuple(x + sign * c for x, c in zip(v, config.e)), 1 - bit
+    return tuple(sum(a * x for a, x in zip(row, w)) // 2 for row in config.A.rows2), out
+
+
+def oracle_orbit_text(config, starts):
+    """AUT text of the orbit machine, by a plain breadth-first walk on `generic_step`,
+    one `str(int(c))` label per vector."""
+    label, queue, lines = {}, [], {}
+    for s in starts:
+        if s not in label:
+            label[s] = "_".join(str(int(c)) for c in s)
+            queue.append(s)
+    for v in queue:  # grows while it is read
+        for bit in (0, 1):
+            w, out = generic_step(config, v, bit)
+            if w not in label:
+                label[w] = "_".join(str(int(c)) for c in w)
+                queue.append(w)
+            lines[label[v], bit] = f"trans {label[v]} {bit} {out} {label[w]}"
+    states = sorted(label.values())
+    return "\n".join([f"aut orbit_{label[starts[0]]}", "states " + " ".join(states)]
+                     + [lines[s, bit] for s in states for bit in (0, 1)]) + "\n"
+
+
+@pytest.mark.parametrize("g", CORPUS_TO_1179)
+def test_corpus_matrices_take_the_companion_step(g):
+    cfg = unit_config(g)
+    parsed = parse_matrix(serialize_matrix(cfg.A))
+    c = tuple(-2 * x for x in reversed(cfg.A.chi.coeffs[:-1]))
+    assert cfg.A.companion == parsed.companion == c
+    assert all(type(x) is int for x in cfg.A.companion)
+
+
+@pytest.mark.parametrize("g", CORPUS_TO_1179)
+def test_orbit_automaton_matches_the_generic_walk_on_the_corpus(g):
+    cfg = unit_config(g)
+    e1 = unit_vector(cfg.dim)
+    for starts in ([e1], [e1, tuple(-c for c in e1)]):
+        assert orbit_automaton(cfg, starts).serialize() == oracle_orbit_text(cfg, starts)
+
+
+def test_which_matrices_take_the_companion_step(mat_a):
+    assert mat_a.companion == (-2, -1)
+    assert companion_from_chi(RationalPolynomial.of(HALF, 1)).companion == (-1,)
+    near = [
+        [[-1, -1], [Fraction(-1, 2), 0]],                   # -1 on the superdiagonal
+        [[HALF, 0], [HALF, 1]],                             # 0 on the superdiagonal
+        [[-1, 1], [Fraction(-1, 2), 1]],                    # one extra nonzero entry
+        [[HALF, 1, 0], [0, 0, 1], [HALF, 0, 1]],             # and in dimension 3
+    ]
+    rng = random.Random(3)
+    for rows in near:
+        A = HalfIntegralMatrix(rows)
+        assert A.companion is None, rows
+        cfg = CompleteConfig(A, (1,) + (0,) * (A.dim - 1))
+        for _ in range(200):
+            v = tuple(rng.randint(-9, 9) for _ in range(A.dim))
+            for bit in (0, 1):
+                assert residual_vector(cfg, v, bit) == reference_step(cfg, v, bit)
+
+
+def test_generic_step_matches_the_fraction_reference_on_random_matrices():
+    rng = random.Random(9)
+    for m in (1, 2, 3, 4):
+        for _ in range(12):
+            if m == 1:  # every 1 x 1 matrix has the companion shape
+                A = HalfIntegralMatrix([[Fraction(rng.choice((-1, 1)), 2)]])
+                assert A.companion is not None
+            else:
+                A = random_half_integral(rng, m)
+                assert A.companion is None
+            e = (rng.randrange(-5, 6, 2),) + tuple(rng.randint(-5, 5) for _ in range(m - 1))
+            cfg = CompleteConfig(A, e)
+            for _ in range(40):
+                v = tuple(rng.randint(-20, 20) for _ in range(m))
+                for bit in (0, 1):
+                    assert residual_vector(cfg, v, bit) == reference_step(cfg, v, bit)
+
+
+def conjugate(A, rng):
+    """P A P^-1 for a random P = [[1, 0], [0, Q]], Q unimodular: same chi, and
+    v -> P v maps c(A, e1) onto c(P A P^-1, e1), as P keeps first coordinates."""
+    m = A.dim
+    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):  # add +-row j to row i, both past the first
+        i, j = rng.sample(range(1, m), 2)
+        sign = rng.choice((-1, 1))
+        rows[i] = [x + sign * y for x, y in zip(rows[i], rows[j])]
+    P = RationalMatrix(rows)
+    return HalfIntegralMatrix(P @ A.inner @ P.inverse()), P
+
+
+@pytest.mark.parametrize("g", [(1, 1, 1, 1), (1, 0, -2), (1, 0, 1, -1), (1, 2, 3, 3),
+                               (1, 1, 1, 2, 1)])
+def test_orbit_and_scc_on_non_companion_conjugates(g):
+    cfg = unit_config(g)
+    e1 = unit_vector(cfg.dim)
+    B, P = conjugate(cfg.A, random.Random(len(g) + g[-1]))
+    assert B.companion is None and B.chi == cfg.A.chi
+    image = [tuple(int(x) for x in P.apply(v)) for v in orbit(cfg, e1)]
+    assert orbit(CompleteConfig(B, e1), e1) == image
+    want, got = check_scc_instance(cfg.A), check_scc_instance(B)
+    assert len(got.states) == len(want.states)
+    assert sorted(map(len, got.decomposition.components)) == sorted(
+        map(len, want.decomposition.components))
+    assert got.single_nontrivial == want.single_nontrivial
 
 
 # -- polynomial coordinates ---------------------------------------------------------
@@ -441,12 +602,6 @@ def test_locate_errors(a32, lamplighter, mat_a):
         locate(union_machine(), mat_a)
 
 
-# chi of the 14 corpus orbit machines of 7 to 61 states
-CORPUS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -2), (-1, 0, 2),
-             (1, 0, 1, -1), (1, 0, 1, 1), (1, 0, -1, -1), (1, 0, -1, 1),
-             (-1, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0), (1, -2, 3, -3), (1, 2, 3, 3)]
-
-
 def ring_solution(A, sigmas):
     """e from the division in Q[x]/chi*, with Fraction entries when it is not integral."""
     q = _cycle_quotient(A, sigmas)
@@ -469,17 +624,6 @@ def test_cycle_division_matches_matrix_powers_on_the_corpus(g):
             sigmas.append(_sigma(aut.state_parity(state), int(ch)))
             state = aut.residual(state, int(ch))
         assert ring_solution(cfg.A, sigmas) == cycle_solution_by_powers(cfg.A, sigmas), word
-
-
-def random_half_integral(rng, m):
-    """A non-companion half-integral matrix with small entries, by rejection."""
-    while True:
-        rows = [[Fraction(rng.randint(-3, 3), 2)] + [rng.randint(-2, 2) for _ in range(m - 1)]
-                for _ in range(m)]
-        if abs(RationalMatrix(rows).det()) == HALF:
-            A = HalfIntegralMatrix(rows)
-            if A != companion_from_chi(A.chi):
-                return A
 
 
 def test_cycle_division_matches_matrix_powers_on_random_matrices():

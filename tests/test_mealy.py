@@ -77,15 +77,55 @@ def test_parse_rejects(text, needle):
     assert needle in str(exc.value)
 
 
+LOOP = {("a", 0): ("a", 0), ("a", 1): ("a", 1)}
+
+
 def test_constructor_validation():
-    with pytest.raises(AutomatonError):
+    with pytest.raises(AutomatonError, match="at least one state"):
         MealyAutomaton({})
-    with pytest.raises(AutomatonError):
-        MealyAutomaton({("a", 0): ("a", 0)})  # missing input 1
-    with pytest.raises(AutomatonError):
-        MealyAutomaton(
-            {("a", 0): ("b", 0), ("a", 1): ("a", 1)}, states=["a"]
-        )  # b undeclared
+    with pytest.raises(AutomatonError, match="'a' has no transition on input 1"):
+        MealyAutomaton({("a", 0): ("a", 0)})
+    with pytest.raises(AutomatonError, match="'a' has no transition on input 0"):
+        MealyAutomaton({("a", 1): ("a", 1)})
+    with pytest.raises(AutomatonError, match="transition into unknown state 'b'"):
+        MealyAutomaton({("a", 0): ("b", 0), ("a", 1): ("a", 1)}, states=["a"])
+    with pytest.raises(AutomatonError, match="transition from undeclared state 'b'"):
+        MealyAutomaton({**LOOP, ("b", 0): ("a", 0)}, states=["a"])
+    with pytest.raises(AutomatonError, match="'b' has no transition on input 0"):
+        MealyAutomaton(LOOP, states=["a", "b"])
+    with pytest.raises(ValueError, match="bit must be 0 or 1, got 2"):
+        MealyAutomaton({("a", 2): ("a", 0), ("a", 1): ("a", 1)})
+    with pytest.raises(ValueError, match="bit must be 0 or 1, got 3"):
+        MealyAutomaton({("a", 0): ("a", 3), ("a", 1): ("a", 1)})
+    with pytest.raises(AutomatonError, match="duplicate state label"):
+        MealyAutomaton(LOOP, states=["a", "a"])
+    with pytest.raises(AutomatonError, match="bad state label 'a.b'"):
+        MealyAutomaton({("a.b", 0): ("a.b", 0), ("a.b", 1): ("a.b", 1)})
+    with pytest.raises(AutomatonError, match="bad automaton name 'my machine'"):
+        MealyAutomaton(LOOP, name="my machine")
+
+
+def test_constructor_reports_the_first_fault():
+    # states are checked in sorted order before any transition, and
+    # transitions in table order; the name comes last
+    with pytest.raises(AutomatonError, match="bad state label 'a.b'"):
+        MealyAutomaton({("a.b", 0): ("a.b", 0), ("b", 0): ("b", 0)}, name="x y")
+    with pytest.raises(AutomatonError, match="'b' has no transition on input 1"):
+        MealyAutomaton({**LOOP, ("b", 0): ("c", 0), ("b.", 0): ("a", 0)})
+    with pytest.raises(AutomatonError, match="into unknown state 'c'"):
+        MealyAutomaton({("a", 0): ("c", 0), ("a", 1): ("a", 1), ("d", 0): ("a", 0)},
+                       states=["a"])
+    with pytest.raises(AutomatonError, match="from undeclared state 'd'"):
+        MealyAutomaton({("d", 0): ("a", 0), ("a", 0): ("c", 0), ("a", 1): ("a", 1)},
+                       states=["a"])
+    with pytest.raises(AutomatonError, match="bad automaton name"):
+        MealyAutomaton(LOOP, name="")
+
+
+def test_constructor_normalizes_the_table():
+    aut = MealyAutomaton([(("a", 0), ["a", 1]), (("a", 1), ["a", 0])], states=("a",))
+    assert aut.step("a", 0) == ("a", 1) and type(aut.step("a", 0)) is tuple
+    assert aut == MealyAutomaton({("a", 0): ("a", 1), ("a", 1): ("a", 0)})
 
 
 def test_serialize_roundtrip_and_canonical_form(a32):
