@@ -9,9 +9,10 @@ extends from states to combinations by the rules
     d0(-f)    = -d1 f
     d1(-f)    = -d0 f
 
-A combination is expanded into signed unit terms in lexicographic state
-order and folded left, flipping the bit passed to each new term exactly when
-the accumulated partial sum and the term are both odd.
+A combination is the left fold of its signed unit terms in lexicographic
+state order, flipping the bit passed to each new term exactly when the
+accumulated partial sum and the term are both odd; the fold takes each
+state's run of equal terms in one step.
 
 These rules are only meaningful on machines whose group is abelian; callers
 are responsible for that (check_abelian provides the criterion).
@@ -52,14 +53,12 @@ class GroupElement:
 
     @classmethod
     def unit(cls, aut: MealyAutomaton, state: str) -> "GroupElement":
-        if state not in aut.states:
-            raise UnknownStateError(f"unknown state {state!r}")
-        return cls(aut, {state: 1})
+        return cls.of(aut, {state: 1})
 
     @classmethod
     def of(cls, aut: MealyAutomaton, coeffs: dict[str, int]) -> "GroupElement":
         for s in coeffs:
-            if s not in aut.states:
+            if (s, 0) not in aut._delta:
                 raise UnknownStateError(f"unknown state {s!r}")
         return cls(aut, coeffs)
 
@@ -137,91 +136,104 @@ def format_combination(coeffs: dict[str, int], compact: bool = False) -> str:
 
 # -- the residuation fold ----------------------------------------------------
 #
-# Generator tables make the fold reusable beyond machine states: each
-# generator has a parity and, per input bit, a residual given as a coefficient
-# map.  build_principal uses this to adjoin the fresh delta generator.
+# A table indexes generators in label order.  Generator i has a parity odd[i]
+# and, per input bit, a residual given as a key with its parity.  A key is the
+# sorted tuple of (index, coefficient) pairs with nonzero coefficients; every
+# closure below works on keys, and labels appear only at the API edge.
+# build_principal compiles a second table with a fresh delta generator.
 
-@dataclass(frozen=True)
-class GenInfo:
-    odd: bool
-    res0: tuple[tuple[str, int], ...]
-    res1: tuple[tuple[str, int], ...]
+class _Table:
+    __slots__ = ("labels", "index", "odd", "res")
+
+    def __init__(self, gens: dict[str, tuple[bool, dict[str, int], dict[str, int]]]):
+        """gens maps label -> (odd, residual on 0, residual on 1)."""
+        self.labels = tuple(sorted(gens))
+        self.index = {s: i for i, s in enumerate(self.labels)}
+        self.odd = tuple(gens[s][0] for s in self.labels)
+        self.res = tuple(tuple((k, self.parity(k)) for k in map(self.key, gens[s][1:]))
+                         for s in self.labels)
+
+    def key(self, coeffs: dict[str, int]) -> tuple:
+        return tuple(sorted([(self.index[s], c) for s, c in coeffs.items() if c]))
+
+    def coeffs(self, key: tuple) -> dict[str, int]:
+        return {self.labels[i]: c for i, c in key}
+
+    def parity(self, key: tuple) -> bool:
+        """Sum of the coefficients on odd generators, mod 2."""
+        return bool(sum(c for i, c in key if self.odd[i]) & 1)
+
+
+def _machine_gens(aut: MealyAutomaton) -> dict:
+    return {s: (aut._odd(s), {aut.residual(s, 0): 1}, {aut.residual(s, 1): 1})
+            for s in aut.states}
 
 
 @lru_cache(maxsize=128)
-def _gen_table(aut: MealyAutomaton) -> dict[str, GenInfo]:
+def _table(aut: MealyAutomaton) -> _Table:
     if not aut.is_invertible():
         raise NotInvertibleError(
             f"automaton {aut.name!r} is not invertible; residuation is undefined"
         )
-    table = {}
-    for s in aut.states:
-        d0, _ = aut.step(s, 0)
-        d1, _ = aut.step(s, 1)
-        table[s] = GenInfo(aut._odd(s), ((d0, 1),), ((d1, 1),))
-    return table
+    return _Table(_machine_gens(aut))
 
 
-def _coeffs_parity(gens: dict[str, GenInfo], coeffs: dict[str, int]) -> bool:
-    p = 0
-    for s, c in coeffs.items():
-        if gens[s].odd:
-            p ^= c & 1
-    return bool(p)
+def _fold(table: _Table, key: tuple, bit: int) -> tuple[tuple, bool]:
+    """(child key, child parity) of the combination `key` on input `bit`.
 
-
-def _expand_terms(coeffs: dict[str, int]):
-    """Signed unit terms in lexicographic state order."""
-    for s in sorted(coeffs):
-        c = coeffs[s]
-        sign = 1 if c > 0 else -1
-        for _ in range(abs(c)):
-            yield s, sign
-
-
-def _fold_terms(gens: dict[str, GenInfo], terms, bit: int) -> dict[str, int]:
-    """Left fold of the four residuation rules over signed unit terms.
-
-    Tracks the parity of the accumulated partial sum; the bit handed to each
-    new term is flipped exactly when that parity and the term are both odd.
+    The combination is the left fold of its signed unit terms in index order:
+    the bit handed to each term is flipped exactly when the partial sum and
+    the term are both odd, and d0(-f) = -d1 f, d1(-f) = -d0 f.  So c copies
+    of an even generator add c times one residual: d_bit for c > 0, d_(1-bit)
+    for c < 0.  The terms of an odd generator alternate between its two
+    residuals; with b = bit xor the running parity, d_b gets c - floor(c/2)
+    and d_(1-b) gets floor(c/2), for either sign of c.
     """
-    acc: dict[str, int] = {}
-    acc_odd = False
-    for label, sign in terms:
-        info = gens[label]
-        b = bit ^ 1 if (acc_odd and info.odd) else bit
-        if sign > 0:
-            src = info.res0 if b == 0 else info.res1
-            mult = 1
+    odd, res = table.odd, table.res
+    acc: dict[int, int] = {}
+    get = acc.get
+    acc_odd = child_odd = 0
+    for i, c in key:
+        r = res[i]
+        if odd[i]:
+            b = bit ^ acc_odd
+            acc_odd ^= c & 1
+            lo = c >> 1  # floor(c/2)
+            if lo:
+                entries, par = r[b ^ 1]
+                child_odd ^= par & lo
+                for j, m in entries:
+                    acc[j] = get(j, 0) + lo * m
+            entries, par = r[b]
+            c -= lo
         else:
-            # d0(-f) = -d1 f and d1(-f) = -d0 f
-            src = info.res1 if b == 0 else info.res0
-            mult = -1
-        for s2, c2 in src:
-            new = acc.get(s2, 0) + mult * c2
-            if new:
-                acc[s2] = new
-            else:
-                acc.pop(s2, None)
-        acc_odd ^= info.odd
-    return acc
+            entries, par = r[bit ^ (c < 0)]
+        if c:
+            child_odd ^= par & c
+            for j, m in entries:
+                acc[j] = get(j, 0) + c * m
+    return tuple(sorted([kv for kv in acc.items() if kv[1]])), bool(child_odd)
 
 
-def _residuate_coeffs(gens, coeffs: dict[str, int], bit: int) -> dict[str, int]:
-    return _fold_terms(gens, _expand_terms(coeffs), bit)
+def _combine(a: tuple, b: tuple, k: int) -> tuple:
+    """The key of a + k*b."""
+    acc = dict(a)
+    for j, c in b:
+        acc[j] = acc.get(j, 0) + k * c
+    return tuple(sorted([kv for kv in acc.items() if kv[1]]))
 
 
 def element_parity(e: GroupElement) -> Parity:
     """Parity of the combination: sum of coefficients on odd states, mod 2."""
-    gens = _gen_table(e.aut)
-    return Parity.ODD if _coeffs_parity(gens, e.coeffs) else Parity.EVEN
+    table = _table(e.aut)
+    return Parity.ODD if table.parity(table.key(e.coeffs)) else Parity.EVEN
 
 
 def residuate_element(e: GroupElement, bit: int) -> GroupElement:
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    gens = _gen_table(e.aut)
-    return GroupElement(e.aut, _residuate_coeffs(gens, e.coeffs, bit))
+    table = _table(e.aut)
+    return GroupElement(e.aut, table.coeffs(_fold(table, table.key(e.coeffs), bit)[0]))
 
 
 # -- identity testing ---------------------------------------------------------
@@ -244,29 +256,24 @@ class IdentityResult:
         return self.verdict is Verdict.IS_IDENTITY
 
 
-def _key(coeffs: dict[str, int]):
-    return tuple(sorted(coeffs.items()))
-
-
-def _identity_test_coeffs(gens, coeffs, bound: int) -> IdentityResult:
+def _identity_test_coeffs(table: _Table, key: tuple, bound: int) -> IdentityResult:
     if bound < 1:
         raise ValueError("bound must be positive")
-    if _coeffs_parity(gens, coeffs):
+    if table.parity(key):
         return IdentityResult(Verdict.NOT_IDENTITY, "")
-    visited = {_key(coeffs)}
-    queue = deque([(coeffs, "")])
+    visited = {key}
+    queue = deque([(key, "")])
     while queue:
         cur, path = queue.popleft()
-        for bit in (0, 1):
-            child = _residuate_coeffs(gens, cur, bit)
-            if _coeffs_parity(gens, child):
-                return IdentityResult(Verdict.NOT_IDENTITY, path + str(bit))
-            k = _key(child)
-            if k not in visited:
+        for bit, ch in ((0, "0"), (1, "1")):
+            child, odd = _fold(table, cur, bit)
+            if odd:
+                return IdentityResult(Verdict.NOT_IDENTITY, path + ch)
+            if child not in visited:
                 if len(visited) >= bound:
                     return IdentityResult(Verdict.UNKNOWN)
-                visited.add(k)
-                queue.append((child, path + str(bit)))
+                visited.add(child)
+                queue.append((child, path + ch))
     return IdentityResult(Verdict.IS_IDENTITY)
 
 
@@ -279,8 +286,8 @@ def identity_test(e: GroupElement, bound: int = DEFAULT_BOUND) -> IdentityResult
     IsIdentity when the closure completes within `bound` distinct elements,
     and Unknown when the bound is exceeded.
     """
-    gens = _gen_table(e.aut)
-    return _identity_test_coeffs(gens, e.coeffs, bound)
+    table = _table(e.aut)
+    return _identity_test_coeffs(table, table.key(e.coeffs), bound)
 
 
 # -- abelianness criterion ----------------------------------------------------
@@ -312,20 +319,26 @@ class AbelianReport:
             raise ValueError(f"a report with verdict {self.verdict} {need} gamma")
 
 
-def gamma_of(aut: MealyAutomaton) -> GroupElement:
-    """d1(o) - d0(o) for the lexicographically least odd state o."""
+def _odd_table(aut: MealyAutomaton) -> tuple[_Table, list[int]]:
+    """The machine's table and the indices of its odd states."""
     if not aut.is_invertible():
         raise NotInvertibleError(f"automaton {aut.name!r} is not invertible")
-    odd_states = [s for s in aut.states if aut._odd(s)]
-    if not odd_states:
+    table = _table(aut)
+    return table, [i for i, odd in enumerate(table.odd) if odd]
+
+
+def _residual_difference(table: _Table, i: int) -> tuple:
+    """The key of d1(s) - d0(s) for the state s of index i."""
+    (r0, _), (r1, _) = table.res[i]
+    return _combine(r1, r0, -1)
+
+
+def gamma_of(aut: MealyAutomaton) -> GroupElement:
+    """d1(o) - d0(o) for the lexicographically least odd state o."""
+    table, odd = _odd_table(aut)
+    if not odd:
         raise NoOddStateError(f"automaton {aut.name!r} has no odd state")
-    return _residual_difference(aut, odd_states[0])
-
-
-def _residual_difference(aut: MealyAutomaton, s: str) -> GroupElement:
-    d0, _ = aut.step(s, 0)
-    d1, _ = aut.step(s, 1)
-    return GroupElement.of(aut, {d1: 1}) - GroupElement.of(aut, {d0: 1})
+    return GroupElement(aut, table.coeffs(_residual_difference(table, odd[0])))
 
 
 def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianReport:
@@ -338,46 +351,37 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
     checks are bounded, so the answer can be Unknown; a NotAbelian verdict
     always carries a definite witness.
     """
-    if not aut.is_invertible():
-        raise NotInvertibleError(f"automaton {aut.name!r} is not invertible")
-    odd_states = [s for s in aut.states if aut._odd(s)]
-    even_states = [s for s in aut.states if not aut._odd(s)]
-    if not odd_states:
+    table, odd = _odd_table(aut)
+    if not odd:
         return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
 
+    labels, f = table.labels, table.labels[odd[0]]
+    gamma = _residual_difference(table, odd[0])
     saw_unknown = False
-    for s in even_states:
-        diff = _residual_difference(aut, s)
-        res = identity_test(diff, bound)
+    # every even state first, then every odd state but the least
+    for i in [i for i, o in enumerate(table.odd) if not o] + odd[1:]:
+        s, diff = labels[i], _residual_difference(table, i)
+        if table.odd[i]:
+            diff = _combine(gamma, diff, -1)
+        res = _identity_test_coeffs(table, diff, bound)
         if res.verdict is Verdict.NOT_IDENTITY:
-            why = (
-                f"d1({s}) - d0({s}) = {diff} is not the identity "
-                f"(odd element along path {res.witness_path!r})"
-            )
+            text, path = format_combination(table.coeffs(diff)), res.witness_path
+            if table.odd[i]:
+                why = (f"odd states {f} and {s} have different residual differences "
+                       f"({text} is odd along path {path!r})")
+                s = f
+            else:
+                why = (f"d1({s}) - d0({s}) = {text} is not the identity "
+                       f"(odd element along path {path!r})")
             return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(s, why))
-        if res.verdict is Verdict.UNKNOWN:
-            saw_unknown = True
+        saw_unknown |= res.verdict is Verdict.UNKNOWN
 
-    f = odd_states[0]
-    gamma = _residual_difference(aut, f)
-    for g in odd_states[1:]:
-        diff = gamma - _residual_difference(aut, g)
-        res = identity_test(diff, bound)
-        if res.verdict is Verdict.NOT_IDENTITY:
-            why = (
-                f"odd states {f} and {g} have different residual differences "
-                f"({diff} is odd along path {res.witness_path!r})"
-            )
-            return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(f, why))
-        if res.verdict is Verdict.UNKNOWN:
-            saw_unknown = True
-
-    res = identity_test(gamma, bound)
+    res = _identity_test_coeffs(table, gamma, bound)
     if saw_unknown or res.verdict is Verdict.UNKNOWN:
         return AbelianReport(AbelianVerdict.UNKNOWN)
-    if res.verdict is Verdict.IS_IDENTITY:
-        return AbelianReport(AbelianVerdict.BOOLEAN_CANDIDATE, gamma=gamma)
-    return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE, gamma=gamma)
+    verdict = (AbelianVerdict.BOOLEAN_CANDIDATE if res.verdict is Verdict.IS_IDENTITY
+               else AbelianVerdict.ABELIAN_FREE_CANDIDATE)
+    return AbelianReport(verdict, gamma=GroupElement(aut, table.coeffs(gamma)))
 
 
 # -- principal machine ---------------------------------------------------------
@@ -400,51 +404,41 @@ def _require_abelian_free(aut: MealyAutomaton, bound: int) -> AbelianReport:
 def _principal_nodes(aut: MealyAutomaton, bound: int):
     """Closure data for the principal machine.
 
-    Returns (delta_label, gens, nodes) where nodes maps each coefficient-map
-    key to (coeffs, odd, child key on 0, child key on 1).  The node set is the
-    residuation closure of {gamma}, plus the identity, plus the fresh delta
-    generator and the negations of everything, closed again.
+    Returns (table, delta, nodes): the machine's table with the fresh delta
+    generator adjoined, delta's index in it, and a map from each node key to
+    (odd, child key on 0, child key on 1).  The node set is the residuation
+    closure of {gamma}, plus the identity, plus delta and the negations of
+    everything, closed again.
     """
     report = _require_abelian_free(aut, bound)
-    gamma = report.gamma
+    gens = _machine_gens(aut)
+    label = "delta"
+    while label in gens:
+        label += "_"
+    gens[label] = (True, {}, report.gamma.coeffs)  # d0(delta) = I, d1(delta) = gamma
+    table = _Table(gens)
 
-    delta_label = "delta"
-    while delta_label in aut.states:
-        delta_label += "_"
-    gens = dict(_gen_table(aut))
-    gens[delta_label] = GenInfo(
-        True, (), tuple(sorted(gamma.coeffs.items()))
-    )  # d0(delta) = I, d1(delta) = gamma
-
-    nodes: dict[tuple, tuple[dict, bool, tuple, tuple]] = {}
+    nodes: dict[tuple, tuple[bool, tuple, tuple] | None] = {}
     queue = deque()
 
-    def add(coeffs: dict[str, int]):
-        k = _key(coeffs)
-        if k not in nodes:
+    def add(key: tuple) -> tuple:
+        if key not in nodes:
             if len(nodes) >= bound:
-                raise BoundExceededError(
-                    f"principal closure exceeded bound {bound}"
-                )
-            nodes[k] = None  # reserve; filled when popped
-            queue.append(coeffs)
-        return k
+                raise BoundExceededError(f"principal closure exceeded bound {bound}")
+            nodes[key] = None  # reserve; filled when popped
+            queue.append(key)
+        return key
 
-    add(gamma.coeffs)
-    add({})
-    add({delta_label: 1})
+    add(table.key(report.gamma.coeffs))
+    add(())
+    add(((table.index[label], 1),))
     while queue:
         cur = queue.popleft()
-        k = _key(cur)
-        if nodes[k] is not None:
-            continue
-        c0 = _residuate_coeffs(gens, cur, 0)
-        c1 = _residuate_coeffs(gens, cur, 1)
-        k0, k1 = add(c0), add(c1)
-        nodes[k] = (cur, _coeffs_parity(gens, cur), k0, k1)
+        (k0, _), (k1, _) = _fold(table, cur, 0), _fold(table, cur, 1)
+        nodes[cur] = (table.parity(cur), add(k0), add(k1))
         # adjoin the negation and close it too
-        add({s: -c for s, c in cur.items()})
-    return delta_label, gens, nodes
+        add(tuple((j, -c) for j, c in cur))
+    return table, table.index[label], nodes
 
 
 def _principal_classes(aut: MealyAutomaton, bound: int):
@@ -458,18 +452,18 @@ def _principal_classes(aut: MealyAutomaton, bound: int):
     member when all have delta); classes are visited in order of their
     greatest member key, and a label already taken gets `_` suffixes.
 
-    Returns (nodes, label of every node key, label -> least key of the
+    Returns (table, nodes, label of every node key, label -> least key of the
     members the label is drawn from).
     """
-    delta_label, _gens, nodes = _principal_nodes(aut, bound)
-    block = {k: odd for k, (_, odd, _, _) in nodes.items()}
+    table, delta, nodes = _principal_nodes(aut, bound)
+    block = {k: odd for k, (odd, _, _) in nodes.items()}
     count = len(set(block.values()))
     while True:
         ids: dict[tuple, int] = {}
         # the right-hand side reads the previous round's blocks
         block = {
             k: ids.setdefault((block[k], block[k0], block[k1]), len(ids))
-            for k, (_, _, k0, k1) in nodes.items()
+            for k, (_, k0, k1) in nodes.items()
         }
         if len(ids) == count:
             break
@@ -481,13 +475,13 @@ def _principal_classes(aut: MealyAutomaton, bound: int):
     label_of: dict[tuple, str] = {}
     reps: dict[str, tuple] = {}
     for ms in sorted(members.values(), key=lambda ms: ms[-1]):
-        pool = [m for m in ms if all(s != delta_label for s, _ in m)] or ms
-        lbl = min(format_combination(dict(m), compact=True) for m in pool)
+        pool = [m for m in ms if all(j != delta for j, _ in m)] or ms
+        lbl = min(format_combination(table.coeffs(m), compact=True) for m in pool)
         while lbl in reps:
             lbl += "_"
         reps[lbl] = pool[0]
         label_of.update(dict.fromkeys(ms, lbl))
-    return nodes, label_of, reps
+    return table, nodes, label_of, reps
 
 
 def build_principal(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> MealyAutomaton:
@@ -500,10 +494,10 @@ def build_principal(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> MealyAut
     closure size is the only bound.  Labels are the compact prints of class
     representatives (`f1-f0`, `I`, ...).
     """
-    nodes, label_of, reps = _principal_classes(aut, bound)
+    _, nodes, label_of, reps = _principal_classes(aut, bound)
     transitions = {}
     for src, rep in reps.items():
-        _, odd, k0, k1 = nodes[rep]
+        odd, k0, k1 = nodes[rep]
         transitions[(src, 0)] = (label_of[k0], int(odd))
         transitions[(src, 1)] = (label_of[k1], int(not odd))
     return MealyAutomaton(transitions, name=f"principal_{aut.name}")
@@ -518,5 +512,5 @@ def principal_class_elements(
     appears under its own label with a coefficient on the fresh symbol.
     Mostly useful for testing the closure's group structure.
     """
-    _, _, reps = _principal_classes(aut, bound)
-    return {lbl: dict(rep) for lbl, rep in reps.items()}
+    table, _, _, reps = _principal_classes(aut, bound)
+    return {lbl: table.coeffs(rep) for lbl, rep in reps.items()}

@@ -146,7 +146,7 @@ class MealyAutomaton:
             raise NotInvertibleError(
                 f"automaton {self.name!r} is not invertible; parity is undefined"
             )
-        if state not in self.states:
+        if (state, 0) not in self._delta:
             raise UnknownStateError(f"unknown state {state!r}")
         return Parity.ODD if self._odd(state) else Parity.EVEN
 
@@ -181,7 +181,8 @@ class MealyAutomaton:
                 if kind != "states" or len(toks) < 2:
                     fail("expected 'states <label> ...' after header", n)
                 states = toks[1:]
-                if len(set(states)) != len(states):
+                stateset = set(states)
+                if len(stateset) != len(states):
                     fail("duplicate state label", n)
                 for s in states:
                     if not LABEL_RE.match(s):
@@ -193,28 +194,22 @@ class MealyAutomaton:
                 _, src, a, out, dst = toks
                 if a not in ("0", "1") or out not in ("0", "1"):
                     fail("bits must be 0 or 1", n)
-                if src not in states:
-                    fail(f"unknown source state {src!r}", n)
-                if dst not in states:
-                    fail(f"unknown target state {dst!r}", n)
-                key = (src, int(a))
-                if key in delta:
-                    fail(f"duplicate transition for state {src!r} on input {a}", n)
-                delta[key] = (dst, int(out))
+                pairs = ((int(a), int(out)),)
             elif kind == "copy":
                 if len(toks) != 3:
                     fail("expected 'copy <src> <dst>'", n)
                 _, src, dst = toks
-                if src not in states:
-                    fail(f"unknown source state {src!r}", n)
-                if dst not in states:
-                    fail(f"unknown target state {dst!r}", n)
-                for a in (0, 1):
-                    if (src, a) in delta:
-                        fail(f"duplicate transition for state {src!r} on input {a}", n)
-                    delta[(src, a)] = (dst, a)
+                pairs = ((0, 0), (1, 1))
             else:
                 fail(f"unknown directive {kind!r}", n)
+            if src not in stateset:
+                fail(f"unknown source state {src!r}", n)
+            if dst not in stateset:
+                fail(f"unknown target state {dst!r}", n)
+            for a, out in pairs:
+                if (src, a) in delta:
+                    fail(f"duplicate transition for state {src!r} on input {a}", n)
+                delta[src, a] = (dst, out)
 
         if name is None:
             raise FormatError("empty input: missing 'aut <name>' header")
@@ -238,6 +233,8 @@ class MealyAutomaton:
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, MealyAutomaton):
             return NotImplemented
         return (
@@ -266,47 +263,55 @@ def find_isomorphism(a: MealyAutomaton, b: MealyAutomaton) -> dict[str, str] | N
 
     Deterministic transitions mean one matched pair forces its whole reachable
     set, so the search is: repeatedly pick the least unmatched state of `a`,
-    try every still-free compatible state of `b`, and propagate.
+    try every still-free compatible state of `b`, and propagate.  Backtracking
+    runs on an explicit stack of choices, each with the pairs it forced.
     """
     if len(a.states) != len(b.states):
         return None
+    da, db = a._delta, b._delta
+    fwd: dict[str, str] = {}
+    used: set[str] = set()
 
-    def extend(fwd: dict[str, str], used: set[str], sa: str, sb: str):
-        fwd = dict(fwd)
-        used = set(used)
+    def undo(size: int) -> None:
+        # fwd keeps insertion order, so the last pairs matched go first
+        while len(fwd) > size:
+            used.discard(fwd.popitem()[1])
+
+    def extend(sa: str, sb: str) -> bool:
+        """Match sa with sb and every pair that forces, or match nothing."""
+        size = len(fwd)
         queue = deque([(sa, sb)])
         while queue:
             x, y = queue.popleft()
             if x in fwd:
-                if fwd[x] != y:
-                    return None
+                if fwd[x] == y:
+                    continue
+            elif y not in used and da[x, 0][1] == db[y, 0][1] and da[x, 1][1] == db[y, 1][1]:
+                fwd[x] = y
+                used.add(y)
+                queue.extend(((da[x, 0][0], db[y, 0][0]), (da[x, 1][0], db[y, 1][0])))
                 continue
-            if y in used:
-                return None
-            fwd[x] = y
-            used.add(y)
-            for bit in (0, 1):
-                xd, xo = a.step(x, bit)
-                yd, yo = b.step(y, bit)
-                if xo != yo:
-                    return None
-                queue.append((xd, yd))
-        return fwd, used
+            undo(size)
+            return False
+        return True
 
-    def search(fwd: dict[str, str], used: set[str]):
-        pending = [s for s in a.states if s not in fwd]
-        if not pending:
+    n = len(a.states)
+    choices: list[tuple[int, int, int]] = []  # (cursor, candidate, size of fwd before)
+    cursor = candidate = 0
+    while True:
+        while cursor < n and a.states[cursor] in fwd:
+            cursor += 1
+        if cursor == n:
             return fwd
-        x = pending[0]
-        for y in b.states:
-            if y in used:
-                continue
-            ext = extend(fwd, used, x, y)
-            if ext is None:
-                continue
-            result = search(*ext)
-            if result is not None:
-                return result
-        return None
-
-    return search({}, set())
+        size = len(fwd)
+        for j in range(candidate, n):
+            if b.states[j] not in used and extend(a.states[cursor], b.states[j]):
+                choices.append((cursor, j, size))
+                candidate = 0
+                break
+        else:
+            if not choices:
+                return None
+            cursor, candidate, size = choices.pop()
+            undo(size)
+            candidate += 1

@@ -5,6 +5,8 @@ these rather than re-deriving them with library code.
 """
 
 import functools
+from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,6 +15,9 @@ import abmealy.analysis
 import abmealy.cli
 import abmealy.complete
 from abmealy import (
+    AbelianReport,
+    AbelianVerdict,
+    GroupElement,
     HalfIntegralMatrix,
     MealyAutomaton,
     RationalMatrix,
@@ -22,6 +27,7 @@ from abmealy import (
     poly_to_vector,
     unit_vector,
 )
+from abmealy.group import DEFAULT_BOUND, IdentityResult, Verdict, format_combination
 
 A32_TEXT = """\
 aut a32
@@ -170,6 +176,151 @@ def cycle_solution_by_powers(A, sigmas):
     if lhs is None:
         return None
     return lhs.solve_unique((eye - powers[L]).apply(unit_vector(A.dim)))
+
+
+# -- the unit-term residuation fold ------------------------------------------
+#
+# The fold as it was written before the library compiled it: combinations are
+# maps from state labels to coefficients, expanded into signed unit terms and
+# folded one term at a time.  The compiled fold must agree with it exactly.
+
+
+@dataclass(frozen=True)
+class GenInfo:
+    odd: bool
+    res0: tuple[tuple[str, int], ...]
+    res1: tuple[tuple[str, int], ...]
+
+
+def oracle_gen_table(aut):
+    """label -> GenInfo for the states of an invertible machine."""
+    return {
+        s: GenInfo(aut._odd(s), ((aut.residual(s, 0), 1),), ((aut.residual(s, 1), 1),))
+        for s in aut.states
+    }
+
+
+def oracle_principal_gens(aut, gamma):
+    """The machine's generators plus the fresh delta: d0(delta) = I and
+    d1(delta) = gamma.  Returns (delta label, gens)."""
+    gens = oracle_gen_table(aut)
+    label = "delta"
+    while label in gens:
+        label += "_"
+    gens[label] = GenInfo(True, (), tuple(sorted(gamma.items())))
+    return label, gens
+
+
+def oracle_parity(gens, coeffs) -> bool:
+    p = 0
+    for s, c in coeffs.items():
+        if gens[s].odd:
+            p ^= c & 1
+    return bool(p)
+
+
+def expand_terms(coeffs):
+    """Signed unit terms in lexicographic state order."""
+    for s in sorted(coeffs):
+        c = coeffs[s]
+        sign = 1 if c > 0 else -1
+        for _ in range(abs(c)):
+            yield s, sign
+
+
+def fold_terms(gens, terms, bit):
+    """Left fold of the four residuation rules over signed unit terms.
+
+    Tracks the parity of the accumulated partial sum; the bit handed to each
+    new term is flipped exactly when that parity and the term are both odd.
+    """
+    acc = {}
+    acc_odd = False
+    for label, sign in terms:
+        info = gens[label]
+        b = bit ^ 1 if (acc_odd and info.odd) else bit
+        if sign > 0:
+            src = info.res0 if b == 0 else info.res1
+            mult = 1
+        else:
+            # d0(-f) = -d1 f and d1(-f) = -d0 f
+            src = info.res1 if b == 0 else info.res0
+            mult = -1
+        for s2, c2 in src:
+            new = acc.get(s2, 0) + mult * c2
+            if new:
+                acc[s2] = new
+            else:
+                acc.pop(s2, None)
+        acc_odd ^= info.odd
+    return acc
+
+
+def oracle_residuate(gens, coeffs, bit):
+    return fold_terms(gens, expand_terms(coeffs), bit)
+
+
+def oracle_identity_test(gens, coeffs, bound=DEFAULT_BOUND):
+    """Breadth-first residuation closure over coefficient maps."""
+    if oracle_parity(gens, coeffs):
+        return IdentityResult(Verdict.NOT_IDENTITY, "")
+    visited = {tuple(sorted(coeffs.items()))}
+    queue = deque([(coeffs, "")])
+    while queue:
+        cur, path = queue.popleft()
+        for bit in (0, 1):
+            child = oracle_residuate(gens, cur, bit)
+            if oracle_parity(gens, child):
+                return IdentityResult(Verdict.NOT_IDENTITY, path + str(bit))
+            k = tuple(sorted(child.items()))
+            if k not in visited:
+                if len(visited) >= bound:
+                    return IdentityResult(Verdict.UNKNOWN)
+                visited.add(k)
+                queue.append((child, path + str(bit)))
+    return IdentityResult(Verdict.IS_IDENTITY)
+
+
+def oracle_check_abelian(aut, bound=DEFAULT_BOUND):
+    """The abelianness criterion over coefficient maps and the unit-term
+    fold: each even state, each odd state against the least one, gamma."""
+    gens = oracle_gen_table(aut)
+    odd = [s for s in aut.states if gens[s].odd]
+    if not odd:
+        return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
+
+    def diff(s):
+        d = {aut.residual(s, 1): 1}
+        d[aut.residual(s, 0)] = d.get(aut.residual(s, 0), 0) - 1
+        return {t: c for t, c in d.items() if c}
+
+    unknown = False
+    for s in aut.states:
+        if s not in odd:
+            res = oracle_identity_test(gens, diff(s), bound)
+            if res.verdict is Verdict.NOT_IDENTITY:
+                why = (f"d1({s}) - d0({s}) = {format_combination(diff(s))} is not the "
+                       f"identity (odd element along path {res.witness_path!r})")
+                return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(s, why))
+            unknown |= res.verdict is Verdict.UNKNOWN
+    gamma = diff(odd[0])
+    for g in odd[1:]:
+        d = dict(gamma)
+        for t, c in diff(g).items():
+            d[t] = d.get(t, 0) - c
+        d = {t: c for t, c in d.items() if c}
+        res = oracle_identity_test(gens, d, bound)
+        if res.verdict is Verdict.NOT_IDENTITY:
+            why = (f"odd states {odd[0]} and {g} have different residual differences "
+                   f"({format_combination(d)} is odd along path {res.witness_path!r})")
+            return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(odd[0], why))
+        unknown |= res.verdict is Verdict.UNKNOWN
+    res = oracle_identity_test(gens, gamma, bound)
+    if unknown or res.verdict is Verdict.UNKNOWN:
+        return AbelianReport(AbelianVerdict.UNKNOWN)
+    verdict = (AbelianVerdict.BOOLEAN_CANDIDATE if res.verdict is Verdict.IS_IDENTITY
+               else AbelianVerdict.ABELIAN_FREE_CANDIDATE)
+    return AbelianReport(verdict, gamma=GroupElement(aut, gamma))
 
 
 _locate = abmealy.complete.locate

@@ -39,15 +39,24 @@ from abmealy import (
 from abmealy import group
 from abmealy.group import (
     DEFAULT_BOUND,
-    _expand_terms,
-    _fold_terms,
-    _gen_table,
+    _fold,
     _identity_test_coeffs,
     _principal_classes,
     _principal_nodes,
+    _table,
 )
 
-from conftest import union_machine
+from conftest import (
+    expand_terms,
+    fold_terms,
+    oracle_check_abelian,
+    oracle_gen_table,
+    oracle_identity_test,
+    oracle_parity,
+    oracle_principal_gens,
+    oracle_residuate,
+    union_machine,
+)
 
 
 # -- behavioral oracle ---------------------------------------------------------
@@ -167,13 +176,13 @@ def test_unknown_state_rejected(a32):
 def test_fold_order_independent_up_to_function(principal_figure):
     # Two odd terms: folding them in opposite orders yields formally
     # different coefficient maps that must still be equal as functions.
-    gens = _gen_table(principal_figure)
+    gens = oracle_gen_table(principal_figure)
     coeffs = {"f-f0": 1, "f-f1": 1}
-    terms = list(_expand_terms(coeffs))
+    terms = list(expand_terms(coeffs))
     saw_formal_difference = False
     for bit in (0, 1):
-        lex = _fold_terms(gens, terms, bit)
-        rev = _fold_terms(gens, list(reversed(terms)), bit)
+        lex = fold_terms(gens, terms, bit)
+        rev = fold_terms(gens, list(reversed(terms)), bit)
         saw_formal_difference |= lex != rev
         diff = {s: lex.get(s, 0) - rev.get(s, 0) for s in set(lex) | set(rev)}
         diff = {s: c for s, c in diff.items() if c}
@@ -363,13 +372,89 @@ def test_check_abelian_runs_one_identity_test_per_state(monkeypatch):
     the n(n - 1)/2 of comparing every pair of odd states."""
     machine = unit_orbit_machine((1, -2, 3, -3))  # the 61-state corpus machine
     tested = []
-    real = group.identity_test
-    monkeypatch.setattr(group, "identity_test",
-                        lambda e, bound: tested.append(e) or real(e, bound))
+    real = group._identity_test_coeffs
+    monkeypatch.setattr(group, "_identity_test_coeffs",
+                        lambda table, key, bound: tested.append(key) or real(table, key, bound))
     rep = check_abelian(machine)
     assert rep.verdict is AbelianVerdict.ABELIAN_FREE_CANDIDATE
     assert str(rep.gamma) == "-1_0_-1_0 - -4_3_-3_1"
     assert len(tested) == len(machine.states) == 61
+
+
+# -- the compiled fold against the unit-term fold --------------------------------
+
+
+def random_coeffs(rng, labels, top):
+    coeffs = {s: rng.randint(-top, top) for s in labels if rng.random() < 0.7}
+    return {s: c for s, c in coeffs.items() if c}
+
+
+def assert_fold_matches(table, gens, coeffs):
+    key = table.key(coeffs)
+    assert table.parity(key) == oracle_parity(gens, coeffs)
+    for bit in (0, 1):
+        child, odd = _fold(table, key, bit)
+        want = oracle_residuate(gens, coeffs, bit)
+        assert table.coeffs(child) == want, (coeffs, bit)
+        assert child == table.key(want)
+        assert odd == oracle_parity(gens, want)
+
+
+def test_compiled_fold_matches_the_unit_term_fold():
+    rng = random.Random(11)
+    runs = set()
+    for _ in range(300):
+        aut = random_machine(rng, rng.randint(2, 9))
+        table, gens = _table(aut), oracle_gen_table(aut)
+        for _ in range(5):
+            coeffs = random_coeffs(rng, aut.states, 6)
+            runs.update(abs(c) for s, c in coeffs.items() if gens[s].odd)
+            assert_fold_matches(table, gens, coeffs)
+    assert set(range(1, 7)) <= runs  # odd runs of every length up to 6
+
+
+@pytest.mark.parametrize("g", [(1, 2), (1, -2), (1, 1, 1, 1)])
+def test_compiled_fold_matches_on_the_principal_table(a32, g):
+    rng = random.Random(12)
+    for aut in (a32, union_machine(), unit_orbit_machine(g)):
+        table, delta, nodes = _principal_nodes(aut, DEFAULT_BOUND)
+        label, gens = oracle_principal_gens(aut, check_abelian(aut).gamma.coeffs)
+        assert table.labels == tuple(sorted(gens)) and table.labels[delta] == label
+        for key in nodes:
+            assert_fold_matches(table, gens, table.coeffs(key))
+        for _ in range(60):
+            coeffs = random_coeffs(rng, table.labels, 6)
+            coeffs[label] = rng.choice((-3, -2, -1, 1, 2, 3))
+            assert_fold_matches(table, gens, coeffs)
+
+
+def test_compiled_identity_test_matches_the_oracle():
+    rng = random.Random(13)
+    verdicts = set()
+    for _ in range(150):
+        aut = random_machine(rng, rng.randint(2, 7))
+        table, gens = _table(aut), oracle_gen_table(aut)
+        for bound in (3, 50):
+            coeffs = random_coeffs(rng, aut.states, 3)
+            res = _identity_test_coeffs(table, table.key(coeffs), bound)
+            assert res == oracle_identity_test(gens, coeffs, bound), coeffs
+            verdicts.add(res.verdict)
+    assert verdicts == set(Verdict)
+
+
+def test_check_abelian_matches_the_unit_term_oracle():
+    rng = random.Random(14)
+    machines = [random_machine(rng, rng.randint(2, 9)) for _ in range(400)]
+    verdicts = set()
+    for aut in machines:
+        for bound in (DEFAULT_BOUND, 3):
+            rep = check_abelian(aut, bound)
+            want = oracle_check_abelian(aut, bound)
+            assert (rep.verdict, rep.gamma, rep.witness) == (
+                want.verdict, want.gamma, want.witness), aut.serialize()
+            assert str(rep.gamma) == str(want.gamma)
+            verdicts.add(rep.verdict)
+    assert verdicts == set(AbelianVerdict)
 
 
 # -- principal machines ----------------------------------------------------------------
@@ -423,22 +508,24 @@ def test_build_principal_bound(a32):
 
 def pairwise_partition(aut):
     """Oracle: merge every same-parity pair of principal closure nodes whose
-    difference identity_test proves to be the identity."""
-    _, gens, nodes = _principal_nodes(aut, DEFAULT_BOUND)
+    difference the unit-term identity test proves to be the identity."""
+    table, delta, nodes = _principal_nodes(aut, DEFAULT_BOUND)
+    label, gens = oracle_principal_gens(aut, check_abelian(aut).gamma.coeffs)
+    assert table.labels[delta] == label
     keys = sorted(nodes)
     cls = {k: {k} for k in keys}
     memo = {}
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
-            if cls[a] is cls[b] or nodes[a][1] != nodes[b][1]:
+            if cls[a] is cls[b] or nodes[a][0] != nodes[b][0]:
                 continue
-            diff = dict(a)
-            for s, c in b:
+            diff = table.coeffs(a)
+            for s, c in table.coeffs(b).items():
                 diff[s] = diff.get(s, 0) - c
             diff = {s: c for s, c in diff.items() if c}
             dk = tuple(sorted(diff.items()))
             if dk not in memo:
-                res = _identity_test_coeffs(gens, diff, DEFAULT_BOUND)
+                res = oracle_identity_test(gens, diff, DEFAULT_BOUND)
                 assert res.verdict is not Verdict.UNKNOWN
                 memo[dk] = res.verdict is Verdict.IS_IDENTITY
             if memo[dk]:
@@ -449,7 +536,7 @@ def pairwise_partition(aut):
 
 
 def refined_partition(aut):
-    _, label_of, _ = _principal_classes(aut, DEFAULT_BOUND)
+    _, _, label_of, _ = _principal_classes(aut, DEFAULT_BOUND)
     classes = {}
     for k, lbl in label_of.items():
         classes.setdefault(lbl, set()).add(k)

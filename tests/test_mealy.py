@@ -1,5 +1,8 @@
 """Machines, the AUT format, and simulation."""
 
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +78,36 @@ def test_parse_rejects(text, needle):
     with pytest.raises(FormatError) as exc:
         parse_automaton(text)
     assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("aut m\nstates a\n\ntrans b 0 1 a\n", "line 4: unknown source state 'b'"),
+        ("aut m\nstates a\ntrans a 0 1 a\ntrans a 1 0 c\n", "line 4: unknown target state 'c'"),
+        ("aut m\nstates a b\ncopy c a\n", "line 3: unknown source state 'c'"),
+        ("aut m\nstates a b\ncopy a a\ncopy a b\n",
+         "line 4: duplicate transition for state 'a' on input 0"),
+    ],
+)
+def test_parse_names_the_line_of_a_bad_transition(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_automaton(text)
+    assert message in str(exc.value)
+
+
+def test_parse_round_trips_a_large_machine():
+    rng = random.Random(7)
+    labels = [f"q{i}" for i in range(20000)]
+    trans = {}
+    for s in labels:
+        flip = rng.random() < 0.5
+        for bit in (0, 1):
+            trans[s, bit] = (rng.choice(labels), bit ^ flip)
+    m = MealyAutomaton(trans, name="big")
+    text = m.serialize()
+    assert parse_automaton(text) == m
+    assert parse_automaton(text).serialize() == text
 
 
 LOOP = {("a", 0): ("a", 0), ("a", 1): ("a", 1)}
@@ -187,6 +220,8 @@ def test_parity(a32):
     assert a32.state_parity("f") is Parity.ODD
     assert a32.state_parity("f0") is Parity.EVEN
     assert a32.state_parity("f1") is Parity.EVEN
+    with pytest.raises(UnknownStateError):
+        a32.state_parity("nope")
 
 
 def test_not_invertible():
@@ -216,6 +251,59 @@ def test_find_isomorphism_none(a32, lamplighter, xyz):
 def test_find_isomorphism_identity_map(principal_figure):
     iso = find_isomorphism(principal_figure, principal_figure)
     assert iso == {s: s for s in principal_figure.states}
+
+
+def flip_loops(prefix, n):
+    """n one-state components, each a loop that swaps its output."""
+    return MealyAutomaton(
+        {(f"{prefix}{i}", b): (f"{prefix}{i}", 1 - b) for i in range(n) for b in (0, 1)},
+        name=prefix,
+    )
+
+
+def test_find_isomorphism_many_components():
+    a, b = flip_loops("a", 1500), flip_loops("b", 1500)
+    assert find_isomorphism(a, b) == dict(zip(a.states, b.states))
+    assert find_isomorphism(a, flip_loops("b", 1499)) is None
+
+
+def brute_force_isomorphism(a, b):
+    for image in permutations(b.states):
+        fwd = dict(zip(a.states, image))
+        if all(b.step(fwd[s], bit) == (fwd[d], o)
+               for (s, bit), (d, o) in a.transitions.items()):
+            return fwd
+    return None
+
+
+def random_small_machine(rng, n, prefix):
+    labels = [f"{prefix}{i}" for i in range(n)]
+    return MealyAutomaton(
+        {(s, b): (rng.choice(labels), rng.randint(0, 1)) for s in labels for b in (0, 1)},
+        name=prefix,
+    )
+
+
+def test_find_isomorphism_matches_brute_force():
+    rng = random.Random(3)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = random_small_machine(rng, n, "a")
+        if rng.random() < 0.5:
+            relabel = dict(zip(a.states, rng.sample([f"b{i}" for i in range(n)], n)))
+            b = MealyAutomaton({(relabel[s], bit): (relabel[d], o)
+                                for (s, bit), (d, o) in a.transitions.items()}, name="b")
+        else:
+            b = random_small_machine(rng, n, "b")
+        iso = find_isomorphism(a, b)
+        assert (iso is None) == (brute_force_isomorphism(a, b) is None)
+        if iso is not None:
+            found += 1
+            assert sorted(iso.values()) == list(b.states)
+            for (s, bit), (d, o) in a.transitions.items():
+                assert b.step(iso[s], bit) == (iso[d], o)
+    assert found >= 150
 
 
 # -- property tests ----------------------------------------------------------------
