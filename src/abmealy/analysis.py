@@ -31,7 +31,6 @@ from .exactalg import (
     _check_modulus,
     companion_from_chi,
     is_contracting,
-    is_irreducible,
 )
 from .group import DEFAULT_BOUND
 from .mealy import MealyAutomaton
@@ -288,13 +287,13 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int = 3, coeff_bound: int = 2,
 
     Enumerates characteristic polynomials x^m + g(x)/2 with g(0) = -1 or 1
     and the remaining coefficients of g ranging over [-coeff_bound,
-    coeff_bound] in lexicographic order, keeps the contracting (and, up to
-    degree 6, irreducible) ones, and accepts the first whose companion
-    matrix locates the machine.  The location is accepted only after
-    `LocationMap.validate` has checked it on every transition: a map that
-    is a homomorphism there agrees with the machine on every word, by
-    induction on its length, so each result is proven for all lengths.
-    Returns None when the space is exhausted.
+    coeff_bound] in lexicographic order, keeps the contracting ones (each
+    is irreducible, see `complete`), and accepts the first whose companion
+    matrix locates the machine.  Acceptance is `locate`'s own validation:
+    its map is checked on every transition, and a map that is a
+    homomorphism there agrees with the machine on every word, by induction
+    on its length, so each result is proven for all lengths.  Returns None
+    when the space is exhausted.
 
     Raises BoundExceededError, before any search, when the box holds more
     than `bound` polynomials: sum over m <= max_dim of
@@ -316,12 +315,9 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int = 3, coeff_bound: int = 2,
                 chi = _chi_from_g((g0,) + rest, m)
                 if not is_contracting(chi):
                     continue
-                if chi.degree <= 6 and not is_irreducible(chi):
-                    continue
                 A = companion_from_chi(chi)
                 try:
                     locmap = locate(aut, A, bound=bound)
-                    locmap.validate(aut, A)
                 except (LocateError, MatrixError):
                     continue
                 return InferResult(matrix=A, chi=chi, location=locmap)

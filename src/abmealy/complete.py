@@ -14,9 +14,15 @@ orbit, so finite sub-machines of c(A, e) can be cut out and compared with
 ordinary Mealy automata.
 
 `locate` embeds an abelian Mealy automaton into c(A, e): it anchors the
-least odd state on a cycle at the first unit vector, solves the resulting
-cycle equation for e as one division in Q[x]/chi*, and propagates vectors
-across the machine, failing loudly whenever the matrix cannot fit.
+least odd state on a cycle at the first unit vector, solves the equation of
+its shortest cycle for e as one division in Q[x]/chi*, propagates vectors
+across the machine, and checks every transition, failing loudly whenever the
+matrix cannot fit.  One cycle always determines e.  For contracting A, chi*
+(leading coefficient +-1, chi*(0) = +-2) is irreducible: a factor with
+constant +-1 would have roots of product modulus 1, yet every root of chi*
+lies outside the unit circle.  The cycle's sign polynomial s has constant
++-1, as the anchor is odd, so chi* does not divide s, and s is a unit
+modulo chi*.
 
 Polynomials enter through the module action of x as A^-1: a polynomial p
 names the vector p(A^-1) e1, and scaling by a polynomial r realises the
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from operator import add, index, mul, sub
 
@@ -378,14 +384,12 @@ class LocationMap:
         if missing:
             raise LocateError(f"states missing from the map: {', '.join(missing)}")
         for s in aut.states:
-            v = self.assignment[s]
-            odd = aut.state_parity(s) is Parity.ODD
-            if (v[0] % 2 == 1) != odd:
+            v = _coerce_vector(self.assignment[s], config.dim)
+            if (v[0] % 2 == 1) != (aut.state_parity(s) is Parity.ODD):
                 raise LocateError(
                     f"state {s} has parity {aut.state_parity(s)} but vector "
                     f"{format_vector(v)}"
                 )
-            v = _coerce_vector(v, config.dim)
             for bit in (0, 1):
                 t, out = aut.step(s, bit)
                 w, wout = _step(config, v, bit)
@@ -453,49 +457,26 @@ def _is_int(tok: str) -> bool:
 # -- locating a machine -------------------------------------------------------------
 
 
-def _self_reachable(aut: MealyAutomaton, s: str) -> bool:
-    seen = set()
-    queue = deque(aut.residual(s, b) for b in (0, 1))
-    while queue:
-        t = queue.popleft()
-        if t == s:
-            return True
-        if t in seen:
-            continue
-        seen.add(t)
-        queue.extend(aut.residual(t, b) for b in (0, 1))
-    return False
+def _shortest_cycle(aut: MealyAutomaton, anchor: str) -> str | None:
+    """The least word, by (length, lexicographic) order, that walks anchor
+    back to itself; None when anchor lies on no cycle.
 
-
-def _cycle_words(aut: MealyAutomaton, anchor: str, max_len: int):
-    """Words that walk anchor back to itself, by (length, lexicographic) order."""
-    back = {s: [] for s in aut.states}
-    for s in aut.states:
-        for b in (0, 1):
-            back[aut.residual(s, b)].append(s)
-    dist = {anchor: 0}
+    Breadth first, bit 0 before bit 1, every state is first reached by its
+    least shortest word, so the first transition back into anchor closes the
+    least cycle.
+    """
+    words = {anchor: ""}
     queue = deque([anchor])
     while queue:
-        t = queue.popleft()
-        for s in back[t]:
-            if s not in dist:
-                dist[s] = dist[t] + 1
-                queue.append(s)
-
-    def walk(state: str, remaining: int, word: list[str]):
-        if remaining == 0:
-            if state == anchor:
-                yield "".join(word)
-            return
+        s = queue.popleft()
         for b in (0, 1):
-            t = aut.residual(state, b)
-            if dist.get(t, max_len + 1) <= remaining - 1:
-                word.append(str(b))
-                yield from walk(t, remaining - 1, word)
-                word.pop()
-
-    for length in range(1, max_len + 1):
-        yield from walk(anchor, length, [])
+            t = aut.residual(s, b)
+            if t == anchor:
+                return words[s] + str(b)
+            if t not in words:
+                words[t] = words[s] + str(b)
+                queue.append(t)
+    return None
 
 
 def _sigma(parity: Parity, bit: int) -> int:
@@ -514,53 +495,45 @@ def _cycle_quotient(A: HalfIntegralMatrix, sigmas) -> Polynomial | None:
     return None if sol is None else Polynomial(sol)
 
 
-CYCLE_LIMIT = 64  # cycle words that may fail to determine e before locate gives up
-
-
 def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
            bound: int = DEFAULT_BOUND) -> LocationMap:
     """Embed an abelian automaton into a complete automaton over A.
 
     The least odd state lying on a cycle is pinned to the first unit vector
-    e1.  With x acting as A^-1, a cycle word of length L through it forces
+    e1.  With x acting as A^-1, its shortest cycle, of length L, forces
     s e = (x^L - 1) e1, s = sum sigma_i x^i with sign sigma_i = -1, +1 (0 at
-    even states) on input 0, 1.  s has constant +-1, so e is named by the
-    fraction p = (x^L - 1)/s of Q[x]/chi*, one division.  Breadth-first
-    propagation both ways assigns every other state.  Any inconsistency
-    (non-integral or even e, parity or transition mismatch, unreachable
-    states) raises LocateError: the matrix does not fit the machine.
+    even states) on input 0, 1.  s is a unit modulo chi*, so e is named by
+    p = (x^L - 1)/s, one division.  Breadth-first propagation both ways
+    assigns every other state, and `LocationMap.validate` checks every
+    transition.  A misfit raises LocateError, or NotAbelianError when the
+    machine is not AbelianFreeCandidate: a validated map proves its group
+    free abelian, so `check_abelian` runs only on a misfit.
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
     _require_contracting(A)
-    _require_abelian_free(aut, bound)
+    try:
+        return _fit(aut, A)
+    except (LocateError, MatrixError):
+        _require_abelian_free(aut, bound)
+        raise
 
+
+def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
+    """`locate` without the abelian check: anchor and cycle, e, vectors, validation."""
     parity = {s: aut.state_parity(s) for s in aut.states}
-    anchor = next(
-        (s for s in aut.states
-         if parity[s] is Parity.ODD and _self_reachable(aut, s)),
-        None,
-    )
+    cycles = ((s, _shortest_cycle(aut, s)) for s in aut.states if parity[s] is Parity.ODD)
+    anchor, word = next(((s, w) for s, w in cycles if w is not None), (None, None))
     if anchor is None:
         raise LocateError("no odd state lies on a cycle")
 
-    e1 = unit_vector(A.dim)
-    inv = A.inv_rows
-    q = None
-    max_len = 2 * len(aut.states) + 2
-    for tried, word in enumerate(_cycle_words(aut, anchor, max_len), start=1):
-        sigmas, state = [], anchor
-        for ch in word:
-            sigmas.append(_sigma(parity[state], int(ch)))
-            state = aut.residual(state, int(ch))
-        q = _cycle_quotient(A, sigmas)
-        if q is not None or tried >= CYCLE_LIMIT:
-            break
-    if q is None:
-        raise LocateError(
-            f"no cycle through {anchor} determines a translation vector "
-            f"(tried words up to length {max_len})"
-        )
+    sigmas, state = [], anchor
+    for ch in word:
+        sigmas.append(_sigma(parity[state], int(ch)))
+        state = aut.residual(state, int(ch))
+    # never None: chi* is irreducible and does not divide s (module docstring)
+    q = _cycle_quotient(A, sigmas)
+    e1, inv = unit_vector(A.dim), A.inv_rows
     sol = _horner(q.coeffs, e1, inv)
     if any(x.denominator != 1 for x in sol) or sol[0] % 2 == 0:
         raise LocateError(
@@ -571,54 +544,36 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
     e = tuple(map(int, sol))
 
     config = CompleteConfig(A, e)
-    assignment = {anchor: e1}
-    queue = deque([anchor])
     back = {s: [] for s in aut.states}
     for s in aut.states:
         for b in (0, 1):
             back[aut.residual(s, b)].append((s, b))
+    # first come, first assigned: the checks are validate's, below
+    assignment = {anchor: e1}
+    queue = deque([anchor])
     while queue:
         s = queue.popleft()
         v = assignment[s]
-        if (v[0] % 2 == 1) != (parity[s] is Parity.ODD):
-            raise LocateError(
-                f"state {s} has parity {parity[s]} but was forced to vector "
-                f"{format_vector(v)}; the matrix does not fit"
-            )
         for bit in (0, 1):
-            t, out = aut.step(s, bit)
-            w, wout = _step(config, v, bit)
-            if wout != out:
-                raise LocateError(
-                    f"state {s} on input {bit} outputs {out}, but its vector "
-                    f"{format_vector(v)} outputs {wout}"
-                )
-            if t in assignment:
-                if assignment[t] != w:
-                    raise LocateError(
-                        f"state {t} is forced to both "
-                        f"{format_vector(assignment[t])} and {format_vector(w)}; "
-                        "the matrix does not fit"
-                    )
-            else:
-                assignment[t] = w
+            t = aut.residual(s, bit)
+            if t not in assignment:
+                assignment[t] = _step(config, v, bit)[0]
                 queue.append(t)
         for u, bit in back[s]:
-            if u in assignment:
-                continue
-            w = _apply_int(inv, v)
-            sig = _sigma(parity[u], bit)
-            if sig:
-                w = tuple(map(sub, w, (sig * c for c in e)))
-            assignment[u] = w
-            queue.append(u)
+            if u not in assignment:
+                w = _apply_int(inv, v)
+                sig = _sigma(parity[u], bit)
+                if sig:
+                    w = tuple(map(sub, w, (sig * c for c in e)))
+                assignment[u] = w
+                queue.append(u)
     missing = sorted(set(aut.states) - set(assignment))
     if missing:
-        raise LocateError(
-            f"states not connected to {anchor}: {', '.join(missing)}"
-        )
-
-    return LocationMap(p=_integral_name(q, e), e=e, assignment=assignment)
+        raise LocateError(f"states not connected to {anchor}: {', '.join(missing)}")
+    # validate first: a map can fit although e has no integer polynomial name
+    located = LocationMap(p=0, e=e, assignment=assignment)
+    located.validate(aut, A)
+    return replace(located, p=_integral_name(q, e))
 
 
 @dataclass(frozen=True)

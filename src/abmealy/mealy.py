@@ -271,11 +271,16 @@ def find_isomorphism(a: MealyAutomaton, b: MealyAutomaton) -> dict[str, str] | N
     da, db = a._delta, b._delta
     fwd: dict[str, str] = {}
     used: set[str] = set()
+    position = {s: j for j, s in enumerate(b.states)}
+    free = 0  # every state of b below this index is used
 
     def undo(size: int) -> None:
+        nonlocal free
         # fwd keeps insertion order, so the last pairs matched go first
         while len(fwd) > size:
-            used.discard(fwd.popitem()[1])
+            y = fwd.popitem()[1]
+            used.discard(y)
+            free = min(free, position[y])
 
     def extend(sa: str, sb: str) -> bool:
         """Match sa with sb and every pair that forces, or match nothing."""
@@ -303,8 +308,10 @@ def find_isomorphism(a: MealyAutomaton, b: MealyAutomaton) -> dict[str, str] | N
             cursor += 1
         if cursor == n:
             return fwd
+        while free < n and b.states[free] in used:
+            free += 1
         size = len(fwd)
-        for j in range(candidate, n):
+        for j in range(max(candidate, free), n):
             if b.states[j] not in used and extend(a.states[cursor], b.states[j]):
                 choices.append((cursor, j, size))
                 candidate = 0

@@ -7,6 +7,9 @@ these rather than re-deriving them with library code.
 import functools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from operator import sub
 
 import pytest
 
@@ -14,6 +17,7 @@ import abmealy
 import abmealy.analysis
 import abmealy.cli
 import abmealy.complete
+import abmealy.group
 from abmealy import (
     AbelianReport,
     AbelianVerdict,
@@ -27,7 +31,22 @@ from abmealy import (
     poly_to_vector,
     unit_vector,
 )
+from abmealy.complete import (
+    CompleteConfig,
+    LocationMap,
+    _apply_int,
+    _cycle_quotient,
+    _horner,
+    _integral_name,
+    _require_contracting,
+    _sigma,
+    _step,
+    format_vector,
+)
+from abmealy.errors import LocateError
+from abmealy.exactalg import Polynomial, is_contracting
 from abmealy.group import DEFAULT_BOUND, IdentityResult, Verdict, format_combination
+from abmealy.mealy import Parity
 
 A32_TEXT = """\
 aut a32
@@ -153,6 +172,19 @@ def verify_location(aut, A, locmap, max_len=10):
     which decide the same question exactly, transition by transition.
     """
     return find_location_mismatch(aut, A, locmap, max_len) is None
+
+
+@functools.cache
+def contracting_chis(max_dim=4, coeff_bound=3):
+    """Every contracting x^m + g(x)/2 with m <= max_dim, g(0) = -1 or 1 and
+    |g_i| <= coeff_bound: 58 of 800 candidates at the defaults."""
+    chis = []
+    for m in range(1, max_dim + 1):
+        for g in product((-1, 1), *[range(-coeff_bound, coeff_bound + 1)] * (m - 1)):
+            chi = Polynomial([Fraction(c, 2) for c in g] + [1])
+            if is_contracting(chi):
+                chis.append(chi)
+    return tuple(chis)
 
 
 def cycle_solution_by_powers(A, sigmas):
@@ -321,6 +353,156 @@ def oracle_check_abelian(aut, bound=DEFAULT_BOUND):
     verdict = (AbelianVerdict.BOOLEAN_CANDIDATE if res.verdict is Verdict.IS_IDENTITY
                else AbelianVerdict.ABELIAN_FREE_CANDIDATE)
     return AbelianReport(verdict, gamma=GroupElement(aut, gamma))
+
+
+# -- locate before it fitted first -------------------------------------------
+#
+# `locate` as it was written before it fitted first and classified only on a
+# misfit, kept as a differential oracle: both must return the same map or
+# raise the same error class.
+
+
+def self_reachable(aut, s):
+    seen = set()
+    queue = deque(aut.residual(s, b) for b in (0, 1))
+    while queue:
+        t = queue.popleft()
+        if t == s:
+            return True
+        if t in seen:
+            continue
+        seen.add(t)
+        queue.extend(aut.residual(t, b) for b in (0, 1))
+    return False
+
+
+def cycle_words(aut, anchor, max_len):
+    """Words that walk anchor back to itself, by (length, lexicographic) order."""
+    back = {s: [] for s in aut.states}
+    for s in aut.states:
+        for b in (0, 1):
+            back[aut.residual(s, b)].append(s)
+    dist = {anchor: 0}
+    queue = deque([anchor])
+    while queue:
+        t = queue.popleft()
+        for s in back[t]:
+            if s not in dist:
+                dist[s] = dist[t] + 1
+                queue.append(s)
+
+    def walk(state, remaining, word):
+        if remaining == 0:
+            if state == anchor:
+                yield "".join(word)
+            return
+        for b in (0, 1):
+            t = aut.residual(state, b)
+            if dist.get(t, max_len + 1) <= remaining - 1:
+                word.append(str(b))
+                yield from walk(t, remaining - 1, word)
+                word.pop()
+
+    for length in range(1, max_len + 1):
+        yield from walk(anchor, length, [])
+
+
+CYCLE_LIMIT = 64  # cycle words that may fail to determine e before locate gives up
+
+
+def reference_locate(aut, A, *, bound=DEFAULT_BOUND):
+    """`locate` as it was before it fitted first: the abelian gate up front,
+    up to CYCLE_LIMIT cycle words, and a parity, output and target check
+    inline in the propagation."""
+    if not isinstance(A, HalfIntegralMatrix):
+        A = HalfIntegralMatrix(A)
+    _require_contracting(A)
+    abmealy.group._require_abelian_free(aut, bound)
+
+    parity = {s: aut.state_parity(s) for s in aut.states}
+    anchor = next(
+        (s for s in aut.states
+         if parity[s] is Parity.ODD and self_reachable(aut, s)),
+        None,
+    )
+    if anchor is None:
+        raise LocateError("no odd state lies on a cycle")
+
+    e1 = unit_vector(A.dim)
+    inv = A.inv_rows
+    q = None
+    max_len = 2 * len(aut.states) + 2
+    for tried, word in enumerate(cycle_words(aut, anchor, max_len), start=1):
+        sigmas, state = [], anchor
+        for ch in word:
+            sigmas.append(_sigma(parity[state], int(ch)))
+            state = aut.residual(state, int(ch))
+        q = _cycle_quotient(A, sigmas)
+        if q is not None or tried >= CYCLE_LIMIT:
+            break
+    if q is None:
+        raise LocateError(
+            f"no cycle through {anchor} determines a translation vector "
+            f"(tried words up to length {max_len})"
+        )
+    sol = _horner(q.coeffs, e1, inv)
+    if any(x.denominator != 1 for x in sol) or sol[0] % 2 == 0:
+        raise LocateError(
+            f"cycle {word!r} at {anchor} forces translation vector "
+            f"({', '.join(str(x) for x in sol)}), which is not an odd "
+            "integer vector; the matrix does not fit"
+        )
+    e = tuple(map(int, sol))
+
+    config = CompleteConfig(A, e)
+    assignment = {anchor: e1}
+    queue = deque([anchor])
+    back = {s: [] for s in aut.states}
+    for s in aut.states:
+        for b in (0, 1):
+            back[aut.residual(s, b)].append((s, b))
+    while queue:
+        s = queue.popleft()
+        v = assignment[s]
+        if (v[0] % 2 == 1) != (parity[s] is Parity.ODD):
+            raise LocateError(
+                f"state {s} has parity {parity[s]} but was forced to vector "
+                f"{format_vector(v)}; the matrix does not fit"
+            )
+        for bit in (0, 1):
+            t, out = aut.step(s, bit)
+            w, wout = _step(config, v, bit)
+            if wout != out:
+                raise LocateError(
+                    f"state {s} on input {bit} outputs {out}, but its vector "
+                    f"{format_vector(v)} outputs {wout}"
+                )
+            if t in assignment:
+                if assignment[t] != w:
+                    raise LocateError(
+                        f"state {t} is forced to both "
+                        f"{format_vector(assignment[t])} and {format_vector(w)}; "
+                        "the matrix does not fit"
+                    )
+            else:
+                assignment[t] = w
+                queue.append(t)
+        for u, bit in back[s]:
+            if u in assignment:
+                continue
+            w = _apply_int(inv, v)
+            sig = _sigma(parity[u], bit)
+            if sig:
+                w = tuple(map(sub, w, (sig * c for c in e)))
+            assignment[u] = w
+            queue.append(u)
+    missing = sorted(set(aut.states) - set(assignment))
+    if missing:
+        raise LocateError(
+            f"states not connected to {anchor}: {', '.join(missing)}"
+        )
+
+    return LocationMap(p=_integral_name(q, e), e=e, assignment=assignment)
 
 
 _locate = abmealy.complete.locate

@@ -11,12 +11,12 @@ from itertools import islice
 
 import pytest
 
+from abmealy import group
 from abmealy.analysis import check_scc_instance
 from abmealy.complete import (
     _cycle_quotient,
-    _cycle_words,
     _horner,
-    _self_reachable,
+    _shortest_cycle,
     _sigma,
     CompleteConfig,
     GTildeElement,
@@ -43,6 +43,7 @@ from abmealy.complete import (
     vector_to_poly,
 )
 from abmealy.errors import (
+    AbmealyError,
     BoundExceededError,
     FormatError,
     LocateError,
@@ -63,10 +64,18 @@ from abmealy.exactalg import (
     reduce_mod,
     serialize_matrix,
 )
-from abmealy.mealy import Parity, find_isomorphism
+from abmealy.mealy import MealyAutomaton, Parity, find_isomorphism
 
 import conftest
-from conftest import cycle_solution_by_powers, union_machine, verify_location
+from conftest import (
+    contracting_chis,
+    cycle_solution_by_powers,
+    cycle_words,
+    reference_locate,
+    self_reachable,
+    union_machine,
+    verify_location,
+)
 
 CHI_STAR_A = IntPolynomial.of(2, 2, 1)
 
@@ -556,6 +565,10 @@ def test_location_map_validate(a32, mat_a):
     )
     with pytest.raises(MatrixError, match="has length 3, need 2"):
         wrong_length.validate(a32, mat_a)
+    # the length is checked before the parity reads the first entry
+    empty = LocationMap(p=(3, 2), e=(3, 2), assignment={"f": (), "f0": (0, 1), "f1": (-2, -2)})
+    with pytest.raises(MatrixError, match=r"vector \(\) has length 0, need 2"):
+        empty.validate(a32, mat_a)
 
 
 # -- locate ----------------------------------------------------------------------
@@ -602,6 +615,77 @@ def test_locate_errors(a32, lamplighter, mat_a):
         locate(union_machine(), mat_a)
 
 
+def locate_outcome(fn, aut, A):
+    """The map fn returns, or the class of the error it raises."""
+    try:
+        return fn(aut, A)
+    except AbmealyError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("g", CORPUS_GS)
+def test_locate_matches_the_reference_on_the_corpus(g):
+    cfg = unit_config(g)
+    aut = orbit_automaton(cfg, [unit_vector(cfg.dim)])
+    rng = random.Random(str(g))
+    for A in [cfg.A] + [companion_from_chi(chi) for chi in rng.sample(contracting_chis(), 3)]:
+        assert locate_outcome(locate, aut, A) == locate_outcome(reference_locate, aut, A), A.chi
+
+
+def test_locate_matches_the_reference_on_random_orbit_machines():
+    rng = random.Random(5)
+    mats = [companion_from_chi(chi) for chi in contracting_chis()]
+    machines = located = 0
+    while machines < 150:
+        A = rng.choice(mats)
+        e = (rng.choice((-1, 1)),) + tuple(rng.randint(-1, 1) for _ in range(A.dim - 1))
+        start = tuple(rng.randint(-1, 1) for _ in range(A.dim))
+        try:  # the reference classifies each machine first, which is slow on large ones
+            aut = orbit_automaton(CompleteConfig(A, e), [start], bound=40)
+        except BoundExceededError:
+            continue
+        machines += 1
+        for B in [A] + rng.sample(mats, 3):
+            got = locate_outcome(locate, aut, B)
+            assert got == locate_outcome(reference_locate, aut, B), (A.chi, e, start, B.chi)
+            located += isinstance(got, LocationMap)
+    assert located > 50
+
+
+def test_shortest_cycle_is_the_first_cycle_word():
+    rng = random.Random(11)
+    on_cycle = off_cycle = 0
+    for _ in range(3000):
+        labels = [f"s{i}" for i in range(rng.randint(1, 12))]
+        aut = MealyAutomaton({(s, b): (rng.choice(labels), rng.randint(0, 1))
+                              for s in labels for b in (0, 1)}, name="r")
+        for s in aut.states:
+            want = next(cycle_words(aut, s, 2 * len(labels) + 2), None)
+            assert _shortest_cycle(aut, s) == want, (aut.serialize(), s)
+            on_cycle += want is not None
+            off_cycle += want is None
+    assert on_cycle > 1000 and off_cycle > 1000
+
+
+def test_locate_classifies_only_a_machine_that_does_not_fit(a32, lamplighter, mat_a,
+                                                            monkeypatch):
+    calls = []
+    check_abelian = group.check_abelian
+    monkeypatch.setattr(group, "check_abelian",
+                        lambda *args: calls.append(args[0].name) or check_abelian(*args))
+    group._require_abelian_free.cache_clear()
+    cfg = unit_config((1, 2, 3, 3))
+    o61 = orbit_automaton(cfg, [unit_vector(4)])
+    assert len(o61.states) == 61
+    locate(o61, cfg.A).validate(o61, cfg.A)
+    assert calls == []
+    with pytest.raises(NotAbelianError):
+        locate(lamplighter, mat_a)
+    with pytest.raises(LocateError):
+        locate(a32, companion_from_chi(RationalPolynomial.of(HALF, -1, 1)))
+    assert calls == ["lamplighter", "a32"]
+
+
 def ring_solution(A, sigmas):
     """e from the division in Q[x]/chi*, with Fraction entries when it is not integral."""
     q = _cycle_quotient(A, sigmas)
@@ -615,8 +699,8 @@ def test_cycle_division_matches_matrix_powers_on_the_corpus(g):
     e1 = unit_vector(cfg.dim)
     aut = orbit_automaton(cfg, [e1])
     anchor = next(s for s in aut.states
-                  if aut.state_parity(s) is Parity.ODD and _self_reachable(aut, s))
-    words = list(islice(_cycle_words(aut, anchor, 2 * len(aut.states) + 2), 40))
+                  if aut.state_parity(s) is Parity.ODD and self_reachable(aut, s))
+    words = list(islice(cycle_words(aut, anchor, 2 * len(aut.states) + 2), 40))
     assert words
     for word in words:
         sigmas, state = [], anchor

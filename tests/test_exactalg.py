@@ -39,7 +39,7 @@ from abmealy.exactalg import (
     try_divide_mod,
 )
 
-from conftest import MAT_A_TEXT
+from conftest import MAT_A_TEXT, contracting_chis
 
 CHI_A = RationalPolynomial.of(HALF, 1, 1)  # x^2 + x + 1/2
 CHI_STAR_A = IntPolynomial.of(2, 2, 1)  # x^2 + 2x + 2
@@ -669,6 +669,14 @@ IRREDUCIBILITY_CASES = [
 @pytest.mark.parametrize("p, expect", IRREDUCIBILITY_CASES)
 def test_is_irreducible_pinned(p, expect):
     assert is_irreducible(p) is expect
+
+
+def test_every_small_contracting_chi_is_irreducible():
+    # locate's one cycle relies on it: a factor of chi* with constant +-1
+    # would have roots of product modulus 1, all outside the unit circle
+    chis = contracting_chis()
+    assert len(chis) == 58
+    assert all(is_irreducible(chi) for chi in chis)
 
 
 def test_is_irreducible_degree_cap():

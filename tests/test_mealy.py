@@ -1,6 +1,7 @@
 """Machines, the AUT format, and simulation."""
 
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -265,6 +266,20 @@ def test_find_isomorphism_many_components():
     a, b = flip_loops("a", 1500), flip_loops("b", 1500)
     assert find_isomorphism(a, b) == dict(zip(a.states, b.states))
     assert find_isomorphism(a, flip_loops("b", 1499)) is None
+
+
+def test_find_isomorphism_is_linear_in_the_components():
+    def seconds(n):
+        a, b = flip_loops("a", n), flip_loops("b", n)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert find_isomorphism(a, b) is not None
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    # scanning b from its first state for each component makes this about 100
+    assert seconds(20_000) / seconds(2_000) < 30
 
 
 def brute_force_isomorphism(a, b):
