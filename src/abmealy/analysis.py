@@ -66,10 +66,6 @@ class SccDecomposition:
 def scc_decompose(graph: dict) -> SccDecomposition:
     """Tarjan's algorithm, iteratively, over a node -> successors mapping."""
     succ = {node: tuple(targets) for node, targets in graph.items()}
-    for targets in succ.values():
-        for t in targets:
-            if t not in succ:
-                raise ValueError(f"successor {t!r} is not a node of the graph")
 
     # index[node] is the node's visit number until its component is closed,
     # then `done`, which is above every visit number and so lowers no low-link.
@@ -92,10 +88,15 @@ def scc_decompose(graph: dict) -> SccDecomposition:
             k = index[node]
             targets = succ[node]
             for i in range(pi, len(targets)):
-                j = index.get(targets[i])
+                t = targets[i]
+                j = index.get(t)
                 if j is None:
+                    # never indexed, so met here: every node is a root and
+                    # scans all its successors
+                    if t not in succ:
+                        raise ValueError(f"successor {t!r} is not a node of the graph")
                     work.append((node, i + 1))
-                    work.append((targets[i], 0))
+                    work.append((t, 0))
                     break
                 low[k] = min(low[k], j)
             else:  # every successor is visited, so node is finished

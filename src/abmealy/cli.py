@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .analysis import check_scc_instance, infer_matrix, path_polynomial, witness_search
@@ -34,13 +33,8 @@ from .complete import (
     parse_vector,
     unit_vector,
 )
-from .errors import AbmealyError, BoundExceededError, FormatError
-from .exactalg import (
-    Polynomial,
-    companion_from_chi,
-    parse_matrix,
-    serialize_matrix,
-)
+from .errors import AbmealyError, BoundExceededError
+from .exactalg import companion_from_chi, parse_chi, parse_matrix, serialize_matrix
 from .group import DEFAULT_BOUND, build_principal, check_abelian, gamma_of
 from .mealy import parse_automaton
 
@@ -59,13 +53,6 @@ def _load_matrix(path: str):
 
 def _word(arg: str) -> str:
     return "" if arg == "-" else arg
-
-
-def _parse_rational_list(text: str) -> Polynomial:
-    try:
-        return Polynomial(Fraction(t) for t in text.split())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad polynomial {text!r}: {exc}") from None
 
 
 def _poly_json(p):
@@ -133,8 +120,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_principal(args) -> int:
     if args.chi is not None:
-        chi = _parse_rational_list(args.chi)
-        A = companion_from_chi(chi)
+        A = companion_from_chi(parse_chi(args.chi))
         config = CompleteConfig(A, unit_vector(A.dim))
         machine = orbit_automaton(config, [unit_vector(A.dim)], bound=args.bound)
     else:

@@ -45,6 +45,7 @@ from .errors import (
     LocateError,
     MatrixError,
     NotDivisibleError,
+    content_lines,
 )
 from .exactalg import (
     HalfIntegralMatrix,
@@ -71,8 +72,8 @@ def parse_vector(text: str) -> tuple[int, ...]:
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     parts = s.split(",") if "," in s else s.split()
-    try:
-        v = tuple(int(p.strip()) for p in parts if p.strip() != "")
+    try:  # int() strips each entry, and an empty one raises
+        v = tuple(map(int, parts))
     except ValueError:
         raise FormatError(f"bad integer vector {text!r}") from None
     if not v:
@@ -338,10 +339,7 @@ class LocationMap:
         p = None
         e = None
         assignment: dict[str, tuple[int, ...]] = {}
-        for n, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for n, line in content_lines(text):
             if line.startswith("p:"):
                 if p is not None:
                     raise FormatError("duplicate p line", line=n)
@@ -390,14 +388,12 @@ class LocationMap:
                     f"state {s} has parity {aut.state_parity(s)} but vector "
                     f"{format_vector(v)}"
                 )
+            # Matching parity fixes both outputs: 1 - bit when odd, bit when
+            # even, in the machine (invertible, or state_parity raised) and
+            # in c(A, e) alike.  So only the targets can differ.
             for bit in (0, 1):
-                t, out = aut.step(s, bit)
-                w, wout = _step(config, v, bit)
-                if wout != out:
-                    raise LocateError(
-                        f"state {s} on input {bit}: automaton outputs {out}, "
-                        f"vector {format_vector(v)} outputs {wout}"
-                    )
+                t = aut.residual(s, bit)
+                w = _step(config, v, bit)[0]
                 if self.assignment.get(t) != w:
                     raise LocateError(
                         f"state {s} on input {bit}: automaton moves to {t} at "
@@ -418,7 +414,9 @@ def parse_int_poly(text: str) -> Polynomial:
     toks = text.split()
     if toks and all(_is_int(t) for t in toks):
         return Polynomial(int(t) for t in toks)
-    s = "".join(text.split())
+    if re.search(r"\d\s+\d", text):  # '3 2x' would read as 32x once spaces go
+        raise FormatError(f"bad polynomial {text!r}: whitespace between digits")
+    s = "".join(toks)
     if not s:
         raise FormatError("empty polynomial")
     if s == "0":

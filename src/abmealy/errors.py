@@ -3,7 +3,8 @@
 Everything the library raises on bad input or a failed domain precondition
 derives from AbmealyError, so callers (and the CLI) can catch one type.
 Genuine programming errors (wrong argument types and the like) still surface
-as the usual built-ins.
+as the usual built-ins.  The one line reader of the text formats lives here
+too, beside the error it feeds line numbers to.
 """
 
 
@@ -19,6 +20,16 @@ class FormatError(AbmealyError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def content_lines(text: str):
+    """Yield (line number, content) for each line of an AUT, MATRIX or map
+    text, numbered from 1; '#' starts a comment, and lines left blank are
+    skipped."""
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield n, line
 
 
 class AutomatonError(AbmealyError):

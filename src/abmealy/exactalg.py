@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import product
 from math import isqrt
 
-from .errors import DimensionError, FormatError, MatrixError, UnsupportedError
+from .errors import DimensionError, FormatError, MatrixError, UnsupportedError, content_lines
 
 HALF = Fraction(1, 2)
 
@@ -753,15 +753,25 @@ def serialize_matrix(A: HalfIntegralMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_chi(text: str, line: int | None = None) -> Polynomial:
+    """chi from its coefficients, constant first: at least two exact rational
+    tokens, written monic.  FormatError names `line` when it is given."""
+    try:
+        coeffs = [Fraction(t) for t in text.split()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad coefficient: {exc}", line=line) from None
+    if len(coeffs) < 2:
+        raise FormatError("chi needs at least two coefficients", line=line)
+    if coeffs[-1] != 1:
+        raise FormatError("chi must be written monic (last coefficient 1)", line=line)
+    return Polynomial(coeffs)
+
+
 def parse_matrix(text: str) -> HalfIntegralMatrix:
     """MATRIX v1: either an explicit `dim m` block of rational rows, or a
     `chi c0 c1 ... 1` line giving the characteristic polynomial constant-first
     (expanded to its rational canonical form)."""
-    lines = []
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((n, line.split()))
+    lines = [(n, line.split()) for n, line in content_lines(text)]
     if not lines:
         raise FormatError("empty matrix input")
     n0, toks = lines[0]
@@ -769,15 +779,7 @@ def parse_matrix(text: str) -> HalfIntegralMatrix:
         if len(lines) > 1:
             raise FormatError("unexpected content after chi line", line=lines[1][0])
         try:
-            coeffs = [Fraction(t) for t in toks[1:]]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad coefficient: {exc}", line=n0) from None
-        if len(coeffs) < 2:
-            raise FormatError("chi needs at least two coefficients", line=n0)
-        if coeffs[-1] != 1:
-            raise FormatError("chi must be written monic (last coefficient 1)", line=n0)
-        try:
-            return companion_from_chi(Polynomial(coeffs))
+            return companion_from_chi(parse_chi(" ".join(toks[1:]), line=n0))
         except MatrixError as exc:
             raise FormatError(str(exc), line=n0) from None
     if toks[0] != "dim" or len(toks) != 2:

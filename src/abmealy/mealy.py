@@ -30,6 +30,7 @@ from .errors import (
     FormatError,
     NotInvertibleError,
     UnknownStateError,
+    content_lines,
 )
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_+-]+\Z")
@@ -166,10 +167,7 @@ class MealyAutomaton:
         def fail(msg, n):
             raise FormatError(msg, line=n)
 
-        for n, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for n, line in content_lines(text):
             toks = line.split()
             kind = toks[0]
             if name is None:

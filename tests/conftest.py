@@ -5,6 +5,8 @@ these rather than re-deriving them with library code.
 """
 
 import functools
+import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +45,7 @@ from abmealy.complete import (
     _step,
     format_vector,
 )
-from abmealy.errors import LocateError
+from abmealy.errors import FormatError, LocateError
 from abmealy.exactalg import Polynomial, is_contracting
 from abmealy.group import DEFAULT_BOUND, IdentityResult, Verdict, format_combination
 from abmealy.mealy import Parity
@@ -90,6 +92,15 @@ aut flip
 states t
 trans t 0 1 t
 trans t 1 0 t
+"""
+
+# State a outputs 0 on both bits, so the machine is not invertible.
+SINK_TEXT = """\
+aut sink
+states a b
+trans a 0 0 b
+trans a 1 0 a
+copy b b
 """
 
 # The seven-state principal machine of a32, transitions derived by hand from
@@ -145,6 +156,11 @@ def flip():
 
 
 @pytest.fixture(scope="session")
+def sink():
+    return parse_automaton(SINK_TEXT)
+
+
+@pytest.fixture(scope="session")
 def principal_figure():
     return parse_automaton(PRINCIPAL_FIGURE_TEXT)
 
@@ -185,6 +201,96 @@ def contracting_chis(max_dim=4, coeff_bound=3):
             if is_contracting(chi):
                 chis.append(chi)
     return tuple(chis)
+
+
+# (chi coefficients, the reader's message): every chi reader gives these texts
+CHI_ERRORS = [
+    ("", "chi needs at least two coefficients"),
+    ("1/2", "chi needs at least two coefficients"),
+    ("1/2 2", "chi must be written monic (last coefficient 1)"),
+    ("1/2 1 0", "chi must be written monic (last coefficient 1)"),
+    ("1/2 a 1", "bad coefficient: Invalid literal for Fraction: 'a'"),
+    ("1/0 1", "bad coefficient: Fraction(1, 0)"),
+]
+
+
+# -- the text readers before they rejected glued digits and empty entries -----
+
+
+def reference_parse_int_poly(text):
+    """`parse_int_poly` as it read every input before whitespace between two
+    digits of the term form was rejected: '3 2x' gave 32x."""
+    toks = text.split()
+    if toks and all(is_int_literal(t) for t in toks):
+        return Polynomial(int(t) for t in toks)
+    s = "".join(text.split())
+    if not s:
+        raise FormatError("empty polynomial")
+    if s == "0":
+        return Polynomial()
+    coeffs = {}
+    terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(terms) != s:
+        raise FormatError(f"bad polynomial {text!r}")
+    for term in terms:
+        sign = 1
+        body = term
+        if body[0] in "+-":
+            sign = -1 if body[0] == "-" else 1
+            body = body[1:]
+        m = re.fullmatch(r"(\d+)?x(?:\^(\d+))?", body)
+        if m:
+            c = int(m.group(1)) if m.group(1) else 1
+            k = int(m.group(2)) if m.group(2) else 1
+        elif is_int_literal(body) and body and body[0] != "-":
+            c, k = int(body), 0
+        else:
+            raise FormatError(f"bad polynomial term {term!r} in {text!r}")
+        coeffs[k] = coeffs.get(k, 0) + sign * c
+    deg = max(coeffs)
+    return Polynomial(coeffs.get(i, 0) for i in range(deg + 1))
+
+
+def reference_parse_vector(text):
+    """`parse_vector` as it read every input before empty entries were
+    rejected: '(1,,2)' gave (1, 2)."""
+    s = text.strip()
+    if s.startswith("(") and s.endswith(")"):
+        s = s[1:-1]
+    parts = s.split(",") if "," in s else s.split()
+    try:
+        v = tuple(int(p.strip()) for p in parts if p.strip() != "")
+    except ValueError:
+        raise FormatError(f"bad integer vector {text!r}") from None
+    if not v:
+        raise FormatError(f"bad integer vector {text!r}")
+    return v
+
+
+def is_int_literal(tok):
+    try:
+        int(tok)
+        return True
+    except ValueError:
+        return False
+
+
+# Digits of other scripts ('٣' is a decimal digit, '²' is not), '_' as int()
+# reads it, signs, x, ^, separators and two kinds of whitespace.
+FUZZ_PIECES = tuple("0123456789_²٣+-x^,() \t") + (
+    "x", "x^2", "2x", " 2", "1 ", "12", " + ", " - ", ", ", "(1,", ",,")
+
+
+def fuzz_texts(seed, count):
+    """count short strings of FUZZ_PIECES.  A string whose exponent would have
+    five or more digits is drawn again: it only builds a long polynomial."""
+    rng = random.Random(seed)
+    texts = []
+    while len(texts) < count:
+        text = "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 7)))
+        if not re.search(r"\^[\d_]{5}", "".join(text.split())):
+            texts.append(text)
+    return texts
 
 
 def cycle_solution_by_powers(A, sigmas):

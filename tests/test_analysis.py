@@ -68,6 +68,12 @@ def test_scc_hand_graphs():
 
     with pytest.raises(ValueError, match="not a node"):
         scc_decompose({"a": ("zzz",)})
+    # met only after a back edge, two levels below the root
+    with pytest.raises(ValueError, match="successor 'zzz' is not a node"):
+        scc_decompose({"a": ("b",), "b": ("a", "c"), "c": ("b", "zzz")})
+    # met from a later root, after the first root's component closed
+    with pytest.raises(ValueError, match="successor 'zzz' is not a node"):
+        scc_decompose({"a": ("a",), "b": ("a", "zzz")})
 
 
 def _naive_scc(graph):

@@ -21,10 +21,12 @@ from abmealy import parse_automaton, parse_int_poly, reduce_mod
 from abmealy.cli import main
 from conftest import (
     A32_TEXT,
+    CHI_ERRORS,
     IDENTITY_TEXT,
     LAMPLIGHTER_TEXT,
     MAT_A_TEXT,
     PRINCIPAL_FIGURE_TEXT,
+    SINK_TEXT,
     XYZ_TEXT,
 )
 
@@ -46,6 +48,7 @@ def files(tmp_path_factory):
     (d / "xyz.aut").write_text(XYZ_TEXT)
     (d / "lamplighter.aut").write_text(LAMPLIGHTER_TEXT)
     (d / "identity.aut").write_text(IDENTITY_TEXT)
+    (d / "sink.aut").write_text(SINK_TEXT)
     (d / "A.mat").write_text(MAT_A_TEXT)
     (d / "sausage.mat").write_text("chi -1/2 1\n")
     (d / "broken.aut").write_text("aut x\nstates a\ntrans a 2 0 a\n")
@@ -58,6 +61,7 @@ def files(tmp_path_factory):
     (d / "long.map").write_text(
         A32_MAP_TEXT.replace("state f0 -> (0,1)", "state f0 -> (0,1,0)")
     )
+    (d / "glued.map").write_text(A32_MAP_TEXT.replace("p: 3 + 2x", "p: 3 2x"))
     return d
 
 
@@ -637,6 +641,35 @@ def test_missing_file_is_a_clean_error(capsys, files):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("embed", "A.mat", "3 2x", "1"),
+         "bad polynomial '3 2x': whitespace between digits"),
+        (("gtilde", "res", "A.mat", "(1,0)", "x^1 2", "0"),
+         "bad polynomial 'x^1 2': whitespace between digits"),
+        (("orbit", "A.mat", "--e", "(1,,0)"), "bad integer vector '(1,,0)'"),
+        (("orbit", "A.mat", "--e", "(1,0)", "--start", "1,0,"), "bad integer vector '1,0,'"),
+        (("verify", "a32.aut", "A.mat", "--map", "glued.map"),
+         "line 1: bad polynomial '3 2x': whitespace between digits"),
+    ],
+)
+def test_glued_digits_and_empty_entries_are_rejected(capsys, files, argv, message):
+    argv = [str(files / a) if a.endswith((".aut", ".mat", ".map")) else a for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("coeffs, message", CHI_ERRORS)
+def test_principal_chi_errors_are_the_chi_reader_errors(capsys, coeffs, message):
+    assert run(capsys, "principal", "--chi", coeffs) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["check", "gamma"])
+def test_group_commands_reject_a_non_invertible_machine(capsys, files, command):
+    assert run(capsys, command, str(files / "sink.aut")) == (
+        1, "", "error: automaton 'sink' is not invertible\n")
 
 
 def test_parse_errors_carry_line_numbers(capsys, files):

@@ -50,6 +50,7 @@ from abmealy.errors import (
     MatrixError,
     NotAbelianError,
     NotDivisibleError,
+    NotInvertibleError,
 )
 from abmealy.exactalg import (
     HALF,
@@ -71,7 +72,11 @@ from conftest import (
     contracting_chis,
     cycle_solution_by_powers,
     cycle_words,
+    fuzz_texts,
+    is_int_literal,
     reference_locate,
+    reference_parse_int_poly,
+    reference_parse_vector,
     self_reachable,
     union_machine,
     verify_location,
@@ -101,7 +106,7 @@ def test_vector_helpers():
     assert vector_label((3, 2)) == "3_2"
     assert vector_label((-2, -1)) == "-2_-1"
     assert unit_vector(3) == (1, 0, 0)
-    for bad in ("", "()", "(a,b)", "1;2"):
+    for bad in ("", "()", "(a,b)", "1;2", "(1,,2)", "1,2,", ",1", "(1, ,2)"):
         with pytest.raises(FormatError):
             parse_vector(bad)
     with pytest.raises(MatrixError):
@@ -274,7 +279,10 @@ CORPUS_TO_1179 = CORPUS_GS + [(1, 1, 1, 2, 1), (-1, 1, -1, 2, -1),
 
 
 def random_half_integral(rng, m):
-    """A non-companion half-integral matrix with small entries, by rejection."""
+    """A non-companion half-integral matrix with small entries, by rejection.
+    Every 1x1 half-integral matrix is its own companion, so m must be >= 2."""
+    if m < 2:
+        raise ValueError(f"every half-integral matrix of dimension {m} is a companion")
     while True:
         rows = [[Fraction(rng.randint(-3, 3), 2)] + [rng.randint(-2, 2) for _ in range(m - 1)]
                 for _ in range(m)]
@@ -282,6 +290,15 @@ def random_half_integral(rng, m):
             A = HalfIntegralMatrix(rows)
             if A != companion_from_chi(A.chi):
                 return A
+
+
+def test_random_half_integral_needs_two_dimensions():
+    rng = random.Random(0)
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="is a companion"):
+            random_half_integral(rng, m)
+    A = random_half_integral(rng, 2)
+    assert A.dim == 2 and A != companion_from_chi(A.chi)
 
 
 def generic_step(config, v, bit):
@@ -481,16 +498,84 @@ def test_vector_to_poly_dependent_basis():
         ("x - x", ()),
         ("1 + x^4\n", (1, 0, 0, 0, 1)),
         ("1 +\tx^4", (1, 0, 0, 0, 1)),
+        ("2 x^2", (0, 0, 2)),
+        ("3 - 2 x", (3, -2)),
+        ("1 x", (0, 1)),
+        ("x ^ 2", (0, 0, 1)),
+        ("1 2_0", (1, 20)),
     ],
 )
 def test_parse_int_poly(text, coeffs):
     assert parse_int_poly(text) == IntPolynomial(coeffs)
 
 
-@pytest.mark.parametrize("text", ["", "  ", "3 +", "xx", "x^", "3/2", "y + 1"])
+@pytest.mark.parametrize("text", ["", "  ", "3 +", "xx", "x^", "3/2", "y + 1", "x + \u00b2"])
 def test_parse_int_poly_rejects(text):
     with pytest.raises(FormatError):
         parse_int_poly(text)
+
+
+@pytest.mark.parametrize("text", ["3 2x", "x^1 2", "1 2 + x", "\u0663 2x", "x +1\t0"])
+def test_parse_int_poly_rejects_whitespace_between_digits(text):
+    with pytest.raises(FormatError, match=r"^bad polynomial .*: whitespace between digits$"):
+        parse_int_poly(text)
+
+
+def digits_split_by_whitespace(text):
+    """True when whitespace alone stands between two decimal digits."""
+    marks = [(i, c) for i, c in enumerate(text) if not c.isspace()]
+    return any(j > i + 1 and a.isdecimal() and b.isdecimal()
+               for (i, a), (j, b) in zip(marks, marks[1:]))
+
+
+def has_empty_entry(text):
+    """True when the comma form of a vector has an entry that is blank."""
+    s = text.strip()
+    if s.startswith("(") and s.endswith(")"):
+        s = s[1:-1]
+    return "," in s and any(not part.strip() for part in s.split(","))
+
+
+def differential(read, reference, texts, newly_rejected):
+    """Run read and its reference on every text: read gives the reference's
+    value, or raises FormatError where the reference did or on a newly
+    rejected text, and never raises anything else.  Returns the count of
+    texts read, rejected by both, and newly rejected."""
+    counts = {"read": 0, "rejected": 0, "newly rejected": 0}
+    for text in texts:
+        try:
+            want = reference(text)
+        except FormatError:
+            want = None
+        try:
+            got = read(text)
+        except FormatError:
+            if want is None:
+                counts["rejected"] += 1
+            else:
+                assert newly_rejected(text), (text, want)
+                counts["newly rejected"] += 1
+        else:
+            assert want is not None and got == want, (text, got, want)
+            counts["read"] += 1
+    return counts
+
+
+def test_parse_int_poly_matches_the_reference_on_fuzz():
+    def newly_rejected(text):
+        toks = text.split()
+        coefficient_list = toks and all(is_int_literal(t) for t in toks)
+        return not coefficient_list and digits_split_by_whitespace(text)
+
+    counts = differential(parse_int_poly, reference_parse_int_poly,
+                          fuzz_texts(1, 20_000), newly_rejected)
+    assert min(counts.values()) >= 100, counts
+
+
+def test_parse_vector_matches_the_reference_on_fuzz():
+    counts = differential(parse_vector, reference_parse_vector,
+                          fuzz_texts(2, 20_000), has_empty_entry)
+    assert min(counts.values()) >= 100, counts
 
 
 # -- location maps ---------------------------------------------------------------
@@ -569,6 +654,13 @@ def test_location_map_validate(a32, mat_a):
     empty = LocationMap(p=(3, 2), e=(3, 2), assignment={"f": (), "f0": (0, 1), "f1": (-2, -2)})
     with pytest.raises(MatrixError, match=r"vector \(\) has length 0, need 2"):
         empty.validate(a32, mat_a)
+
+
+def test_location_map_validate_needs_an_invertible_machine(sink, mat_a):
+    # the parity check raises before any output could be compared
+    locmap = LocationMap(p=(1,), e=(1, 0), assignment={"a": (1, 0), "b": (0, 0)})
+    with pytest.raises(NotInvertibleError):
+        locmap.validate(sink, mat_a)
 
 
 # -- locate ----------------------------------------------------------------------

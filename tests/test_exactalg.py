@@ -32,6 +32,7 @@ from abmealy.exactalg import (
     is_irreducible,
     is_unit_mod,
     mul_mod,
+    parse_chi,
     parse_matrix,
     reduce_mod,
     resultant,
@@ -39,7 +40,7 @@ from abmealy.exactalg import (
     try_divide_mod,
 )
 
-from conftest import MAT_A_TEXT, contracting_chis
+from conftest import CHI_ERRORS, MAT_A_TEXT, contracting_chis
 
 CHI_A = RationalPolynomial.of(HALF, 1, 1)  # x^2 + x + 1/2
 CHI_STAR_A = IntPolynomial.of(2, 2, 1)  # x^2 + 2x + 2
@@ -738,3 +739,18 @@ def test_parse_matrix_errors(text, needle):
     with pytest.raises(FormatError) as exc:
         parse_matrix(text)
     assert needle in str(exc.value)
+
+
+def test_parse_chi_reads_exact_monic_coefficients():
+    assert parse_chi("1/2 1 1") == Polynomial([Fraction(1, 2), 1, 1])
+    assert parse_chi(" 0.5\t1 ") == Polynomial([Fraction(1, 2), 1])
+
+
+@pytest.mark.parametrize("coeffs, message", CHI_ERRORS)
+def test_parse_chi_errors_are_the_matrix_chi_line_errors(coeffs, message):
+    with pytest.raises(FormatError) as exc:
+        parse_chi(coeffs)
+    assert str(exc.value) == message
+    with pytest.raises(FormatError) as exc:
+        parse_matrix(f"# c\nchi {coeffs}\n")
+    assert str(exc.value) == f"line 2: {message}"

@@ -20,6 +20,7 @@ from abmealy import (
     MealyAutomaton,
     NoOddStateError,
     NotAbelianError,
+    NotInvertibleError,
     Parity,
     RationalPolynomial,
     UnknownStateError,
@@ -137,6 +138,22 @@ def test_group_element_ops(a32):
     assert element_parity(f0) is Parity.EVEN
     assert element_parity(f + f) is Parity.EVEN
     assert element_parity(f + f0) is Parity.ODD
+
+
+def test_equal_elements_hash_equal(a32):
+    f, f0 = GroupElement.unit(a32, "f"), GroupElement.unit(a32, "f0")
+    assert hash(f + f0) == hash(f0 + f)
+    assert {f + f0, f0 + f, f - f, GroupElement.identity(a32)} == {
+        f + f0, GroupElement.identity(a32)}
+
+
+def test_group_operations_need_an_invertible_machine(sink):
+    with pytest.raises(NotInvertibleError):
+        check_abelian(sink)
+    with pytest.raises(NotInvertibleError):
+        gamma_of(sink)
+    with pytest.raises(NotInvertibleError):
+        residuate_element(GroupElement.unit(sink, "b"), 0)
 
 
 def test_residual_worked_values(a32):
