@@ -355,32 +355,25 @@ def _add_bound(p):
                    help=f"exploration bound (default {DEFAULT_BOUND})")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="abmealy",
-        description="Analyze abelian binary Mealy automata.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("transduce", help="run a word through a machine state")
+def _transduce_args(p):
     p.add_argument("aut", help="AUT file")
     p.add_argument("state")
     p.add_argument("word", help="binary word, or - for the empty word")
     _add_json(p)
-    p.set_defaults(func=_cmd_transduce)
 
-    p = sub.add_parser("check", help="classify a machine by the abelian criterion")
+
+def _check_args(p):
     p.add_argument("aut")
     _add_bound(p)
     _add_json(p)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("gamma", help="print the residual difference of the least odd state")
+
+def _gamma_args(p):
     p.add_argument("aut")
     _add_json(p)
-    p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("principal", help="build the principal machine")
+
+def _principal_args(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--aut", help="derive from a machine in an AUT file")
     src.add_argument("--chi", help="derive from a characteristic polynomial "
@@ -388,25 +381,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the AUT text to a file")
     _add_bound(p)
     _add_json(p)
-    p.set_defaults(func=_cmd_principal)
 
-    p = sub.add_parser("orbit", help="list vectors reachable in a complete automaton")
+
+def _orbit_args(p):
     p.add_argument("matrix", help="MATRIX file")
     p.add_argument("--e", required=True, help="translation vector, e.g. '(3,2)'")
     p.add_argument("--start", help="start vector (default: e)")
     _add_bound(p)
     _add_json(p)
-    p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("locate", help="embed a machine into a complete automaton")
+
+def _locate_args(p):
     p.add_argument("aut")
     p.add_argument("matrix")
     p.add_argument("-o", "--output", help="write the location map to a file")
     _add_bound(p)
     _add_json(p)
-    p.set_defaults(func=_cmd_locate)
 
-    p = sub.add_parser("verify", help="recheck a location word by word")
+
+def _verify_args(p):
     p.add_argument("aut")
     p.add_argument("matrix")
     p.add_argument("--map", help="location map file (default: locate first)")
@@ -414,67 +407,105 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exhaustive word length bound (default 10)")
     _add_bound(p)
     _add_json(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("embed", help="solve r*p = q modulo chi*")
+
+def _embed_args(p):
     p.add_argument("matrix")
     p.add_argument("p", help="polynomial, e.g. '3 + 2x' or '3 2'")
     p.add_argument("q")
     _add_json(p)
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("gtilde", help="arithmetic on fraction elements (v, p)")
+
+def _gtilde_args(p):
     ops = p.add_subparsers(dest="op", required=True)
-    for op in ("eq", "add"):
+    for op in ("eq", "add", "res"):
         q = ops.add_parser(op)
         q.add_argument("matrix")
         q.add_argument("v1")
         q.add_argument("p1")
-        q.add_argument("v2")
-        q.add_argument("p2")
+        if op == "res":
+            q.add_argument("bit", type=int, choices=(0, 1))
+        else:
+            q.add_argument("v2")
+            q.add_argument("p2")
         _add_json(q)
-        q.set_defaults(func=_cmd_gtilde)
-    q = ops.add_parser("res")
-    q.add_argument("matrix")
-    q.add_argument("v1")
-    q.add_argument("p1")
-    q.add_argument("bit", type=int, choices=(0, 1))
-    _add_json(q)
-    q.set_defaults(func=_cmd_gtilde)
 
-    p = sub.add_parser("scc", help="probe the orbit of the unit vector and its negation")
+
+def _scc_args(p):
     p.add_argument("matrix")
     p.add_argument("--degree", type=_at_least(0), default=12,
                    help="witness search degree (default 12)")
     _add_bound(p)
     _add_json(p)
-    p.set_defaults(func=_cmd_scc)
 
-    p = sub.add_parser("pathpoly", help="path polynomial of a word over 0/1/n")
+
+def _pathpoly_args(p):
     p.add_argument("word", help="word over 0, 1, n; - for the empty word")
     _add_json(p)
-    p.set_defaults(func=_cmd_pathpoly)
 
-    p = sub.add_parser("witness", help="search for a monic {-1,0,1} witness = -1 mod chi*")
+
+def _witness_args(p):
     p.add_argument("chistar", help="modulus polynomial, constant first")
     p.add_argument("--degree", type=_at_least(0), default=12)
     _add_json(p)
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("infer", help="search for a matrix that fits a machine")
+
+def _infer_args(p):
     p.add_argument("aut")
     p.add_argument("--max-dim", type=_at_least(1), default=3)
     p.add_argument("--coeff-bound", type=_at_least(0), default=2)
     _add_bound(p)
     _add_json(p)
-    p.set_defaults(func=_cmd_infer)
 
+
+# name -> (help, argument adder, handler), in the order `--help` lists them
+_COMMANDS = {
+    "transduce": ("run a word through a machine state", _transduce_args, _cmd_transduce),
+    "check": ("classify a machine by the abelian criterion", _check_args, _cmd_check),
+    "gamma": ("print the residual difference of the least odd state",
+              _gamma_args, _cmd_gamma),
+    "principal": ("build the principal machine", _principal_args, _cmd_principal),
+    "orbit": ("list vectors reachable in a complete automaton", _orbit_args, _cmd_orbit),
+    "locate": ("embed a machine into a complete automaton", _locate_args, _cmd_locate),
+    "verify": ("recheck a location word by word", _verify_args, _cmd_verify),
+    "embed": ("solve r*p = q modulo chi*", _embed_args, _cmd_embed),
+    "gtilde": ("arithmetic on fraction elements (v, p)", _gtilde_args, _cmd_gtilde),
+    "scc": ("probe the orbit of the unit vector and its negation", _scc_args, _cmd_scc),
+    "pathpoly": ("path polynomial of a word over 0/1/n", _pathpoly_args, _cmd_pathpoly),
+    "witness": ("search for a monic {-1,0,1} witness = -1 mod chi*",
+                _witness_args, _cmd_witness),
+    "infer": ("search for a matrix that fits a machine", _infer_args, _cmd_infer),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.
+
+    Every subcommand is registered with its help text, so the top-level
+    usage, `--help` and choice errors never depend on `command`.  Arguments
+    and the handler are added to every subcommand when `command` is None,
+    and otherwise to `command` alone: parse_args on an argv that names it
+    then reads exactly what the full parser reads.
+    """
+    parser = argparse.ArgumentParser(
+        prog="abmealy",
+        description="Analyze abelian binary Mealy automata.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so the first
+    # token naming a subcommand is the one it dispatches on.
+    command = next((a for a in argv if a in _COMMANDS), "")
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except AbmealyError as exc:

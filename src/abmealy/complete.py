@@ -414,7 +414,8 @@ def parse_int_poly(text: str) -> Polynomial:
     toks = text.split()
     if toks and all(_is_int(t) for t in toks):
         return Polynomial(int(t) for t in toks)
-    if re.search(r"\d\s+\d", text):  # '3 2x' would read as 32x once spaces go
+    # '3 2x' would read as 32x once spaces go, and '1 _0' or '1_ 0' as 10
+    if re.search(r"[\d_]\s+[\d_]", text):
         raise FormatError(f"bad polynomial {text!r}: whitespace between digits")
     s = "".join(toks)
     if not s:

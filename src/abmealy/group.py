@@ -40,12 +40,13 @@ DEFAULT_BOUND = 100000
 class GroupElement:
     """Immutable formal Z-combination of the states of one machine."""
 
-    __slots__ = ("aut", "coeffs", "_hash")
+    __slots__ = ("aut", "coeffs", "_hash", "_key")
 
     def __init__(self, aut: MealyAutomaton, coeffs: dict[str, int]):
         self.aut = aut
         self.coeffs = {s: c for s, c in coeffs.items() if c != 0}
         self._hash = None
+        self._key = None  # the table key, set on first use by _keyed
 
     @classmethod
     def identity(cls, aut: MealyAutomaton) -> "GroupElement":
@@ -172,10 +173,22 @@ def _machine_gens(aut: MealyAutomaton) -> dict:
 @lru_cache(maxsize=128)
 def _table(aut: MealyAutomaton) -> _Table:
     if not aut.is_invertible():
-        raise NotInvertibleError(
-            f"automaton {aut.name!r} is not invertible; residuation is undefined"
-        )
+        raise NotInvertibleError(f"automaton {aut.name!r} is not invertible")
     return _Table(_machine_gens(aut))
+
+
+def _keyed(e: GroupElement) -> tuple[_Table, tuple]:
+    """The table of e's machine and e's key in it, computed once per element."""
+    table = _table(e.aut)
+    if e._key is None:
+        e._key = table.key(e.coeffs)
+    return table, e._key
+
+
+def _element(aut: MealyAutomaton, table: _Table, key: tuple) -> GroupElement:
+    e = GroupElement(aut, table.coeffs(key))
+    e._key = key
+    return e
 
 
 def _fold(table: _Table, key: tuple, bit: int) -> tuple[tuple, bool]:
@@ -225,15 +238,15 @@ def _combine(a: tuple, b: tuple, k: int) -> tuple:
 
 def element_parity(e: GroupElement) -> Parity:
     """Parity of the combination: sum of coefficients on odd states, mod 2."""
-    table = _table(e.aut)
-    return Parity.ODD if table.parity(table.key(e.coeffs)) else Parity.EVEN
+    table, key = _keyed(e)
+    return Parity.ODD if table.parity(key) else Parity.EVEN
 
 
 def residuate_element(e: GroupElement, bit: int) -> GroupElement:
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    table = _table(e.aut)
-    return GroupElement(e.aut, table.coeffs(_fold(table, table.key(e.coeffs), bit)[0]))
+    table, key = _keyed(e)
+    return _element(e.aut, table, _fold(table, key, bit)[0])
 
 
 # -- identity testing ---------------------------------------------------------
@@ -286,8 +299,7 @@ def identity_test(e: GroupElement, bound: int = DEFAULT_BOUND) -> IdentityResult
     IsIdentity when the closure completes within `bound` distinct elements,
     and Unknown when the bound is exceeded.
     """
-    table = _table(e.aut)
-    return _identity_test_coeffs(table, table.key(e.coeffs), bound)
+    return _identity_test_coeffs(*_keyed(e), bound)
 
 
 # -- abelianness criterion ----------------------------------------------------
@@ -321,8 +333,6 @@ class AbelianReport:
 
 def _odd_table(aut: MealyAutomaton) -> tuple[_Table, list[int]]:
     """The machine's table and the indices of its odd states."""
-    if not aut.is_invertible():
-        raise NotInvertibleError(f"automaton {aut.name!r} is not invertible")
     table = _table(aut)
     return table, [i for i, odd in enumerate(table.odd) if odd]
 
@@ -338,7 +348,7 @@ def gamma_of(aut: MealyAutomaton) -> GroupElement:
     table, odd = _odd_table(aut)
     if not odd:
         raise NoOddStateError(f"automaton {aut.name!r} has no odd state")
-    return GroupElement(aut, table.coeffs(_residual_difference(table, odd[0])))
+    return _element(aut, table, _residual_difference(table, odd[0]))
 
 
 def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianReport:
@@ -381,7 +391,7 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
         return AbelianReport(AbelianVerdict.UNKNOWN)
     verdict = (AbelianVerdict.BOOLEAN_CANDIDATE if res.verdict is Verdict.IS_IDENTITY
                else AbelianVerdict.ABELIAN_FREE_CANDIDATE)
-    return AbelianReport(verdict, gamma=GroupElement(aut, table.coeffs(gamma)))
+    return AbelianReport(verdict, gamma=_element(aut, table, gamma))
 
 
 # -- principal machine ---------------------------------------------------------
@@ -429,7 +439,7 @@ def _principal_nodes(aut: MealyAutomaton, bound: int):
             queue.append(key)
         return key
 
-    add(table.key(report.gamma.coeffs))
+    add(table.key(report.gamma.coeffs))  # not gamma's key: this table has delta too
     add(())
     add(((table.index[label], 1),))
     while queue:

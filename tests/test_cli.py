@@ -8,6 +8,7 @@ through a generated wrapper script in a subprocess, against this checkout's
 ``src``.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from abmealy import parse_automaton, parse_int_poly, reduce_mod
+from abmealy import cli
 from abmealy.cli import main
 from conftest import (
     A32_TEXT,
@@ -730,6 +732,80 @@ def test_numeric_flags_keep_the_int_parse_error(capsys, files):
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         "abmealy check: error: argument --bound: invalid int value: 'x'")
+
+
+# One valid argv per subcommand and gtilde operation, for the differential test
+# below; file arguments are named by their suffix, as above.
+VALID_ARGV = {
+    "transduce": ("a32.aut", "f", "0110"),
+    "check": ("a32.aut",),
+    "gamma": ("a32.aut",),
+    "principal": ("--aut", "a32.aut"),
+    "orbit": ("A.mat", "--e", "(3,2)"),
+    "locate": ("a32.aut", "A.mat"),
+    "verify": ("a32.aut", "A.mat", "--maxlen", "4"),
+    "embed": ("A.mat", "3 2", "1"),
+    "gtilde eq": ("A.mat", "(1,0)", "1", "(1,0)", "1"),
+    "gtilde add": ("A.mat", "(1,0)", "1", "(0,1)", "1"),
+    "gtilde res": ("A.mat", "(1,0)", "1", "1"),
+    "scc": ("A.mat", "--degree", "3"),
+    "pathpoly": ("01n",),
+    "witness": ("2 2 1", "--degree", "4"),
+    "infer": ("a32.aut", "--max-dim", "2"),
+}
+
+
+def differential_argvs():
+    """(subcommand named, argv): the top level, then per subcommand --help,
+    no arguments, the valid argv short of its last token, an unknown option
+    after it and before it, --bound 0, and the valid argv itself."""
+    yield from [("", ()), ("", ("--help",)), ("", ("frobnicate",)), ("", ("--bogus",)),
+                ("gtilde", ("gtilde",)), ("gtilde", ("gtilde", "--help")),
+                ("gtilde", ("gtilde", "mul"))]
+    for name, rest in VALID_ARGV.items():
+        cmd = tuple(name.split())
+        for argv in [cmd + ("--help",), cmd, cmd + rest[:-1], cmd + rest + ("--bogus",),
+                     ("--bogus",) + cmd + rest, cmd + rest + ("--bound", "0"), cmd + rest]:
+            yield cmd[0], argv
+
+
+def test_the_differential_cases_cover_every_subcommand():
+    assert {name.split()[0] for name in VALID_ARGV} == set(cli._COMMANDS)
+    assert {name.split()[1] for name in VALID_ARGV if name.startswith("gtilde ")} == {
+        "eq", "add", "res"}
+
+
+@pytest.mark.parametrize("command, argv", list(differential_argvs()))
+def test_main_builds_one_subcommand_and_reads_what_the_full_parser_reads(
+        capsys, monkeypatch, files, command, argv):
+    argv = [str(files / a) if a.endswith((".aut", ".mat")) else a for a in argv]
+    full_parser = cli.build_parser
+    built, parsed = [], []
+    real_parse_args = argparse.ArgumentParser.parse_args
+
+    def parse_args(self, *args, **kwargs):
+        parsed.append(real_parse_args(self, *args, **kwargs))
+        return parsed[-1]
+
+    def outcome(build_parser):
+        parsed.clear()
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err, list(parsed)
+
+    def per_command(command=None):
+        built.append(command)
+        return full_parser(command)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+    got = outcome(per_command)
+    want = outcome(lambda command=None: full_parser())
+    assert got == want
+    assert built == [command]
 
 
 def test_python_dash_m_runs_the_tool_uninstalled(files):

@@ -515,16 +515,18 @@ def test_parse_int_poly_rejects(text):
         parse_int_poly(text)
 
 
-@pytest.mark.parametrize("text", ["3 2x", "x^1 2", "1 2 + x", "\u0663 2x", "x +1\t0"])
+@pytest.mark.parametrize("text", ["3 2x", "x^1 2", "1 2 + x", "\u0663 2x", "x +1\t0",
+                                  "1 _0", "1_ 0"])
 def test_parse_int_poly_rejects_whitespace_between_digits(text):
     with pytest.raises(FormatError, match=r"^bad polynomial .*: whitespace between digits$"):
         parse_int_poly(text)
 
 
-def digits_split_by_whitespace(text):
-    """True when whitespace alone stands between two decimal digits."""
+def constant_split_by_whitespace(text):
+    """True when whitespace alone stands between two characters of a
+    constant: decimal digits or the underscores int() reads between them."""
     marks = [(i, c) for i, c in enumerate(text) if not c.isspace()]
-    return any(j > i + 1 and a.isdecimal() and b.isdecimal()
+    return any(j > i + 1 and (a.isdecimal() or a == "_") and (b.isdecimal() or b == "_")
                for (i, a), (j, b) in zip(marks, marks[1:]))
 
 
@@ -565,7 +567,7 @@ def test_parse_int_poly_matches_the_reference_on_fuzz():
     def newly_rejected(text):
         toks = text.split()
         coefficient_list = toks and all(is_int_literal(t) for t in toks)
-        return not coefficient_list and digits_split_by_whitespace(text)
+        return not coefficient_list and constant_split_by_whitespace(text)
 
     counts = differential(parse_int_poly, reference_parse_int_poly,
                           fuzz_texts(1, 20_000), newly_rejected)

@@ -148,12 +148,20 @@ def test_equal_elements_hash_equal(a32):
 
 
 def test_group_operations_need_an_invertible_machine(sink):
-    with pytest.raises(NotInvertibleError):
-        check_abelian(sink)
-    with pytest.raises(NotInvertibleError):
-        gamma_of(sink)
-    with pytest.raises(NotInvertibleError):
-        residuate_element(GroupElement.unit(sink, "b"), 0)
+    b = GroupElement.unit(sink, "b")
+    for call in (lambda: check_abelian(sink), lambda: gamma_of(sink),
+                 lambda: residuate_element(b, 0), lambda: element_parity(b),
+                 lambda: identity_test(b)):
+        with pytest.raises(NotInvertibleError, match=r"^automaton 'sink' is not invertible$"):
+            call()
+
+
+def test_elements_keep_their_key(a32):
+    e = GroupElement.unit(a32, "f") - GroupElement.unit(a32, "f1")
+    child = residuate_element(e, 1)
+    table = group._table(a32)
+    assert e._key == table.key(e.coeffs)
+    assert child._key == table.key(child.coeffs)
 
 
 def test_residual_worked_values(a32):
