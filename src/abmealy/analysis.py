@@ -234,32 +234,49 @@ class SccInstanceReport:
     nontrivial_components: tuple[int, ...]
     single_nontrivial: bool
     witness: Polynomial | None
-    witness_degree: int
 
 
-def check_scc_instance(A: HalfIntegralMatrix, *, witness_degree: int = 12,
+def check_scc_instance(A: HalfIntegralMatrix, *,
                        bound: int = DEFAULT_BOUND) -> SccInstanceReport:
-    """Decompose orbit(e1) union orbit(-e1) and look for a witness polynomial.
+    """Decompose orbit(e1) union orbit(-e1) and read off the least witness.
 
     The interesting question is whether everything apart from the zero
     vector falls into one strongly connected component; the witness, when it
-    exists, certifies a path from a vector to its negation.
+    exists, spells a path from e1 to -e1.  The walk from e1 is the witness
+    search: the vectors it reaches are the division carries p(A^-1) e1 of
+    `witness_search`, and its steps take the digits -1, 0, +1 as input 0 at
+    an odd vector, either input at an even one and input 1 at an odd one, in
+    the same breadth-first order.  So the first path to -e1 spells the
+    (degree, lexicographic) least witness, and a walk that never reaches -e1
+    proves that no witness of any degree exists.
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
     e1 = unit_vector(A.dim)
+    neg = tuple(-c for c in e1)
     config = CompleteConfig(A, e1)
     graph = {}
-    for start in (e1, tuple(-c for c in e1)):
+    parent = {e1: None}  # first discovery from e1, with its path letter, until -e1
+    for start in (e1, neg):
         if start not in graph:  # else its orbit is already in the graph
-            for v, steps in _walk(config, [start], bound):
-                graph[v] = (steps[0][0], steps[1][0])
+            for v, (step0, step1) in _walk(config, [start], bound):
+                graph[v] = (step0[0], step1[0])
+                if start == e1 and neg not in parent:
+                    # input 0 outputs 1 exactly at an odd vector
+                    for (w, _), letter in zip((step0, step1), "n1" if step0[1] else "00"):
+                        parent.setdefault(w, (v, letter))
     dec = scc_decompose(graph)
     zero = (0,) * A.dim
     nontrivial = tuple(
         i for i, comp in enumerate(dec.components) if zero not in comp
     )
-    witness = witness_search(A.chi_star, witness_degree)
+    # read back from -e1, so the first step's letter, c_0, comes last
+    letters, link = [], parent.get(neg)
+    while link is not None:
+        v, letter = link
+        letters.append(letter)
+        link = parent[v]
+    witness = path_polynomial("".join(letters)) if neg in parent else None
     return SccInstanceReport(
         chi=A.chi,
         chi_star=A.chi_star,
@@ -268,7 +285,6 @@ def check_scc_instance(A: HalfIntegralMatrix, *, witness_degree: int = 12,
         nontrivial_components=nontrivial,
         single_nontrivial=len(nontrivial) == 1,
         witness=witness,
-        witness_degree=witness_degree,
     )
 
 

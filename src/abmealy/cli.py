@@ -242,7 +242,7 @@ def _cmd_gtilde(args) -> int:
 
 def _cmd_scc(args) -> int:
     A = _load_matrix(args.matrix)
-    report = check_scc_instance(A, witness_degree=args.degree, bound=args.bound)
+    report = check_scc_instance(A, bound=args.bound)
     wc, ws = _poly_json(report.witness)
     payload = {
         "chi": [str(c) for c in report.chi.coeffs],
@@ -256,7 +256,6 @@ def _cmd_scc(args) -> int:
         "single_nontrivial": report.single_nontrivial,
         "witness": wc,
         "witness_str": ws,
-        "witness_degree": report.witness_degree,
     }
     lines = [
         f"chi: {report.chi}",
@@ -433,8 +432,6 @@ def _gtilde_args(p):
 
 def _scc_args(p):
     p.add_argument("matrix")
-    p.add_argument("--degree", type=_at_least(0), default=12,
-                   help="witness search degree (default 12)")
     _add_bound(p)
     _add_json(p)
 

@@ -211,8 +211,9 @@ def _walk(config: CompleteConfig, starts, bound: int):
             if w not in first:
                 if len(first) >= bound:
                     raise BoundExceededError(
-                        f"orbit exceeded {bound} vectors; raise the bound or "
-                        "check that the matrix is contracting"
+                        f"orbit reached {len(first) + 1} vectors, over the bound "
+                        f"{bound}; raise the bound or check that the matrix is "
+                        "contracting"
                     )
                 first[w] = w
                 queue.append(w)
@@ -591,8 +592,17 @@ def find_location_mismatch(aut: MealyAutomaton, A: HalfIntegralMatrix,
     Runs every non-empty word up to max_len through both machines
     independently and reports the first disagreement.  This is deliberately
     brute force: it shares no code with `locate` or `LocationMap.validate`.
+    Raises LocateError when p does not name e, when the map has a state the
+    machine lacks, and on reaching a machine state the map leaves out.
     """
     config = CompleteConfig(A, locmap.e)
+    named = poly_to_vector(locmap.p, A)
+    if named != locmap.e:
+        raise LocateError(
+            f"p = {locmap.p} names {format_vector(named)}, not e = {format_vector(locmap.e)}")
+    extra = sorted(set(locmap.assignment) - set(aut.states))
+    if extra:
+        raise LocateError(f"map has states not in the machine: {', '.join(extra)}")
     for s in aut.states:
         if s not in locmap.assignment:
             raise LocateError(f"state {s} missing from the map")

@@ -434,7 +434,10 @@ def _principal_nodes(aut: MealyAutomaton, bound: int):
     def add(key: tuple) -> tuple:
         if key not in nodes:
             if len(nodes) >= bound:
-                raise BoundExceededError(f"principal closure exceeded bound {bound}")
+                raise BoundExceededError(
+                    f"principal closure reached {len(nodes) + 1} elements, over the "
+                    f"bound {bound}; raise the bound"
+                )
             nodes[key] = None  # reserve; filled when popped
             queue.append(key)
         return key

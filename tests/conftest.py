@@ -46,7 +46,7 @@ from abmealy.complete import (
     format_vector,
 )
 from abmealy.errors import FormatError, LocateError
-from abmealy.exactalg import Polynomial, is_contracting
+from abmealy.exactalg import Polynomial, companion_from_chi, is_contracting
 from abmealy.group import DEFAULT_BOUND, IdentityResult, Verdict, format_combination
 from abmealy.mealy import Parity
 
@@ -201,6 +201,42 @@ def contracting_chis(max_dim=4, coeff_bound=3):
             if is_contracting(chi):
                 chis.append(chi)
     return tuple(chis)
+
+
+def division_carries(chi_star):
+    """Every carry of the division of w + 1 by chi* reachable from 1, as
+    coefficient tuples of length deg chi*: digit c in {-1, 0, 1} is allowed
+    at carry r when q = (r(0) + c) / chi*(0) is an integer, and the next
+    carry is (r + c - q chi*) / x.  chi*(0) must be nonzero."""
+    star = tuple(chi_star)
+    start = (1,) + (0,) * (len(star) - 2)
+    seen, todo = {start}, [start]
+    while todo:
+        r = todo.pop()
+        for c in (-1, 0, 1):
+            q, rem = divmod(r[0] + c, star[0])
+            if rem == 0:
+                full = [a - q * b for a, b in zip(r + (0,), star)]
+                full[0] += c  # now 0, so the division by x drops it
+                nxt = tuple(full[1:])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return seen
+
+
+def random_half_integral(rng, m):
+    """A non-companion half-integral matrix with small entries, by rejection.
+    Every 1x1 half-integral matrix is its own companion, so m must be >= 2."""
+    if m < 2:
+        raise ValueError(f"every half-integral matrix of dimension {m} is a companion")
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), 2)] + [rng.randint(-2, 2) for _ in range(m - 1)]
+                for _ in range(m)]
+        if abs(RationalMatrix(rows).det()) == Fraction(1, 2):
+            A = HalfIntegralMatrix(rows)
+            if A != companion_from_chi(A.chi):
+                return A
 
 
 # (chi coefficients, the reader's message): every chi reader gives these texts

@@ -19,17 +19,29 @@ from abmealy.analysis import (
     scc_decompose,
     witness_search,
 )
-from abmealy.complete import CompleteConfig, orbit_automaton, residual_vector, unit_vector
+from abmealy.complete import (
+    CompleteConfig,
+    orbit,
+    orbit_automaton,
+    residual_vector,
+    unit_vector,
+)
 from abmealy.errors import BoundExceededError, FormatError, MatrixError, NotAbelianError
 from abmealy.exactalg import (
     HALF,
     IntPolynomial,
+    RationalMatrix,
     RationalPolynomial,
     companion_from_chi,
     reduce_mod,
 )
 
-from conftest import verify_location
+from conftest import (
+    contracting_chis,
+    division_carries,
+    random_half_integral,
+    verify_location,
+)
 
 CHI_A = RationalPolynomial.of(HALF, 1, 1)
 CHI_STAR_A = IntPolynomial.of(2, 2, 1)
@@ -356,7 +368,6 @@ def test_check_scc_instance_main(mat_a):
     assert dec.cyclic == (True, True)
     assert dec.terminal_indices == (1,)
     assert report.witness == WITNESS_A
-    assert report.witness_degree == 12
 
 
 def test_check_scc_instance_sausage():
@@ -382,6 +393,69 @@ def test_check_scc_instance_mirror():
     assert report.nontrivial_components == (0,)
     assert report.single_nontrivial is True
     assert report.witness == IntPolynomial.of(1, 1)
+
+
+def chi_of_star(star):
+    """chi from chi*: x^m chi*(1/x) / chi*(0), the reversed coefficients."""
+    return RationalPolynomial([Fraction(c, star[0]) for c in reversed(star)])
+
+
+CORPUS_CHIS = tuple(chi_of_star(star) for star in CORPUS_WITNESSES)
+
+
+def test_division_carries_are_the_unit_orbit():
+    """Carry p is the vector p(A^-1) e1, and for a companion A the two are
+    one tuple: the carry walk and the orbit of e1 are one graph."""
+    for chi in contracting_chis() + CORPUS_CHIS:
+        A = companion_from_chi(chi)
+        e1 = unit_vector(A.dim)
+        assert division_carries(A.chi_star.coeffs) == set(orbit(CompleteConfig(A, e1), e1)), chi
+
+
+def krylov_det(A):
+    """det of the basis e1, A^-1 e1, ..., A^-(m-1) e1."""
+    cols, b = [], unit_vector(A.dim)
+    for _ in range(A.dim):
+        cols.append(b)
+        b = tuple(sum(a * x for a, x in zip(row, b)) for row in A.inv_rows)
+    return RationalMatrix([list(row) for row in zip(*cols)]).det()
+
+
+def test_check_scc_instance_witness_is_the_least_witness():
+    """The walk from e1 finds witness_search's least witness, on companion
+    and non-companion matrices alike, and finds none exactly when -e1 is
+    not in orbit(e1).  witness_search to degree 60 is the reference: no
+    least witness here has a higher degree."""
+    rng = random.Random(14)
+    randoms = []
+    while len(randoms) < 100:
+        A = random_half_integral(rng, rng.choice((2, 3)))
+        if A.contracting:
+            randoms.append(A)
+    assert sum(abs(krylov_det(A)) != 1 for A in randoms) >= 20
+    companions = [companion_from_chi(chi) for chi in contracting_chis() + CORPUS_CHIS]
+    found = 0
+    for A in companions + randoms:
+        report = check_scc_instance(A)
+        assert report.witness == witness_search(A.chi_star, 60), A
+        e1 = unit_vector(A.dim)
+        reached = tuple(-c for c in e1) in orbit(CompleteConfig(A, e1), e1)
+        assert (report.witness is not None) == reached, A
+        found += reached
+    assert 0 < found < len(companions) + len(randoms)
+
+
+def test_check_scc_instance_none_is_proven_at_every_degree():
+    """x - 1/2 and x^3 - 1/2: the carry -1 is unreachable, so no witness
+    exists at any degree; 1/2 + x + x^2 + x^3 + x^4 has its least witness at
+    degree 16, past any fixed search degree of 12."""
+    for chi in (RationalPolynomial.of(-HALF, 1), RationalPolynomial.of(-HALF, 0, 0, 1)):
+        A = companion_from_chi(chi)
+        assert check_scc_instance(A).witness is None
+        assert (-1,) + (0,) * (A.dim - 1) not in division_carries(A.chi_star.coeffs)
+    report = check_scc_instance(companion_from_chi(RationalPolynomial.of(HALF, 1, 1, 1, 1)))
+    assert report.single_nontrivial
+    assert report.witness == IntPolynomial.of(1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1)
 
 
 # -- matrix inference ----------------------------------------------------------------

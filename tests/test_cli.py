@@ -11,6 +11,7 @@ through a generated wrapper script in a subprocess, against this checkout's
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -64,6 +65,8 @@ def files(tmp_path_factory):
         A32_MAP_TEXT.replace("state f0 -> (0,1)", "state f0 -> (0,1,0)")
     )
     (d / "glued.map").write_text(A32_MAP_TEXT.replace("p: 3 + 2x", "p: 3 2x"))
+    (d / "misnamed.map").write_text(A32_MAP_TEXT.replace("p: 3 + 2x", "p: 7 + 5x"))
+    (d / "extra.map").write_text(A32_MAP_TEXT + "state zz -> (9,9)\n")
     return d
 
 
@@ -210,6 +213,14 @@ def test_principal_requires_exactly_one_source(capsys, files):
     capsys.readouterr()
 
 
+def test_principal_closure_budget_names_its_count_and_bound(capsys, files):
+    code, out, err = run(capsys, "principal", "--aut", str(files / "a32.aut"),
+                         "--bound", "3")
+    assert (code, out) == (1, "")
+    assert err == ("error: principal closure reached 4 elements, over the bound 3; "
+                   "raise the bound\n")
+
+
 def test_principal_rejects_non_abelian_input(capsys, files):
     code, out, err = run(capsys, "principal", "--aut", str(files / "lamplighter.aut"))
     assert code == 1
@@ -254,6 +265,15 @@ def test_orbit_commands_reject_a_non_contracting_chi(capsys, tmp_path):
                  ("scc", str(mat)),
                  ("principal", "--chi", "1/2 -3/2 1")):
         assert run(capsys, *argv) == (1, "", want)
+
+
+def test_orbit_budget_names_its_count_and_bound(capsys, files):
+    want = ("error: orbit reached 4 vectors, over the bound 3; raise the bound or "
+            "check that the matrix is contracting\n")
+    for argv in (("orbit", str(files / "A.mat"), "--e", "(1,0)"),
+                 ("scc", str(files / "A.mat")),
+                 ("principal", "--chi", "1/2 1 1")):
+        assert run(capsys, *argv, "--bound", "3") == (1, "", want)
 
 
 # -- locate / verify ---------------------------------------------------------------
@@ -364,6 +384,22 @@ def test_verify_rejects_a_map_missing_a_state(capsys, files):
         "--map", str(files / "short.map"))
     assert code == 1
     assert err.startswith("error:") and "f1" in err
+
+
+def test_verify_rejects_a_map_whose_p_does_not_name_its_e(capsys, files):
+    code, out, err = run(
+        capsys, "verify", str(files / "a32.aut"), str(files / "A.mat"),
+        "--map", str(files / "misnamed.map"))
+    assert (code, out) == (1, "")
+    assert err == "error: p = 7 + 5x names (7,5), not e = (3,2)\n"
+
+
+def test_verify_rejects_a_map_with_states_the_machine_lacks(capsys, files):
+    code, out, err = run(
+        capsys, "verify", str(files / "a32.aut"), str(files / "A.mat"),
+        "--map", str(files / "extra.map"))
+    assert (code, out) == (1, "")
+    assert err == "error: map has states not in the machine: zz\n"
 
 
 def test_verify_rejects_a_map_vector_of_the_wrong_length(capsys, files):
@@ -486,13 +522,32 @@ def test_scc_json(capsys, files):
     assert payload["single_nontrivial"] is True
     assert payload["witness"] == [1, 0, 1, 1, 1]
     assert payload["witness_str"] == "1 + x^2 + x^3 + x^4"
-    assert payload["witness_degree"] == 12
+    assert list(payload) == ["chi", "chi_star", "states", "components",
+                             "nontrivial_components", "single_nontrivial",
+                             "witness", "witness_str"]
 
 
-def test_scc_degree_bound_limits_the_witness_search(capsys, files):
-    code, out, err = run(capsys, "scc", str(files / "A.mat"), "--degree", "3")
-    assert code == 0
-    assert out.splitlines()[-1] == "witness: none"
+def test_scc_has_no_degree_option(capsys, files):
+    """scc reads its witness off the whole orbit walk, so no degree caps it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["scc", str(files / "A.mat"), "--degree", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "abmealy: error: unrecognized arguments: --degree 3")
+
+
+def test_scc_witness_beyond_degree_twelve(capsys, tmp_path):
+    """The least witness for chi = 1/2 + x + x^2 + x^3 + x^4 has degree 16."""
+    mat = tmp_path / "w16.mat"
+    mat.write_text("chi 1/2 1 1 1 1\n")
+    code, out, err = run(capsys, "scc", str(mat))
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == [
+        "single nontrivial component: yes",
+        "witness: 1 + x^4 + x^5 + x^8 + x^10 + x^12 + x^15 + x^16",
+    ]
 
 
 # -- pathpoly / witness ------------------------------------------------------------
@@ -635,6 +690,29 @@ def test_infer_propagates_non_abelian_failure(capsys, files):
     assert err.startswith("error:")
 
 
+# -- the README session ------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(text, after):
+    """The first fenced block of README.md after the text `after`."""
+    return text[text.index(after):].split("```\n", 2)[1]
+
+
+def test_readme_session_prints_what_readme_shows(capsys, tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    (tmp_path / "a32.aut").write_text(readme_block(text, "**AUT**"))
+    (tmp_path / "A.mat").write_text(readme_block(text, "**MATRIX**"))
+    monkeypatch.chdir(tmp_path)
+    session = readme_block(text, "A session with the bundled three-state example")
+    commands = session.split("$ abmealy ")[1:]
+    assert len(commands) == 6
+    for command in commands:
+        line, _, want = command.partition("\n")
+        assert run(capsys, *shlex.split(line)) == (0, want.rstrip("\n") + "\n", ""), line
+
+
 # -- error handling and usage ------------------------------------------------------
 
 
@@ -702,7 +780,7 @@ OUT_OF_RANGE = [
     (("verify", "a32.aut", "A.mat"), "--maxlen", -3, 1),
     (("verify", "a32.aut", "A.mat"), "--maxlen", 0, 1),
     (("scc", "A.mat"), "--bound", 0, 1),
-    (("scc", "A.mat"), "--degree", -1, 0),
+    (("witness", "2 2 1"), "--degree", -1, 0),
     (("witness", "2 2 1"), "--degree", -5, 0),
     (("infer", "a32.aut"), "--bound", 0, 1),
     (("infer", "a32.aut"), "--max-dim", 0, 1),
@@ -748,7 +826,7 @@ VALID_ARGV = {
     "gtilde eq": ("A.mat", "(1,0)", "1", "(1,0)", "1"),
     "gtilde add": ("A.mat", "(1,0)", "1", "(0,1)", "1"),
     "gtilde res": ("A.mat", "(1,0)", "1", "1"),
-    "scc": ("A.mat", "--degree", "3"),
+    "scc": ("A.mat", "--json"),
     "pathpoly": ("01n",),
     "witness": ("2 2 1", "--degree", "4"),
     "infer": ("a32.aut", "--max-dim", "2"),
@@ -773,6 +851,14 @@ def test_the_differential_cases_cover_every_subcommand():
     assert {name.split()[0] for name in VALID_ARGV} == set(cli._COMMANDS)
     assert {name.split()[1] for name in VALID_ARGV if name.startswith("gtilde ")} == {
         "eq", "add", "res"}
+
+
+@pytest.mark.parametrize("name", list(VALID_ARGV))
+def test_the_valid_argvs_parse(capsys, files, name):
+    """No usage error (SystemExit 2): else a dropped option would leave the
+    differential test comparing two parsers that agree on rejecting it."""
+    argv = [str(files / a) if a.endswith((".aut", ".mat")) else a for a in VALID_ARGV[name]]
+    assert run(capsys, *name.split(), *argv)[0] in (0, 1)
 
 
 @pytest.mark.parametrize("command, argv", list(differential_argvs()))

@@ -74,6 +74,7 @@ from conftest import (
     cycle_words,
     fuzz_texts,
     is_int_literal,
+    random_half_integral,
     reference_locate,
     reference_parse_int_poly,
     reference_parse_vector,
@@ -276,20 +277,6 @@ CORPUS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -2), (-1, 0, 
 # and of the corpus orbit machines of 823 and 1,179 states
 CORPUS_TO_1179 = CORPUS_GS + [(1, 1, 1, 2, 1), (-1, 1, -1, 2, -1),
                               (1, 1, 0, 1, 0), (-1, 1, 0, 1, 0)]
-
-
-def random_half_integral(rng, m):
-    """A non-companion half-integral matrix with small entries, by rejection.
-    Every 1x1 half-integral matrix is its own companion, so m must be >= 2."""
-    if m < 2:
-        raise ValueError(f"every half-integral matrix of dimension {m} is a companion")
-    while True:
-        rows = [[Fraction(rng.randint(-3, 3), 2)] + [rng.randint(-2, 2) for _ in range(m - 1)]
-                for _ in range(m)]
-        if abs(RationalMatrix(rows).det()) == HALF:
-            A = HalfIntegralMatrix(rows)
-            if A != companion_from_chi(A.chi):
-                return A
 
 
 def test_random_half_integral_needs_two_dimensions():
