@@ -64,42 +64,41 @@ class SccDecomposition:
 
 
 def scc_decompose(graph: dict) -> SccDecomposition:
-    """Tarjan's algorithm, iteratively, over a node -> successors mapping."""
-    succ = {node: tuple(targets) for node, targets in graph.items()}
-
+    """Tarjan's algorithm, iteratively, over a node -> successors mapping whose
+    successors are re-iterable collections: the edge pass walks them again."""
     # index[node] is the node's visit number until its component is closed,
     # then `done`, which is above every visit number and so lowers no low-link.
-    done = len(succ)
+    done = len(graph)
     index: dict = {}
     low: list[int] = []
     stack: list = []
     raw_components: list[tuple] = []
+    work: list = []  # (node, its visit number, iterator over its successors)
 
-    for root in succ:
+    def enter(node):
+        index[node] = k = len(low)
+        low.append(k)
+        stack.append(node)
+        work.append((node, k, iter(graph[node])))
+
+    for root in graph:
         if root in index:
             continue
-        work = [(root, 0)]
+        enter(root)
         while work:
-            node, pi = work.pop()
-            if pi == 0:
-                index[node] = len(low)
-                low.append(len(low))
-                stack.append(node)
-            k = index[node]
-            targets = succ[node]
-            for i in range(pi, len(targets)):
-                t = targets[i]
+            node, k, targets = work[-1]
+            for t in targets:
                 j = index.get(t)
                 if j is None:
                     # never indexed, so met here: every node is a root and
                     # scans all its successors
-                    if t not in succ:
+                    if t not in graph:
                         raise ValueError(f"successor {t!r} is not a node of the graph")
-                    work.append((node, i + 1))
-                    work.append((t, 0))
+                    enter(t)
                     break
                 low[k] = min(low[k], j)
             else:  # every successor is visited, so node is finished
+                work.pop()
                 if low[k] == k:
                     comp = []
                     while True:
@@ -110,7 +109,7 @@ def scc_decompose(graph: dict) -> SccDecomposition:
                             break
                     raw_components.append(tuple(sorted(comp)))
                 if work:
-                    parent = index[work[-1][0]]
+                    parent = work[-1][1]
                     low[parent] = min(low[parent], low[k])
     del index, low  # free the bookkeeping before the maps below are built
     components = tuple(sorted(raw_components, key=lambda c: c[0]))
@@ -120,7 +119,7 @@ def scc_decompose(graph: dict) -> SccDecomposition:
             component_of[node] = i
     edges = set()
     cyclic = [len(c) > 1 for c in components]
-    for node, targets in succ.items():
+    for node, targets in graph.items():
         i = component_of[node]
         for t in targets:
             j = component_of[t]
@@ -260,9 +259,10 @@ def check_scc_instance(A: HalfIntegralMatrix, *,
     for start in (e1, neg):
         if start not in graph:  # else its orbit is already in the graph
             for v, (step0, step1) in _walk(config, [start], bound):
-                graph[v] = (step0[0], step1[0])
+                # input 0 outputs 1 exactly at an odd vector; at an even one
+                # both inputs step to one tuple, kept once
+                graph[v] = (step0[0], step1[0]) if step0[1] else (step0[0],)
                 if start == e1 and neg not in parent:
-                    # input 0 outputs 1 exactly at an odd vector
                     for (w, _), letter in zip((step0, step1), "n1" if step0[1] else "00"):
                         parent.setdefault(w, (v, letter))
     dec = scc_decompose(graph)

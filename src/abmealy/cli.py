@@ -140,11 +140,11 @@ def _cmd_orbit(args) -> int:
     start = parse_vector(args.start) if args.start else e
     config = CompleteConfig(A, e)
     vectors = orbit(config, start, bound=args.bound)
-    _emit(
-        args,
-        {"count": len(vectors), "vectors": [list(v) for v in vectors]},
-        [format_vector(v) for v in vectors],
-    )
+    if args.json:
+        print(json.dumps({"count": len(vectors), "vectors": [list(v) for v in vectors]}))
+    else:
+        for v in vectors:
+            print(format_vector(v))
     return 0
 
 
@@ -243,37 +243,29 @@ def _cmd_gtilde(args) -> int:
 def _cmd_scc(args) -> int:
     A = _load_matrix(args.matrix)
     report = check_scc_instance(A, bound=args.bound)
+    dec = report.decomposition
     wc, ws = _poly_json(report.witness)
-    payload = {
-        "chi": [str(c) for c in report.chi.coeffs],
-        "chi_star": list(report.chi_star.coeffs),
-        "states": len(report.states),
-        "components": [
-            {"vectors": [list(v) for v in comp], "cyclic": report.decomposition.cyclic[i]}
-            for i, comp in enumerate(report.decomposition.components)
-        ],
-        "nontrivial_components": list(report.nontrivial_components),
-        "single_nontrivial": report.single_nontrivial,
-        "witness": wc,
-        "witness_str": ws,
-    }
-    lines = [
-        f"chi: {report.chi}",
-        f"chi*: {report.chi_star}",
-        f"states: {len(report.states)}",
-        f"components: {len(report.decomposition.components)}",
-    ]
-    for i, comp in enumerate(report.decomposition.components):
-        tag = " cyclic" if report.decomposition.cyclic[i] else ""
-        lines.append(
-            f"  [{i}]{tag}: " + " ".join(format_vector(v) for v in comp)
-        )
-    lines.append(
-        "single nontrivial component: "
-        + ("yes" if report.single_nontrivial else "no")
-    )
-    lines.append(f"witness: {ws if ws is not None else 'none'}")
-    _emit(args, payload, lines)
+    if args.json:
+        print(json.dumps({
+            "chi": [str(c) for c in report.chi.coeffs],
+            "chi_star": list(report.chi_star.coeffs),
+            "states": len(report.states),
+            "components": [{"vectors": [list(v) for v in comp], "cyclic": cyclic}
+                           for comp, cyclic in zip(dec.components, dec.cyclic)],
+            "nontrivial_components": list(report.nontrivial_components),
+            "single_nontrivial": report.single_nontrivial,
+            "witness": wc,
+            "witness_str": ws,
+        }))
+        return 0
+    print(f"chi: {report.chi}")
+    print(f"chi*: {report.chi_star}")
+    print(f"states: {len(report.states)}")
+    print(f"components: {len(dec.components)}")
+    for i, (comp, cyclic) in enumerate(zip(dec.components, dec.cyclic)):
+        print(f"  [{i}]{' cyclic' if cyclic else ''}: " + " ".join(map(format_vector, comp)))
+    print("single nontrivial component: " + ("yes" if report.single_nontrivial else "no"))
+    print(f"witness: {ws if ws is not None else 'none'}")
     return 0
 
 

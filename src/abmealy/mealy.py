@@ -61,7 +61,8 @@ class MealyAutomaton:
 
     def __init__(self, transitions, name: str = "machine", states=None):
         delta = {}
-        for (src, a), (dst, out) in dict(transitions).items():
+        table = transitions if isinstance(transitions, dict) else dict(transitions)
+        for (src, a), (dst, out) in table.items():  # a dict is read, not copied
             delta[src, _check_bit(a)] = (dst, _check_bit(out))
         if states is None:
             states = {s for s, _ in delta}

@@ -225,6 +225,21 @@ def division_carries(chi_star):
     return seen
 
 
+def unit_config(g):
+    """c(A, e1) for A the companion matrix of x^m + g(x)/2."""
+    chi = Polynomial([Fraction(c, 2) for c in g] + [Fraction(1)])
+    return CompleteConfig(companion_from_chi(chi), unit_vector(len(g)))
+
+
+# chi of the 14 corpus orbit machines of 7 to 61 states
+CORPUS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -2), (-1, 0, 2),
+             (1, 0, 1, -1), (1, 0, 1, 1), (1, 0, -1, -1), (1, 0, -1, 1),
+             (-1, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0), (1, -2, 3, -3), (1, 2, 3, 3)]
+# and of the corpus orbit machines of 823 and 1,179 states
+CORPUS_TO_1179 = CORPUS_GS + [(1, 1, 1, 2, 1), (-1, 1, -1, 2, -1),
+                              (1, 1, 0, 1, 0), (-1, 1, 0, 1, 0)]
+
+
 def random_half_integral(rng, m):
     """A non-companion half-integral matrix with small entries, by rejection.
     Every 1x1 half-integral matrix is its own companion, so m must be >= 2."""
@@ -237,6 +252,19 @@ def random_half_integral(rng, m):
             A = HalfIntegralMatrix(rows)
             if A != companion_from_chi(A.chi):
                 return A
+
+
+def conjugate(A, rng):
+    """P A P^-1 for a random P = [[1, 0], [0, Q]], Q unimodular: same chi, and
+    v -> P v maps c(A, e1) onto c(P A P^-1, e1), as P keeps first coordinates."""
+    m = A.dim
+    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):  # add +-row j to row i, both past the first
+        i, j = rng.sample(range(1, m), 2)
+        sign = rng.choice((-1, 1))
+        rows[i] = [x + sign * y for x, y in zip(rows[i], rows[j])]
+    P = RationalMatrix(rows)
+    return HalfIntegralMatrix(P @ A.inner @ P.inverse()), P
 
 
 # (chi coefficients, the reader's message): every chi reader gives these texts

@@ -37,9 +37,12 @@ from abmealy.exactalg import (
 )
 
 from conftest import (
+    CORPUS_TO_1179,
+    conjugate,
     contracting_chis,
     division_carries,
     random_half_integral,
+    unit_config,
     verify_location,
 )
 
@@ -129,12 +132,21 @@ def _naive_scc(graph):
 
 
 def test_scc_matches_naive_oracle():
+    """Random graphs of up to 40 nodes with self-loops and repeated
+    successors, held in tuples, lists and sets: each container is read as
+    it is handed over."""
     rng = random.Random(9090)
-    for _ in range(30):
-        n = rng.randint(1, 8)
-        graph = {
-            u: tuple(v for v in range(n) if rng.random() < 0.3) for u in range(n)
-        }
+    loops = repeats = 0
+    for trial in range(200):
+        n = rng.randint(1, 40)
+        p = rng.uniform(0, 3 / n)
+        graph = {}
+        for u in range(n):
+            targets = [v for v in range(n) if rng.random() < p]
+            targets += rng.choices(targets, k=rng.randint(0, 2)) if targets else []
+            graph[u] = (tuple, list, set)[trial % 3](rng.sample(targets, len(targets)))
+            loops += u in targets
+            repeats += len(set(targets)) < len(targets) and trial % 3 < 2
         dec = scc_decompose(graph)
         comps, comp_of, edges, cyclic, terminal = _naive_scc(graph)
         assert dec.components == comps, graph
@@ -142,6 +154,7 @@ def test_scc_matches_naive_oracle():
         assert dec.edges == edges
         assert dec.cyclic == cyclic
         assert dec.terminal_indices == terminal
+    assert loops >= 50 and repeats >= 50
 
 
 # -- path polynomials ---------------------------------------------------------------
@@ -423,9 +436,9 @@ def krylov_det(A):
 
 def test_check_scc_instance_witness_is_the_least_witness():
     """The walk from e1 finds witness_search's least witness, on companion
-    and non-companion matrices alike, and finds none exactly when -e1 is
-    not in orbit(e1).  witness_search to degree 60 is the reference: no
-    least witness here has a higher degree."""
+    and non-companion matrices of dimension 2-6 alike, and finds none
+    exactly when -e1 is not in orbit(e1).  witness_search to degree 60 is
+    the reference: no least witness here has a higher degree."""
     rng = random.Random(14)
     randoms = []
     while len(randoms) < 100:
@@ -434,6 +447,13 @@ def test_check_scc_instance_witness_is_the_least_witness():
             randoms.append(A)
     assert sum(abs(krylov_det(A)) != 1 for A in randoms) >= 20
     companions = [companion_from_chi(chi) for chi in contracting_chis() + CORPUS_CHIS]
+    # conjugates of the corpus companions of dimension 4-6, which rejection
+    # sampling almost never reaches
+    for g in CORPUS_TO_1179:
+        if len(g) >= 4:
+            B, _ = conjugate(unit_config(g).A, rng)
+            assert B.companion is None
+            randoms.append(B)
     found = 0
     for A in companions + randoms:
         report = check_scc_instance(A)
@@ -443,6 +463,20 @@ def test_check_scc_instance_witness_is_the_least_witness():
         assert (report.witness is not None) == reached, A
         found += reached
     assert 0 < found < len(companions) + len(randoms)
+
+
+@pytest.mark.parametrize("g", [None] + CORPUS_TO_1179)
+def test_check_scc_instance_matches_the_two_successor_graph(g, mat_a):
+    """Keeping one successor at an even vector decomposes the graph of
+    orbit(e1) union orbit(-e1) as keeping both steps of every vector does."""
+    A = mat_a if g is None else unit_config(g).A
+    e1 = unit_vector(A.dim)
+    config, graph = CompleteConfig(A, e1), {}
+    for start in (e1, tuple(-c for c in e1)):
+        if start not in graph:
+            for v, (step0, step1) in complete._walk(config, [start], group.DEFAULT_BOUND):
+                graph[v] = (step0[0], step1[0])
+    assert check_scc_instance(A).decomposition == scc_decompose(graph)
 
 
 def test_check_scc_instance_none_is_proven_at_every_degree():

@@ -69,6 +69,9 @@ from abmealy.mealy import MealyAutomaton, Parity, find_isomorphism
 
 import conftest
 from conftest import (
+    CORPUS_GS,
+    CORPUS_TO_1179,
+    conjugate,
     contracting_chis,
     cycle_solution_by_powers,
     cycle_words,
@@ -80,6 +83,7 @@ from conftest import (
     reference_parse_vector,
     self_reachable,
     union_machine,
+    unit_config,
     verify_location,
 )
 
@@ -195,12 +199,6 @@ def reference_step(config, v, bit):
     return tuple(int(x) for x in image), out
 
 
-def unit_config(g):
-    """c(A, e1) for A the companion matrix of x^m + g(x)/2."""
-    chi = RationalPolynomial([Fraction(c, 2) for c in g] + [Fraction(1)])
-    return CompleteConfig(companion_from_chi(chi), unit_vector(len(g)))
-
-
 # both chi of the corpus orbit classes of 7, 21 and 61 states
 ORBIT_CLASS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, -2, 3, -3), (1, 2, 3, 3)]
 
@@ -269,15 +267,6 @@ def test_orbit_automaton_is_principal(mat_a, principal_figure):
 
 
 # -- the companion-form step and the generic step -------------------------------------
-
-# chi of the 14 corpus orbit machines of 7 to 61 states
-CORPUS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -2), (-1, 0, 2),
-             (1, 0, 1, -1), (1, 0, 1, 1), (1, 0, -1, -1), (1, 0, -1, 1),
-             (-1, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0), (1, -2, 3, -3), (1, 2, 3, 3)]
-# and of the corpus orbit machines of 823 and 1,179 states
-CORPUS_TO_1179 = CORPUS_GS + [(1, 1, 1, 2, 1), (-1, 1, -1, 2, -1),
-                              (1, 1, 0, 1, 0), (-1, 1, 0, 1, 0)]
-
 
 def test_random_half_integral_needs_two_dimensions():
     rng = random.Random(0)
@@ -371,19 +360,6 @@ def test_generic_step_matches_the_fraction_reference_on_random_matrices():
                 v = tuple(rng.randint(-20, 20) for _ in range(m))
                 for bit in (0, 1):
                     assert residual_vector(cfg, v, bit) == reference_step(cfg, v, bit)
-
-
-def conjugate(A, rng):
-    """P A P^-1 for a random P = [[1, 0], [0, Q]], Q unimodular: same chi, and
-    v -> P v maps c(A, e1) onto c(P A P^-1, e1), as P keeps first coordinates."""
-    m = A.dim
-    rows = [[int(i == j) for j in range(m)] for i in range(m)]
-    for _ in range(3 * m):  # add +-row j to row i, both past the first
-        i, j = rng.sample(range(1, m), 2)
-        sign = rng.choice((-1, 1))
-        rows[i] = [x + sign * y for x, y in zip(rows[i], rows[j])]
-    P = RationalMatrix(rows)
-    return HalfIntegralMatrix(P @ A.inner @ P.inverse()), P
 
 
 @pytest.mark.parametrize("g", [(1, 1, 1, 1), (1, 0, -2), (1, 0, 1, -1), (1, 2, 3, 3),
