@@ -137,7 +137,7 @@ def scc_decompose(graph: dict) -> SccDecomposition:
 
 # -- path polynomials and witnesses -----------------------------------------------
 
-PATH_ALPHABET = "01n"
+PATH_ALPHABET = {"0": 0, "1": 1, "n": -1}  # letter -> the coefficient it adds
 
 
 def path_polynomial(word: str) -> Polynomial:
@@ -147,16 +147,10 @@ def path_polynomial(word: str) -> Polynomial:
     ('n' is the subtracting letter).  The result records, coefficient by
     coefficient, how a walk in a complete automaton displaces its vector.
     """
-    coeffs = [1]
     for ch in word:
         if ch not in PATH_ALPHABET:
             raise FormatError(f"path letter must be one of '0', '1', 'n'; got {ch!r}")
-        coeffs.insert(0, 0)
-        if ch == "1":
-            coeffs[0] += 1
-        elif ch == "n":
-            coeffs[0] -= 1
-    return Polynomial(coeffs)
+    return Polynomial([PATH_ALPHABET[ch] for ch in reversed(word)] + [1])
 
 
 def witness_search(chi_star_poly, max_degree: int = 12) -> Polynomial | None:
@@ -176,8 +170,9 @@ def witness_search(chi_star_poly, max_degree: int = 12) -> Polynomial | None:
     run modulo h.
 
     Returns None when no witness of degree <= max_degree exists modulo
-    chi*.  Raises BoundExceededError past DEFAULT_BOUND carries, which at
-    degree 12 only h(0) = +-1 can reach.
+    chi*, as soon as a layer leaves no new carry.  Raises
+    BoundExceededError past DEFAULT_BOUND carries, which at degree 12 only
+    h(0) = +-1 can reach.
     """
     coeffs = _check_modulus(chi_star_poly).coeffs
     s = next(i for i, c in enumerate(coeffs) if c)
@@ -215,6 +210,8 @@ def witness_search(chi_star_poly, max_degree: int = 12) -> Polynomial | None:
                         digits.append(c)
                     return Polynomial(forced + tuple(reversed(digits)) + (1,))
                 nxt.append(child)
+        if not nxt:
+            return None  # no carry left: no witness of any degree
         layer = nxt
     return None
 

@@ -212,7 +212,7 @@ def _gauss_jordan(rows, n: int):
 
     Returns (reduced rows, pivot column of each leading row, determinant of
     the first n columns); the determinant is 0 when those columns are
-    singular.  This is the one pivot loop behind det, inverse, solve,
+    singular.  This is the one pivot loop behind det, solve, char_poly,
     resultant and the HalfIntegralMatrix check.
     """
     m = [list(row) for row in rows]
@@ -268,58 +268,6 @@ class RationalMatrix:
         one, zero = Fraction(1), Fraction(0)
         return cls(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
-    def __add__(self, other):
-        self._same_dim(other)
-        return RationalMatrix(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-
-    def __sub__(self, other):
-        self._same_dim(other)
-        return RationalMatrix(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-
-    def _same_dim(self, other):
-        if not isinstance(other, RationalMatrix):
-            raise TypeError("RationalMatrix expected")
-        if self.dim != other.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def scale(self, k) -> "RationalMatrix":
-        k = Fraction(k)
-        return RationalMatrix(tuple(k * x for x in row) for row in self.rows)
-
-    def __matmul__(self, other):
-        self._same_dim(other)
-        n = self.dim
-        cols = tuple(zip(*other.rows))
-        return RationalMatrix(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        )
-
-    def __pow__(self, k: int) -> "RationalMatrix":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = RationalMatrix.identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
-    def apply(self, vec) -> tuple[Fraction, ...]:
-        vec = tuple(Fraction(x) for x in vec)
-        if len(vec) != self.dim:
-            raise DimensionError(f"vector length {len(vec)} vs dimension {self.dim}")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
-
-    def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.dim))
-
     def det(self) -> Fraction:
         return _gauss_jordan(self.rows, self.dim)[2]
 
@@ -330,12 +278,6 @@ class RationalMatrix:
         eye = RationalMatrix.identity(n).rows
         rows, _, det = _gauss_jordan([a + b for a, b in zip(self.rows, eye)], n)
         return det, [row[n:] for row in rows]
-
-    def inverse(self) -> "RationalMatrix":
-        det, rows = self._inverse_rows()
-        if det == 0:
-            raise MatrixError("matrix is singular")
-        return RationalMatrix(rows)
 
     def _reduce_with(self, vec):
         """(reduced rows, pivot columns) of the augmented matrix [self | vec]."""
@@ -438,9 +380,6 @@ class HalfIntegralMatrix:
     def rows(self):
         return self.inner.rows
 
-    def apply(self, vec):
-        return self.inner.apply(vec)
-
     @property
     def chi(self) -> Polynomial:
         """The characteristic polynomial."""
@@ -478,19 +417,16 @@ class HalfIntegralMatrix:
 
 
 def char_poly(M) -> Polynomial:
-    """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier scheme."""
+    """Characteristic polynomial det(xI - M) of an n x n matrix: the degree-n
+    polynomial through its values det(kI - M) at k = 0..n, one elimination
+    each, read off by one Vandermonde solve."""
     if isinstance(M, HalfIntegralMatrix):
         M = M.inner
     n = M.dim
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    B = RationalMatrix.identity(n)
-    for k in range(1, n + 1):
-        MB = M @ B
-        c = -MB.trace() / k
-        coeffs[n - k] = c
-        B = MB + RationalMatrix.identity(n).scale(c)
-    return Polynomial(coeffs)
+    values = [_gauss_jordan([[k * (i == j) - x for j, x in enumerate(row)]
+                             for i, row in enumerate(M.rows)], n)[2] for k in range(n + 1)]
+    vandermonde = RationalMatrix([[k ** j for j in range(n + 1)] for k in range(n + 1)])
+    return Polynomial(vandermonde.solve_unique(values))
 
 
 def _validate_chi(chi: Polynomial) -> Polynomial:

@@ -91,9 +91,6 @@ class GroupElement:
 
     __rmul__ = __mul__
 
-    def is_formally_identity(self) -> bool:
-        return not self.coeffs
-
     def parity(self) -> Parity:
         return element_parity(self)
 

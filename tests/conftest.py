@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 from operator import sub
 
+import numpy as np
 import pytest
 
 import abmealy
@@ -264,7 +265,43 @@ def conjugate(A, rng):
         sign = rng.choice((-1, 1))
         rows[i] = [x + sign * y for x, y in zip(rows[i], rows[j])]
     P = RationalMatrix(rows)
-    return HalfIntegralMatrix(P @ A.inner @ P.inverse()), P
+    return HalfIntegralMatrix(
+        (fraction_matrix(P) @ fraction_matrix(A) @ fraction_matrix(P, -1)).tolist()), P
+
+
+def fraction_matrix(M, power=1):
+    """M ** power as a numpy object array of Fractions: the reference for the
+    products, sums, powers and inverses that `RationalMatrix` leaves out.
+
+    M is a RationalMatrix, a HalfIntegralMatrix or a sequence of rows; a
+    negative power first inverts M by `_inverse_rows`.  A vector v is
+    multiplied as `fraction_matrix(M) @ np.array(v, dtype=object)`.
+    """
+    M = RationalMatrix(getattr(M, "rows", M))
+    if power < 0:
+        det, rows = M._inverse_rows()
+        if det == 0:
+            raise ZeroDivisionError("matrix is singular")
+        M, power = RationalMatrix(rows), -power
+    out = np.identity(M.dim, dtype=object)
+    for _ in range(power):
+        out = out @ np.array(M.rows, dtype=object)
+    return out
+
+
+def faddeev_leverrier(M):
+    """det(xI - M) by the Faddeev-LeVerrier recursion, the scheme `char_poly`
+    used before it interpolated determinants, kept as its oracle:
+    c_(n-k) = -tr(M B_(k-1)) / k and B_k = M B_(k-1) + c_(n-k) I, B_0 = I."""
+    A, eye = fraction_matrix(M), fraction_matrix(M, 0)
+    n = len(A)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    B = eye
+    for k in range(1, n + 1):
+        AB = A @ B
+        coeffs[n - k] = c = -Fraction(AB.trace()) / k
+        B = AB + c * eye
+    return Polynomial(coeffs)
 
 
 # (chi coefficients, the reader's message): every chi reader gives these texts
@@ -365,19 +402,15 @@ def cycle_solution_by_powers(A, sigmas):
     Fraction matrix powers of A itself and returns e, or None when the left
     side is singular.
     """
-    L, M = len(sigmas), A.inner
-    eye = RationalMatrix.identity(A.dim)
-    powers = [eye]
+    if not any(sigmas):
+        return None
+    L, M = len(sigmas), fraction_matrix(A)
+    powers = [fraction_matrix(A, 0)]
     for _ in range(L):
         powers.append(M @ powers[-1])
-    lhs = None
-    for i, sig in enumerate(sigmas):
-        if sig:
-            term = powers[L - i].scale(sig)
-            lhs = term if lhs is None else lhs + term
-    if lhs is None:
-        return None
-    return lhs.solve_unique((eye - powers[L]).apply(unit_vector(A.dim)))
+    lhs = sum(sig * powers[L - i] for i, sig in enumerate(sigmas) if sig)
+    rhs = (powers[0] - powers[L]) @ np.array(unit_vector(A.dim), dtype=object)
+    return RationalMatrix(lhs.tolist()).solve_unique(tuple(rhs))
 
 
 # -- the unit-term residuation fold ------------------------------------------

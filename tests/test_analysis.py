@@ -5,6 +5,7 @@ back into a walk of the complete automaton and must physically carry the
 unit vector to its negation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,33 @@ def test_path_polynomial_closed_form():
         assert path_polynomial(word) == IntPolynomial(coeffs), word
 
 
+def insert_fold(word):
+    """`path_polynomial` as it was written before it built the coefficients
+    in one pass, kept as its oracle: one insertion at the front per letter."""
+    coeffs = [1]
+    for ch in word:
+        coeffs.insert(0, 0)
+        if ch == "1":
+            coeffs[0] += 1
+        elif ch == "n":
+            coeffs[0] -= 1
+    return IntPolynomial(coeffs)
+
+
+def test_path_polynomial_matches_the_insert_fold():
+    rng = random.Random(131072)
+    for _ in range(300):
+        word = "".join(rng.choice("01n") for _ in range(rng.randint(0, 50)))
+        assert path_polynomial(word) == insert_fold(word), word
+    with pytest.raises(FormatError, match="got 'x'"):
+        path_polynomial("01x2")  # the first bad letter is named
+    word = "".join(rng.choice("01n") for _ in range(10**6))
+    t0 = time.perf_counter()
+    p = path_polynomial(word)
+    assert time.perf_counter() - t0 < 5  # the insert fold takes minutes here
+    assert p.degree == 10**6 and p.coeffs[:50] == insert_fold(word[-50:]).coeffs[:50]
+
+
 # -- witness search --------------------------------------------------------------
 
 
@@ -198,6 +226,14 @@ def test_witness_search_pinned():
         witness_search(IntPolynomial.of(1, 2))
     with pytest.raises(MatrixError, match="monic"):
         witness_search(IntPolynomial.of(5))
+
+
+def test_witness_search_stops_when_no_carry_is_left():
+    # x - 2 leaves no carry after its first layer: a degree cap of 10^8 must
+    # not make the search walk 10^8 empty layers
+    t0 = time.perf_counter()
+    assert witness_search(IntPolynomial.of(-2, 1), max_degree=10**8) is None
+    assert time.perf_counter() - t0 < 1
 
 
 def test_witness_search_minimality_brute_force():

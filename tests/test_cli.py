@@ -581,6 +581,8 @@ def test_witness_finds_the_degree_four_witness(capsys, files):
 
 def test_witness_none_is_a_clean_result(capsys, files):
     assert run(capsys, "witness", "--", "-2 1") == (0, "none\n", "")
+    # the walk of x - 2 ends after one layer, so no degree cap keeps it going
+    assert run(capsys, "witness", "--degree", "1000000000000", "--", "-2 1") == (0, "none\n", "")
     assert run(capsys, "witness", "2 2 1", "--degree", "3") == (0, "none\n", "")
 
 
