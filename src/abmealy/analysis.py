@@ -32,7 +32,7 @@ from .exactalg import (
     companion_from_chi,
     is_contracting,
 )
-from .group import DEFAULT_BOUND
+from .group import DEFAULT_BOUND, _require_abelian_free
 from .mealy import MealyAutomaton
 
 # -- strongly connected components ---------------------------------------------
@@ -306,8 +306,11 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int = 3, coeff_bound: int = 2,
     matrix locates the machine.  Acceptance is `locate`'s own validation:
     its map is checked on every transition, and a map that is a
     homomorphism there agrees with the machine on every word, by induction
-    on its length, so each result is proven for all lengths.  Returns None
-    when the space is exhausted.
+    on its length, so each result is proven for all lengths.  A fit also
+    proves the machine's group free abelian (`locate`), so candidates are
+    tried without classifying the machine; `check_abelian` runs once, when
+    the space is exhausted, and raises NotAbelianError unless the machine
+    is AbelianFreeCandidate.  Otherwise returns None.
 
     Raises BoundExceededError, before any search, when the box holds more
     than `bound` polynomials: sum over m <= max_dim of
@@ -331,10 +334,11 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int = 3, coeff_bound: int = 2,
                     continue
                 A = companion_from_chi(chi)
                 try:
-                    locmap = locate(aut, A, bound=bound)
+                    locmap = locate(aut, A, classify=False)
                 except (LocateError, MatrixError):
                     continue
                 return InferResult(matrix=A, chi=chi, location=locmap)
+    _require_abelian_free(aut, bound)
     return None
 
 

@@ -14,11 +14,10 @@ orbit, so finite sub-machines of c(A, e) can be cut out and compared with
 ordinary Mealy automata.
 
 `locate` embeds an abelian Mealy automaton into c(A, e): it anchors the
-least odd state on a cycle at the first unit vector, solves the equation of
-its shortest cycle for e as one division in Q[x]/chi*, propagates vectors
-across the machine, and checks every transition, failing loudly whenever the
-matrix cannot fit.  One cycle always determines e.  For contracting A, chi*
-(leading coefficient +-1, chi*(0) = +-2) is irreducible: a factor with
+least odd state on a cycle, reads e off the equation of its shortest cycle,
+propagates vectors across the machine, and checks every transition, failing
+loudly whenever the matrix cannot fit.  One cycle always determines e.  For
+contracting A, chi* (monic, chi*(0) = +-2) is irreducible: a factor with
 constant +-1 would have roots of product modulus 1, yet every root of chi*
 lies outside the unit circle.  The cycle's sign polynomial s has constant
 +-1, as the anchor is odd, so chi* does not divide s, and s is a unit
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from operator import add, index, mul, sub
 
@@ -496,18 +495,24 @@ def _cycle_quotient(A: HalfIntegralMatrix, sigmas) -> Polynomial | None:
 
 
 def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
-           bound: int = DEFAULT_BOUND) -> LocationMap:
+           bound: int = DEFAULT_BOUND, classify: bool = True) -> LocationMap:
     """Embed an abelian automaton into a complete automaton over A.
 
-    The least odd state lying on a cycle is pinned to the first unit vector
-    e1.  With x acting as A^-1, its shortest cycle, of length L, forces
-    s e = (x^L - 1) e1, s = sum sigma_i x^i with sign sigma_i = -1, +1 (0 at
-    even states) on input 0, 1.  s is a unit modulo chi*, so e is named by
-    p = (x^L - 1)/s, one division.  Breadth-first propagation both ways
-    assigns every other state, and `LocationMap.validate` checks every
-    transition.  A misfit raises LocateError, or NotAbelianError when the
-    machine is not AbelianFreeCandidate: a validated map proves its group
-    free abelian, so `check_abelian` runs only on a misfit.
+    With x acting as A^-1, the shortest cycle of the least odd state lying
+    on a cycle (the anchor), of length L, forces s e = (x^L - 1) a for the
+    anchor's vector a, where s = sum sigma_i x^i with sign sigma_i = -1, +1
+    (0 at even states) on input 0, 1.  s is a unit modulo chi*, so `_fit`
+    pins a and reads off e, propagates vectors both ways and lets
+    `LocationMap.validate` check every transition.
+
+    A validated map is a certificate: A is contracting, so the action of
+    c(A, e) on its states is faithful (its kernel is a lattice K of even
+    vectors with A K in K, and A^n k -> 0 on a lattice forces k = 0), and
+    the machine's group is a subgroup of Z^m, free abelian (Nekrashevych
+    and Sidki 2004, on 1/2-endomorphisms of Z^m).  So no closure runs on a
+    fit.  On a misfit `locate` raises LocateError, or, with `classify`,
+    NotAbelianError when `check_abelian` finds the machine not
+    AbelianFreeCandidate.
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
@@ -515,12 +520,27 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
     try:
         return _fit(aut, A)
     except (LocateError, MatrixError):
-        _require_abelian_free(aut, bound)
+        if classify:
+            _require_abelian_free(aut, bound)
         raise
 
 
 def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
-    """`locate` without the abelian check: anchor and cycle, e, vectors, validation."""
+    """`locate` without the abelian check: anchor and cycle, e, vectors, validation.
+
+    First the anchor is pinned at e1 and e is named by p = (x^L - 1)/s, one
+    division in Q[x]/chi*.  Where that p is not integral (e need not be
+    either), the anchor is pinned at a = sigma_0 s(A^-1) e1 instead, sigma_0
+    the sign of the cycle's first letter, so that s e = sigma_0 s (x^L - 1) e1
+    gives e = sigma_0 (A^-L - I) e1, named by p = sigma_0 ((x^L - 1) mod chi*).
+    This p is integral, as chi* is monic over Z, and so is e, as A^-1 is
+    integral.  A^-1 maps Z^m onto the vectors of even first coordinate, so
+    a vector q(A^-1) e1 has the parity of q(0): a and e are odd, since s(0)
+    = sigma_0 and x^L mod chi* has even constant term.  The second map is
+    the first times sigma_0 s(A^-1), which commutes with every step, keeps
+    parity and is injective; so where the first is integral, both fit or
+    neither does.  Every map that the division alone places is kept as it is.
+    """
     parity = {s: aut.state_parity(s) for s in aut.states}
     cycles = ((s, _shortest_cycle(aut, s)) for s in aut.states if parity[s] is Parity.ODD)
     anchor, word = next(((s, w) for s, w in cycles if w is not None), (None, None))
@@ -531,17 +551,15 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
     for ch in word:
         sigmas.append(_sigma(parity[state], int(ch)))
         state = aut.residual(state, int(ch))
-    # never None: chi* is irreducible and does not divide s (module docstring)
-    q = _cycle_quotient(A, sigmas)
     e1, inv = unit_vector(A.dim), A.inv_rows
-    sol = _horner(q.coeffs, e1, inv)
-    if any(x.denominator != 1 for x in sol) or sol[0] % 2 == 0:
-        raise LocateError(
-            f"cycle {word!r} at {anchor} forces translation vector "
-            f"({', '.join(str(x) for x in sol)}), which is not an odd "
-            "integer vector; the matrix does not fit"
-        )
-    e = tuple(map(int, sol))
+    # never None: chi* is irreducible and does not divide s (module docstring)
+    p = _cycle_quotient(A, sigmas)
+    start = e1
+    if not p.is_integral():
+        sign = sigmas[0]
+        start = _horner([sign * c for c in sigmas], e1, inv)
+        p = reduce_mod(Polynomial([-sign] + [0] * (len(word) - 1) + [sign]), A.chi_star)
+    e = tuple(map(int, _horner(p.coeffs, e1, inv)))
 
     config = CompleteConfig(A, e)
     back = {s: [] for s in aut.states}
@@ -549,7 +567,7 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
         for b in (0, 1):
             back[aut.residual(s, b)].append((s, b))
     # first come, first assigned: the checks are validate's, below
-    assignment = {anchor: e1}
+    assignment = {anchor: start}
     queue = deque([anchor])
     while queue:
         s = queue.popleft()
@@ -570,10 +588,9 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
     missing = sorted(set(aut.states) - set(assignment))
     if missing:
         raise LocateError(f"states not connected to {anchor}: {', '.join(missing)}")
-    # validate first: a map can fit although e has no integer polynomial name
-    located = LocationMap(p=0, e=e, assignment=assignment)
+    located = LocationMap(p=p, e=e, assignment=assignment)
     located.validate(aut, A)
-    return replace(located, p=_integral_name(q, e))
+    return located
 
 
 @dataclass(frozen=True)

@@ -382,9 +382,14 @@ class HalfIntegralMatrix:
 
     @property
     def chi(self) -> Polynomial:
-        """The characteristic polynomial."""
+        """The characteristic polynomial.  With the companion shape, row i of
+        A is (c_i / 2) e1 + e_(i+1), so chi = x^m - sum (c_i / 2) x^(m-1-i) is
+        read off `companion` with no elimination."""
         if self._chi is None:
-            object.__setattr__(self, "_chi", char_poly(self))
+            c = self.companion
+            chi = (char_poly(self) if c is None
+                   else Polynomial([Fraction(-x, 2) for x in reversed(c)] + [Fraction(1)]))
+            object.__setattr__(self, "_chi", chi)
         return self._chi
 
     @property

@@ -393,7 +393,8 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
 
 # -- principal machine ---------------------------------------------------------
 
-# Cached: infer_matrix locates one machine against many candidate matrices.
+# Cached: `locate`, `infer_matrix` and `build_principal` may each classify
+# the same machine in one process.
 @lru_cache(maxsize=32)
 def _require_abelian_free(aut: MealyAutomaton, bound: int) -> AbelianReport:
     report = check_abelian(aut, bound)

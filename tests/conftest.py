@@ -708,6 +708,37 @@ def reference_locate(aut, A, *, bound=DEFAULT_BOUND):
     return LocationMap(p=_integral_name(q, e), e=e, assignment=assignment)
 
 
+def transduction_agrees(aut, A, locmap, max_len=8):
+    """Brute-force oracle for a location map: whether every state and its
+    vector print the same output word on every input word up to max_len,
+    the machine stepped by its table and c(A, e) by its definition,
+    v -> A (v -+ e), over the rows of 2A.  It shares no code with `locate`,
+    `LocationMap.validate` or `find_location_mismatch`.  A (state, vector,
+    words left) triple met twice is checked once: it asks the same question.
+    """
+    # 2A is integral, and 2A w is even when w has an even first coordinate
+    rows2 = [tuple(int(2 * x) for x in row) for row in A.rows]
+    e = locmap.e
+    todo = [(s, tuple(locmap.assignment[s]), max_len) for s in aut.states]
+    seen = set()
+    while todo:
+        s, v, left = todo.pop()
+        if left == 0 or (s, v, left) in seen:
+            continue
+        seen.add((s, v, left))
+        for bit in (0, 1):
+            t, out = aut.step(s, bit)
+            if v[0] % 2 == 0:
+                w, vout = v, bit
+            else:
+                w, vout = tuple(x + (2 * bit - 1) * y for x, y in zip(v, e)), 1 - bit
+            if out != vout:
+                return False
+            todo.append((t, tuple(sum(a * x for a, x in zip(row, w)) // 2 for row in rows2),
+                         left - 1))
+    return True
+
+
 _locate = abmealy.complete.locate
 
 

@@ -5,6 +5,7 @@ back into a walk of the complete automaton and must physically carry the
 unit vector to its negation."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from abmealy.exactalg import (
 )
 
 from conftest import (
+    CORPUS_GS,
     CORPUS_TO_1179,
     conjugate,
     contracting_chis,
@@ -549,12 +551,15 @@ def test_infer_matrix_principal(principal_figure, mat_a):
     assert result.location.e == (1, 1)
 
 
-def test_infer_matrix_classifies_the_machine_once(a32, monkeypatch):
-    calls = {"check_abelian": 0, "locate": 0, "char_poly": 0}
+def test_infer_matrix_classifies_the_machine_once(a32, lamplighter, monkeypatch):
+    calls = {"check_abelian": [], "locate": 0, "char_poly": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            if name == "check_abelian":
+                calls[name].append(args[0].name)
+            else:
+                calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -565,11 +570,21 @@ def test_infer_matrix_classifies_the_machine_once(a32, monkeypatch):
         if hasattr(module, "char_poly"):
             monkeypatch.setattr(module, "char_poly", char_poly)
     group._require_abelian_free.cache_clear()
+    # a fit proves the group free abelian: no closure runs when a candidate fits
     assert infer_matrix(a32, max_dim=2) is not None
     assert calls["locate"] > 1
-    assert calls["check_abelian"] == 1
-    # each candidate matrix's chi is computed at most once
-    assert calls["char_poly"] <= calls["locate"]
+    assert calls["check_abelian"] == []
+    # every candidate's chi comes with its companion matrix
+    assert calls["char_poly"] == 0
+    # when nothing fits, the machine is classified exactly once
+    with pytest.raises(NotAbelianError, match=re.escape(
+            "automaton 'lamplighter' classified NotAbelian: d1(beta) - d0(beta) = "
+            "alpha - beta is not the identity (odd element along path ''); "
+            "need AbelianFreeCandidate")):
+        infer_matrix(lamplighter, max_dim=1)
+    assert calls["check_abelian"] == ["lamplighter"]
+    assert infer_matrix(a32, max_dim=2, coeff_bound=1) is None
+    assert calls["check_abelian"] == ["lamplighter", "a32"]
 
 
 def test_infer_matrix_exhaustion(a32):
@@ -603,13 +618,14 @@ def _orbit_machine(g):
 
 
 # Both chi of each corpus size class o7-o31, as g in chi = x^m + g(x)/2, with
-# the chi that `infer` places the orbit machine in at its default bounds.
+# the chi that `infer` places the orbit machine in at its default bounds:
+# its own chi, or None past dimension 3.
 ORBIT_INFER = {
     (1, 2): "1/2 + x + x^2",
     (1, -2): "1/2 - x + x^2",
     (1, 1, 1, 1): None,
     (1, -1, 1, -1): None,
-    (1, 0, -2): None,
+    (1, 0, -2): "1/2 - x^2 + x^3",  # the 23-state machine the benchmark infers
     (-1, 0, 2): "-1/2 + x^2 + x^3",
     (1, 0, 1, -1): None,
     (1, 0, 1, 1): None,
@@ -635,3 +651,13 @@ def test_infer_results_pass_the_brute_force_oracle(a32, principal_figure):
 @pytest.mark.parametrize("g", list(ORBIT_INFER))
 def test_infer_results_on_orbit_machines_pass_the_brute_force_oracle(g):
     _assert_oracle_accepts(_orbit_machine(g), ORBIT_INFER[g])
+
+
+@pytest.mark.parametrize("g", CORPUS_GS)
+def test_infer_places_each_corpus_machine_at_its_own_chi(g):
+    # the box of the machine's own dimension and largest coefficient holds its chi
+    aut = _orbit_machine(g)
+    result = infer_matrix(aut, max_dim=len(g), coeff_bound=max(map(abs, g)))
+    assert result is not None
+    assert result.chi == RationalPolynomial([Fraction(c, 2) for c in g] + [1])
+    result.location.validate(aut, result.matrix)

@@ -392,6 +392,26 @@ def test_char_poly_matches_faddeev_leverrier():
         assert char_poly(M) == faddeev_leverrier(M), M
 
 
+def test_chi_of_a_companion_shape_is_read_off_its_first_column():
+    matrices = []
+    for g in CORPUS_GS_ALL:  # the `dim` form the corpus .mat files are written in
+        A = parse_matrix(serialize_matrix(companion_from_chi(
+            Polynomial([Fraction(c, 2) for c in g] + [1]))))
+        assert A._chi is None
+        matrices.append(A)
+    rng = random.Random(2604)
+    while len(matrices) < len(CORPUS_GS_ALL) + 300:
+        m = rng.randint(1, 7)
+        first = [Fraction(rng.randint(-5, 5), 2) for _ in range(m - 1)]
+        first.append(Fraction(rng.choice((-1, 1)), 2))  # det = +-1/2
+        matrices.append(HalfIntegralMatrix(
+            [[c] + [int(j == i + 1) for j in range(1, m)] for i, c in enumerate(first)]))
+    for A in matrices:
+        assert A.companion is not None
+        assert A.chi == char_poly(A), A
+        assert companion_from_chi(A.chi) == A
+
+
 def test_companion_pinned(mat_a):
     assert companion_from_chi(CHI_A) == mat_a
     assert char_poly(companion_from_chi(CHI_A)) == CHI_A
@@ -426,17 +446,20 @@ def test_matrix_keeps_chi_and_contraction_verdict(mat_a, monkeypatch):
 
     counted("char_poly")
     counted("is_contracting")
-    A = parse_matrix(MAT_A_TEXT)
+    conjugate_text = "dim 2\n-2 1\n-5/2 1\n"  # P mat_a P^-1, P = [[1, 0], [1, 1]]
+    A = parse_matrix(conjugate_text)
+    assert A.companion is None
     for _ in range(3):
         assert A.chi == CHI_A
         assert A.contracting is True
     assert calls == {"char_poly": 1, "is_contracting": 1}
     # the kept values leave equality, hashing and repr as they were
-    fresh = parse_matrix(MAT_A_TEXT)
+    fresh = parse_matrix(conjugate_text)
     assert A == fresh and hash(A) == hash(fresh) and repr(A) == repr(fresh)
-    # a companion matrix keeps the chi it was built from
-    companion = companion_from_chi(CHI_A)
-    assert companion.chi == CHI_A
+    # a companion matrix keeps the chi it was built from, and one read in the
+    # companion shape takes chi off its first column
+    assert companion_from_chi(CHI_A).chi == CHI_A
+    assert parse_matrix(MAT_A_TEXT).chi == CHI_A
     assert calls["char_poly"] == 1
     expanding = companion_from_chi(RationalPolynomial.of(HALF, Fraction(-3, 2), 1))
     assert expanding.contracting is False
