@@ -7,19 +7,22 @@ Three instruments sit on top of the core machinery:
 * path polynomials and the search for a monic witness polynomial with
   coefficients in {-1, 0, 1} that is congruent to -1 modulo chi*, which is
   the algebraic shadow of a path carrying the unit vector to its negation;
-* an exhaustive inference loop that recovers a fitting matrix for a given
-  abelian machine by enumerating contracting characteristic polynomials.
+* the construction of the matrix that fits a given abelian machine: chi* is
+  the gcd of the relations that the machine's transitions impose, and one
+  `locate` checks its companion matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .complete import (
     CompleteConfig,
     LocationMap,
+    _anchor_cycle,
+    _sigma,
+    _spread,
     _walk,
     locate,
     unit_vector,
@@ -29,8 +32,8 @@ from .exactalg import (
     HalfIntegralMatrix,
     Polynomial,
     _check_modulus,
+    _poly_divmod,
     companion_from_chi,
-    is_contracting,
 )
 from .group import DEFAULT_BOUND, _require_abelian_free
 from .mealy import MealyAutomaton
@@ -295,53 +298,65 @@ class InferResult:
     location: LocationMap
 
 
-def infer_matrix(aut: MealyAutomaton, *, max_dim: int = 3, coeff_bound: int = 2,
+def infer_matrix(aut: MealyAutomaton, *, max_dim: int | None = None,
                  bound: int = DEFAULT_BOUND) -> InferResult | None:
-    """Search for a matrix whose complete automaton contains the machine.
+    """The matrix whose complete automaton contains the machine, by construction.
 
-    Enumerates characteristic polynomials x^m + g(x)/2 with g(0) = -1 or 1
-    and the remaining coefficients of g ranging over [-coeff_bound,
-    coeff_bound] in lexicographic order, keeps the contracting ones (each
-    is irreducible, see `complete`), and accepts the first whose companion
-    matrix locates the machine.  Acceptance is `locate`'s own validation:
-    its map is checked on every transition, and a map that is a
-    homomorphism there agrees with the machine on every word, by induction
-    on its length, so each result is proven for all lengths.  A fit also
-    proves the machine's group free abelian (`locate`), so candidates are
-    tried without classifying the machine; `check_abelian` runs once, when
-    the space is exhausted, and raises NotAbelianError unless the machine
-    is AbelianFreeCandidate.  Otherwise returns None.
-
-    Raises BoundExceededError, before any search, when the box holds more
-    than `bound` polynomials: sum over m <= max_dim of
-    2 (2 coeff_bound + 1)^(m - 1), 62 at the defaults.
+    A located machine fixes chi (Nekrashevych and Sidki 2004), and `_fit`'s
+    rescaled frame needs no A: with x as A^-1, the anchor sits at sigma_0 s
+    and p = sigma_0 (x^L - 1) names e.  Spreading Laurent polynomials f as
+    `_fit` spreads vectors leaves N = f_s - x f_t + sigma p per transition
+    (s, b) -> t.  Any fit rescales to this frame in Q[x]/chi* (its anchor is
+    odd, so nonzero), so chi* divides every N and their gcd G, also once G
+    is stripped of x and of its common factors with x^L - 1: chi* has no
+    root at 0 or on the unit circle.
+    When G's chi (its reversal over G(0)) is half-integral and contracting,
+    `locate` tries its companion matrix once, checking every transition:
+    no closure runs.  Else, as when a factor besides chi* survives (none was
+    seen), the machine is classified once, raising as `locate` does, and
+    None is returned.  `max_dim` caps the degree of chi.
     """
-    width = max(2 * coeff_bound + 1, 0)
-    total = 0
-    for m in range(1, max_dim + 1):
-        total += 2 * width ** (m - 1)
-        if total > bound:
-            raise BoundExceededError(
-                f"infer candidate box reached {total} candidate polynomials "
-                f"by dimension {m}, over the bound {bound}; lower the "
-                "dimension or the coefficient bound"
-            )
-    for m in range(1, max_dim + 1):
-        for g0 in (-1, 1):
-            for rest in product(range(-coeff_bound, coeff_bound + 1), repeat=m - 1):
-                chi = _chi_from_g((g0,) + rest, m)
-                if not is_contracting(chi):
-                    continue
-                A = companion_from_chi(chi)
-                try:
-                    locmap = locate(aut, A, classify=False)
-                except (LocateError, MatrixError):
-                    continue
-                return InferResult(matrix=A, chi=chi, location=locmap)
+    try:  # no odd state on a cycle, states out of reach, no chi, or a misfit
+        star = _relation_gcd(aut)
+        chi = Polynomial([Fraction(c, star.constant) for c in reversed(star.coeffs)])
+        A = companion_from_chi(chi)
+        if max_dim is None or A.dim <= max_dim:
+            return InferResult(matrix=A, chi=chi, location=locate(aut, A, classify=False))
+    except (LocateError, MatrixError):
+        pass
     _require_abelian_free(aut, bound)
     return None
 
 
-def _chi_from_g(g: tuple[int, ...], m: int) -> Polynomial:
-    """x^m + g(x)/2 for an integer tuple g of length m (constant first)."""
-    return Polynomial([Fraction(c, 2) for c in g] + [Fraction(1)])
+def _relation_gcd(aut: MealyAutomaton) -> Polynomial:
+    """G of `infer_matrix`, monic, or 0 when every relation vanishes."""
+    parity, anchor, sigmas = _anchor_cycle(aut)
+    cycle = Polynomial([-1] + [0] * (len(sigmas) - 1) + [1])
+    p = sigmas[0] * cycle
+
+    def shift(k, f):  # x^k f
+        return Polynomial((0,) * k + f.coeffs)
+
+    # the Laurent polynomial x^-k f is held as (k, f)
+    value = _spread(aut, parity, anchor, (0, sigmas[0] * Polynomial(sigmas)),
+                    lambda v, bit, sig: (v[0] + 1, v[1] + sig * shift(v[0], p)),
+                    lambda v, sig: (v[0], shift(1, v[1]) - sig * shift(v[0], p)))
+    g = Polynomial()
+    for s in aut.states:
+        k, f = value[s]
+        for bit in (0, 1):
+            j, h = value[aut.residual(s, bit)]
+            top = max(k, j)  # x^top N is a polynomial
+            g = _gcd(shift(top - k, f) - shift(top - j + 1, h)
+                     + _sigma(parity[s], bit) * shift(top, p), g)
+    g = Polynomial(g.coeffs[next((i for i, c in enumerate(g.coeffs) if c), 0):])
+    while not g.is_zero() and (h := _gcd(g, cycle)).degree > 0:
+        g = _poly_divmod(g, h)[0]
+    return g
+
+
+def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd over Q (0 for a = b = 0); a new relation a costs one division by b."""
+    while not b.is_zero():
+        a, b = b, _poly_divmod(a, b)[1]
+    return a if a.leading in (0, 1) else Polynomial([Fraction(c) / a.leading for c in a.coeffs])

@@ -73,10 +73,14 @@ def _write_or_print(args, text: str) -> None:
     out = getattr(args, "output", None)
     if out:
         Path(out).write_text(text, encoding="utf-8")
-    elif args.json:
-        pass
-    else:
+    elif not args.json:
         print(text, end="")
+
+
+def _location_json(locmap) -> dict:
+    pc, ps = _poly_json(locmap.p)
+    return {"p": pc, "p_str": ps, "e": list(locmap.e),
+            "assignment": {s: list(v) for s, v in sorted(locmap.assignment.items())}}
 
 
 # -- command bodies ---------------------------------------------------------------
@@ -152,16 +156,9 @@ def _cmd_locate(args) -> int:
     aut = _load_aut(args.aut)
     A = _load_matrix(args.matrix)
     locmap = locate(aut, A, bound=args.bound)
-    text = locmap.serialize()
-    _write_or_print(args, text)
+    _write_or_print(args, locmap.serialize())
     if args.json:
-        pc, ps = _poly_json(locmap.p)
-        print(json.dumps({
-            "p": pc,
-            "p_str": ps,
-            "e": list(locmap.e),
-            "assignment": {s: list(v) for s, v in sorted(locmap.assignment.items())},
-        }))
+        print(json.dumps(_location_json(locmap)))
     return 0
 
 
@@ -218,21 +215,19 @@ def _parse_gtilde(vec: str, poly: str) -> GTildeElement:
 
 def _cmd_gtilde(args) -> int:
     A = _load_matrix(args.matrix)
-    if args.op == "eq":
-        a = _parse_gtilde(args.v1, args.p1)
+    a = _parse_gtilde(args.v1, args.p1)
+    if args.op != "res":
         b = _parse_gtilde(args.v2, args.p2)
+    if args.op == "eq":
         equal = gtilde_eq(a, b, A)
         _emit(args, {"equal": equal}, ["equal" if equal else "not equal"])
         return 0
     if args.op == "add":
-        a = _parse_gtilde(args.v1, args.p1)
-        b = _parse_gtilde(args.v2, args.p2)
         c = gtilde_add(a, b, A)
         pc, ps = _poly_json(c.p)
         _emit(args, {"v": list(c.v), "p": pc, "p_str": ps},
               [f"v: {format_vector(c.v)}", f"p: {ps}"])
         return 0
-    a = _parse_gtilde(args.v1, args.p1)
     res, out = gtilde_residual(a, args.bit, A)
     pc, ps = _poly_json(res.p)
     _emit(args, {"v": list(res.v), "p": pc, "p_str": ps, "output": out},
@@ -290,35 +285,19 @@ def _cmd_witness(args) -> int:
 
 def _cmd_infer(args) -> int:
     aut = _load_aut(args.aut)
-    result = infer_matrix(
-        aut,
-        max_dim=args.max_dim,
-        coeff_bound=args.coeff_bound,
-        bound=args.bound,
-    )
+    result = infer_matrix(aut, bound=args.bound)
     if result is None:
         _emit(args, {"found": False, "chi": None, "matrix": None, "location": None},
-              ["no matrix found within bounds"])
+              ["no matrix found"])
         return 1
-    mat_text = serialize_matrix(result.matrix)
-    loc_text = result.location.serialize()
-    pc, ps = _poly_json(result.location.p)
     payload = {
         "found": True,
         "chi": [str(c) for c in result.chi.coeffs],
         "matrix": [[str(x) for x in row] for row in result.matrix.rows],
-        "location": {
-            "p": pc,
-            "p_str": ps,
-            "e": list(result.location.e),
-            "assignment": {
-                s: list(v) for s, v in sorted(result.location.assignment.items())
-            },
-        },
+        "location": _location_json(result.location),
     }
-    lines = [f"chi: {result.chi}"]
-    lines.extend(mat_text.rstrip("\n").splitlines())
-    lines.extend(loc_text.rstrip("\n").splitlines())
+    lines = [f"chi: {result.chi}", *serialize_matrix(result.matrix).splitlines(),
+             *result.location.serialize().splitlines()]
     _emit(args, payload, lines)
     return 0
 
@@ -441,8 +420,6 @@ def _witness_args(p):
 
 def _infer_args(p):
     p.add_argument("aut")
-    p.add_argument("--max-dim", type=_at_least(1), default=3)
-    p.add_argument("--coeff-bound", type=_at_least(0), default=2)
     _add_bound(p)
     _add_json(p)
 
@@ -463,7 +440,7 @@ _COMMANDS = {
     "pathpoly": ("path polynomial of a word over 0/1/n", _pathpoly_args, _cmd_pathpoly),
     "witness": ("search for a monic {-1,0,1} witness = -1 mod chi*",
                 _witness_args, _cmd_witness),
-    "infer": ("search for a matrix that fits a machine", _infer_args, _cmd_infer),
+    "infer": ("construct the matrix that fits a machine", _infer_args, _cmd_infer),
 }
 
 

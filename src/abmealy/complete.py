@@ -512,7 +512,7 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
     and Sidki 2004, on 1/2-endomorphisms of Z^m).  So no closure runs on a
     fit.  On a misfit `locate` raises LocateError, or, with `classify`,
     NotAbelianError when `check_abelian` finds the machine not
-    AbelianFreeCandidate.
+    AbelianFreeCandidate (BoundExceededError when it reports Unknown).
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
@@ -541,16 +541,7 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
     parity and is injective; so where the first is integral, both fit or
     neither does.  Every map that the division alone places is kept as it is.
     """
-    parity = {s: aut.state_parity(s) for s in aut.states}
-    cycles = ((s, _shortest_cycle(aut, s)) for s in aut.states if parity[s] is Parity.ODD)
-    anchor, word = next(((s, w) for s, w in cycles if w is not None), (None, None))
-    if anchor is None:
-        raise LocateError("no odd state lies on a cycle")
-
-    sigmas, state = [], anchor
-    for ch in word:
-        sigmas.append(_sigma(parity[state], int(ch)))
-        state = aut.residual(state, int(ch))
+    parity, anchor, sigmas = _anchor_cycle(aut)
     e1, inv = unit_vector(A.dim), A.inv_rows
     # never None: chi* is irreducible and does not divide s (module docstring)
     p = _cycle_quotient(A, sigmas)
@@ -558,15 +549,42 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
     if not p.is_integral():
         sign = sigmas[0]
         start = _horner([sign * c for c in sigmas], e1, inv)
-        p = reduce_mod(Polynomial([-sign] + [0] * (len(word) - 1) + [sign]), A.chi_star)
+        p = reduce_mod(Polynomial([-sign] + [0] * (len(sigmas) - 1) + [sign]), A.chi_star)
     e = tuple(map(int, _horner(p.coeffs, e1, inv)))
 
     config = CompleteConfig(A, e)
+    assignment = _spread(
+        aut, parity, anchor, start, lambda v, bit, sig: _step(config, v, bit)[0],
+        lambda v, sig: tuple(map(sub, _apply_int(inv, v), (sig * c for c in e))))
+    located = LocationMap(p=p, e=e, assignment=assignment)
+    located.validate(aut, A)
+    return located
+
+
+def _anchor_cycle(aut: MealyAutomaton):
+    """(parity of each state, anchor, signs s of its shortest cycle): the
+    anchor is the least odd state on a cycle; LocateError when none is."""
+    parity = {s: aut.state_parity(s) for s in aut.states}
+    cycles = ((s, _shortest_cycle(aut, s)) for s in aut.states if parity[s] is Parity.ODD)
+    anchor, word = next(((s, w) for s, w in cycles if w is not None), (None, None))
+    if anchor is None:
+        raise LocateError("no odd state lies on a cycle")
+    sigmas, state = [], anchor
+    for ch in word:
+        sigmas.append(_sigma(parity[state], int(ch)))
+        state = aut.residual(state, int(ch))
+    return parity, anchor, sigmas
+
+
+def _spread(aut: MealyAutomaton, parity, anchor: str, start, forward, backward) -> dict:
+    """A value for every state, breadth first from the anchor's, first come
+    first assigned: a state s gives its targets forward(value, bit, sigma)
+    and then its sources backward(value, sigma), sigma the source's sign on
+    bit.  LocateError names the states left unreached."""
     back = {s: [] for s in aut.states}
     for s in aut.states:
         for b in (0, 1):
             back[aut.residual(s, b)].append((s, b))
-    # first come, first assigned: the checks are validate's, below
     assignment = {anchor: start}
     queue = deque([anchor])
     while queue:
@@ -575,22 +593,16 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
         for bit in (0, 1):
             t = aut.residual(s, bit)
             if t not in assignment:
-                assignment[t] = _step(config, v, bit)[0]
+                assignment[t] = forward(v, bit, _sigma(parity[s], bit))
                 queue.append(t)
         for u, bit in back[s]:
             if u not in assignment:
-                w = _apply_int(inv, v)
-                sig = _sigma(parity[u], bit)
-                if sig:
-                    w = tuple(map(sub, w, (sig * c for c in e)))
-                assignment[u] = w
+                assignment[u] = backward(v, _sigma(parity[u], bit))
                 queue.append(u)
     missing = sorted(set(aut.states) - set(assignment))
     if missing:
         raise LocateError(f"states not connected to {anchor}: {', '.join(missing)}")
-    located = LocationMap(p=p, e=e, assignment=assignment)
-    located.validate(aut, A)
-    return located
+    return assignment
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ matrices are dense tuples of Fractions.  One `Polynomial` type serves over
 both Q and Z: its coefficient tuple is written constant-first with no
 trailing zeros, integral coefficients stored as int and the rest as
 Fraction; functions of Z[x] accept exactly the integral ones.  One
-Gauss-Jordan routine does every elimination.  Floating point never appears;
-contraction (all eigenvalues strictly inside the unit disk) is decided by
-the Schur-Cohn recursion in rational arithmetic.
+Gauss-Jordan routine does every elimination, one loop every division.
+Floating point never appears; contraction (all eigenvalues strictly
+inside the unit disk) is decided by the Schur-Cohn recursion in rational
+arithmetic.
 
 The half-integral matrices of interest have half-integers in their first
 column, integers elsewhere, and determinant +-1/2, so their inverses are
@@ -203,6 +204,23 @@ def IntPolynomial(coeffs=()) -> Polynomial:
 IntPolynomial.of = lambda *coeffs: IntPolynomial(coeffs)  # mirrors Polynomial.of
 RationalPolynomial = Polynomial
 X = Polynomial((0, 1))
+
+
+def _poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(q, r) with p = q d + r and deg r < deg d over Q, d nonzero: the one
+    division loop.  By a monic d, integral p gives integral q and r."""
+    dc, r = d.coeffs, list(p.coeffs)
+    n, lead = len(dc) - 1, dc[-1]
+    q = [0] * max(len(r) - n, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + n]
+        if c:
+            if lead != 1:
+                c = Fraction(c) / lead
+            q[i] = c
+            for j in range(n):
+                r[i + j] -= c * dc[j]
+    return Polynomial(q), Polynomial(r[:n])
 
 
 # -- exact matrices -------------------------------------------------------------
@@ -511,17 +529,9 @@ def _check_modulus(modulus) -> Polynomial:
 
 
 def reduce_mod(p, modulus) -> Polynomial:
-    """Remainder of p modulo a monic integer polynomial (division-free)."""
+    """Remainder of p modulo a monic integer polynomial: an integer polynomial."""
     modulus = _check_modulus(modulus)
-    p = _int_poly(p)
-    d = modulus.degree
-    r = list(p.coeffs)
-    for i in range(len(r) - 1, d - 1, -1):
-        c = r[i]
-        if c:
-            for j, mc in enumerate(modulus.coeffs):
-                r[i - d + j] -= c * mc
-    return Polynomial(r[:d])
+    return _poly_divmod(_int_poly(p), modulus)[1]
 
 
 def mul_mod(p, q, modulus) -> Polynomial:
@@ -640,7 +650,7 @@ def is_irreducible(chi) -> bool:
     if chi.degree == 1:
         return True
     f = _primitive_int(chi)
-    deg = len(f) - 1
+    deg, fpoly = len(f) - 1, Polynomial(f)
     if f[0] == 0:
         return False  # divisible by x
     fp1 = sum(f)
@@ -662,27 +672,9 @@ def is_irreducible(chi) -> bool:
                         hm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(h))
                         if hm1 == 0 or fm1 % hm1:
                             continue
-                        if _divides(h, f):
+                        if _poly_divmod(fpoly, Polynomial(h))[1].is_zero():
                             return False
     return True
-
-
-def _divides(hc, f) -> bool:
-    """Exact divisibility over Q of coefficient lists, constant first."""
-    r = [Fraction(c) for c in f]
-    dh = len(hc) - 1
-    lead = hc[-1]
-    while len(r) - 1 >= dh and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dh:
-            break
-        q = r[-1] / lead
-        off = len(r) - 1 - dh
-        for i, c in enumerate(hc):
-            r[off + i] -= q * c
-        r.pop()
-    return all(c == 0 for c in r)
 
 
 # -- MATRIX text format ------------------------------------------------------------

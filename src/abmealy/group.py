@@ -394,14 +394,17 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
 # -- principal machine ---------------------------------------------------------
 
 # Cached: `locate`, `infer_matrix` and `build_principal` may each classify
-# the same machine in one process.
+# the same machine in one process.  Unknown, a closure past `bound`, is a bound.
 @lru_cache(maxsize=32)
 def _require_abelian_free(aut: MealyAutomaton, bound: int) -> AbelianReport:
     report = check_abelian(aut, bound)
+    if report.verdict is AbelianVerdict.UNKNOWN:
+        raise BoundExceededError(
+            f"abelian check of automaton {aut.name!r} reached an identity-test "
+            f"closure of {bound + 1} elements, over the bound {bound}; raise the bound"
+        )
     if report.verdict is not AbelianVerdict.ABELIAN_FREE_CANDIDATE:
-        detail = ""
-        if report.witness:
-            detail = f": {report.witness[1]}"
+        detail = f": {report.witness[1]}" if report.witness else ""
         raise NotAbelianError(
             f"automaton {aut.name!r} classified {report.verdict}{detail}; "
             "need AbelianFreeCandidate"

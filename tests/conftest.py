@@ -46,9 +46,16 @@ from abmealy.complete import (
     _step,
     format_vector,
 )
-from abmealy.errors import FormatError, LocateError
+from abmealy.analysis import InferResult
+from abmealy.errors import BoundExceededError, FormatError, LocateError, MatrixError
 from abmealy.exactalg import Polynomial, companion_from_chi, is_contracting
-from abmealy.group import DEFAULT_BOUND, IdentityResult, Verdict, format_combination
+from abmealy.group import (
+    DEFAULT_BOUND,
+    IdentityResult,
+    Verdict,
+    _require_abelian_free,
+    format_combination,
+)
 from abmealy.mealy import Parity
 
 A32_TEXT = """\
@@ -737,6 +744,60 @@ def transduction_agrees(aut, A, locmap, max_len=8):
             todo.append((t, tuple(sum(a * x for a, x in zip(row, w)) // 2 for row in rows2),
                          left - 1))
     return True
+
+
+_box_contracting = functools.cache(is_contracting)
+_box_companion = functools.cache(companion_from_chi)
+
+
+def box_infer_matrix(aut, *, max_dim=3, coeff_bound=2, bound=DEFAULT_BOUND):
+    """The candidate box that `infer_matrix` replaced, kept as its oracle.
+
+    Enumerates characteristic polynomials x^m + g(x)/2 with g(0) = -1 or 1
+    and the remaining coefficients of g ranging over [-coeff_bound,
+    coeff_bound] in lexicographic order, keeps the contracting ones, and
+    accepts the first whose companion matrix locates the machine; the
+    machine is classified once, when the space is exhausted, and None is
+    returned.  BoundExceededError, before any search, when the box holds
+    more than `bound` polynomials.  Every machine tries the same candidates,
+    so their contraction test and companion matrix are computed once.
+    """
+    width = max(2 * coeff_bound + 1, 0)
+    total = 0
+    for m in range(1, max_dim + 1):
+        total += 2 * width ** (m - 1)
+        if total > bound:
+            raise BoundExceededError(
+                f"infer candidate box reached {total} candidate polynomials "
+                f"by dimension {m}, over the bound {bound}; lower the "
+                "dimension or the coefficient bound"
+            )
+    for m in range(1, max_dim + 1):
+        for g0 in (-1, 1):
+            for rest in product(range(-coeff_bound, coeff_bound + 1), repeat=m - 1):
+                chi = Polynomial([Fraction(c, 2) for c in (g0,) + rest] + [Fraction(1)])
+                if not _box_contracting(chi):
+                    continue
+                A = _box_companion(chi)
+                try:
+                    locmap = abmealy.complete.locate(aut, A, classify=False)
+                except (LocateError, MatrixError):
+                    continue
+                return InferResult(matrix=A, chi=chi, location=locmap)
+    _require_abelian_free(aut, bound)
+    return None
+
+
+def random_machine(rng, n):
+    """An invertible machine of n states, each odd or even at random, with
+    random targets."""
+    states = [f"s{i}" for i in range(n)]
+    trans = {}
+    for s in states:
+        flip = rng.random() < 0.5
+        for b in (0, 1):
+            trans[(s, b)] = (rng.choice(states), b ^ flip)
+    return MealyAutomaton(trans, name="random")
 
 
 _locate = abmealy.complete.locate

@@ -268,7 +268,7 @@ def test_acceptance_09_fraction_group_suite(mat_a):
 
 def test_acceptance_10_matrix_inference(a32):
     t0 = time.perf_counter()
-    result = infer_matrix(a32, max_dim=2, coeff_bound=2)
+    result = infer_matrix(a32)
     assert result is not None
     assert result.chi == CHI_A
     assert result.matrix.rows == parse_matrix(MAT_A_TEXT).rows

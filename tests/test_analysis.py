@@ -7,6 +7,7 @@ unit vector to its negation."""
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,13 @@ from abmealy.complete import (
     residual_vector,
     unit_vector,
 )
-from abmealy.errors import BoundExceededError, FormatError, MatrixError, NotAbelianError
+from abmealy.errors import (
+    AbmealyError,
+    BoundExceededError,
+    FormatError,
+    MatrixError,
+    NotAbelianError,
+)
 from abmealy.exactalg import (
     HALF,
     IntPolynomial,
@@ -41,10 +48,14 @@ from abmealy.exactalg import (
 from conftest import (
     CORPUS_GS,
     CORPUS_TO_1179,
+    box_infer_matrix,
     conjugate,
     contracting_chis,
     division_carries,
     random_half_integral,
+    random_machine,
+    transduction_agrees,
+    union_machine,
     unit_config,
     verify_location,
 )
@@ -570,45 +581,36 @@ def test_infer_matrix_classifies_the_machine_once(a32, lamplighter, monkeypatch)
         if hasattr(module, "char_poly"):
             monkeypatch.setattr(module, "char_poly", char_poly)
     group._require_abelian_free.cache_clear()
-    # a fit proves the group free abelian: no closure runs when a candidate fits
-    assert infer_matrix(a32, max_dim=2) is not None
-    assert calls["locate"] > 1
+    # the constructed chi is located once, and a fit proves the group free
+    # abelian: no closure runs
+    assert infer_matrix(a32) is not None
+    assert calls["locate"] == 1
     assert calls["check_abelian"] == []
-    # every candidate's chi comes with its companion matrix
+    # the chi comes with its companion matrix
     assert calls["char_poly"] == 0
     # when nothing fits, the machine is classified exactly once
     with pytest.raises(NotAbelianError, match=re.escape(
             "automaton 'lamplighter' classified NotAbelian: d1(beta) - d0(beta) = "
             "alpha - beta is not the identity (odd element along path ''); "
             "need AbelianFreeCandidate")):
-        infer_matrix(lamplighter, max_dim=1)
+        infer_matrix(lamplighter)
     assert calls["check_abelian"] == ["lamplighter"]
-    assert infer_matrix(a32, max_dim=2, coeff_bound=1) is None
+    assert infer_matrix(a32, max_dim=1) is None
     assert calls["check_abelian"] == ["lamplighter", "a32"]
 
 
 def test_infer_matrix_exhaustion(a32):
+    # a chi past max_dim is not reported; nor is one for two machines side
+    # by side, which no propagation from one anchor reaches in full
     assert infer_matrix(a32, max_dim=1) is None
-    assert infer_matrix(a32, max_dim=2, coeff_bound=1) is None
+    assert infer_matrix(union_machine()) is None
 
 
 def test_infer_matrix_requires_abelian_free(lamplighter, xyz):
     with pytest.raises(NotAbelianError):
-        infer_matrix(lamplighter, max_dim=1)
+        infer_matrix(lamplighter)
     with pytest.raises(NotAbelianError):
-        infer_matrix(xyz, max_dim=1)
-
-
-def test_infer_matrix_budget_on_the_candidate_box(a32):
-    # sum over m <= 3 of 2 * 5^(m - 1) = 2 + 10 + 50 = 62 polynomials
-    assert infer_matrix(a32, bound=62) is not None
-    with pytest.raises(BoundExceededError, match=(
-            r"^infer candidate box reached 62 candidate polynomials by "
-            r"dimension 3, over the bound 61; lower the dimension or the "
-            r"coefficient bound$")):
-        infer_matrix(a32, bound=61)
-    with pytest.raises(BoundExceededError, match="275122 candidate polynomials by dimension 5"):
-        infer_matrix(a32, max_dim=9, coeff_bound=9)
+        infer_matrix(xyz)
 
 
 def _orbit_machine(g):
@@ -618,19 +620,18 @@ def _orbit_machine(g):
 
 
 # Both chi of each corpus size class o7-o31, as g in chi = x^m + g(x)/2, with
-# the chi that `infer` places the orbit machine in at its default bounds:
-# its own chi, or None past dimension 3.
+# the chi that `infer` places the orbit machine in: its own.
 ORBIT_INFER = {
     (1, 2): "1/2 + x + x^2",
     (1, -2): "1/2 - x + x^2",
-    (1, 1, 1, 1): None,
-    (1, -1, 1, -1): None,
+    (1, 1, 1, 1): "1/2 + 1/2x + 1/2x^2 + 1/2x^3 + x^4",
+    (1, -1, 1, -1): "1/2 - 1/2x + 1/2x^2 - 1/2x^3 + x^4",
     (1, 0, -2): "1/2 - x^2 + x^3",  # the 23-state machine the benchmark infers
     (-1, 0, 2): "-1/2 + x^2 + x^3",
-    (1, 0, 1, -1): None,
-    (1, 0, 1, 1): None,
-    (1, 0, -1, -1): None,
-    (1, 0, -1, 1): None,
+    (1, 0, 1, -1): "1/2 + 1/2x^2 - 1/2x^3 + x^4",
+    (1, 0, 1, 1): "1/2 + 1/2x^2 + 1/2x^3 + x^4",
+    (1, 0, -1, -1): "1/2 - 1/2x^2 - 1/2x^3 + x^4",
+    (1, 0, -1, 1): "1/2 - 1/2x^2 + 1/2x^3 + x^4",
 }
 
 
@@ -655,9 +656,67 @@ def test_infer_results_on_orbit_machines_pass_the_brute_force_oracle(g):
 
 @pytest.mark.parametrize("g", CORPUS_GS)
 def test_infer_places_each_corpus_machine_at_its_own_chi(g):
-    # the box of the machine's own dimension and largest coefficient holds its chi
     aut = _orbit_machine(g)
-    result = infer_matrix(aut, max_dim=len(g), coeff_bound=max(map(abs, g)))
+    result = infer_matrix(aut)
     assert result is not None
     assert result.chi == RationalPolynomial([Fraction(c, 2) for c in g] + [1])
     result.location.validate(aut, result.matrix)
+
+
+# chi = -1/2 + 1/2x^2 - 1/2x^3 + x^4, e = (-1,0,-1,-1), from (1,2,-4,-1): 227
+# states, which check_abelian leaves Unknown at the default bound
+CHI227 = RationalPolynomial.of(-HALF, 0, HALF, -HALF, 1)
+
+
+def machine_227():
+    config = CompleteConfig(companion_from_chi(CHI227), (-1, 0, -1, -1))
+    return orbit_automaton(config, [(1, 2, -4, -1)])
+
+
+def test_infer_constructs_the_own_chi_of_every_corpus_machine_with_no_closure(monkeypatch):
+    # o7-o1179 and the 227-state machine: a fit needs no closure
+    calls = []
+    check_abelian = group.check_abelian
+    monkeypatch.setattr(group, "check_abelian",
+                        lambda *args: calls.append(args[0].name) or check_abelian(*args))
+    group._require_abelian_free.cache_clear()
+    machines = [(_orbit_machine(g), RationalPolynomial([Fraction(c, 2) for c in g] + [1]))
+                for g in CORPUS_TO_1179]
+    machines.append((machine_227(), CHI227))
+    assert len(machines[-1][0].states) == 227
+    for aut, chi in machines:
+        result = infer_matrix(aut)
+        assert result.chi == chi
+        result.location.validate(aut, result.matrix)
+    assert calls == []
+
+
+def outcome(fn, aut):
+    """What fn returns, or the class of the domain error it raises."""
+    try:
+        return fn(aut)
+    except AbmealyError as exc:
+        return type(exc)
+
+
+def test_infer_matrix_agrees_with_the_candidate_box(a32, principal_figure, lamplighter, xyz):
+    """Where the box places a machine, infer_matrix returns the same result;
+    where it raises, the same class; where it returns None, a map that the
+    brute-force transduction oracle accepts, or None."""
+    rng = random.Random(18)
+    machines = [_orbit_machine(g) for g in ORBIT_INFER]
+    machines += [a32, principal_figure, lamplighter, xyz]
+    machines += [random_machine(rng, rng.randint(2, 7)) for _ in range(2000)]
+    kinds = Counter()
+    for aut in machines:
+        want = outcome(box_infer_matrix, aut)
+        got = outcome(infer_matrix, aut)
+        if want is None and isinstance(got, InferResult):
+            assert transduction_agrees(aut, got.matrix, got.location, 8)
+            kinds["new"] += 1
+        else:
+            assert got == want, aut.transitions
+            kinds[want.__name__ if isinstance(want, type) else type(want).__name__] += 1
+    # the dimension-4 corpus machines lie outside the box
+    assert kinds["new"] >= 6
+    assert kinds["InferResult"] > 80 and kinds["NotAbelianError"] > 1000

@@ -14,7 +14,6 @@ import os
 import shlex
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +30,7 @@ from conftest import (
     PRINCIPAL_FIGURE_TEXT,
     SINK_TEXT,
     XYZ_TEXT,
+    union_machine,
 )
 
 # Hand-checked location of the three-state machine inside the complete
@@ -52,6 +52,7 @@ def files(tmp_path_factory):
     (d / "lamplighter.aut").write_text(LAMPLIGHTER_TEXT)
     (d / "identity.aut").write_text(IDENTITY_TEXT)
     (d / "sink.aut").write_text(SINK_TEXT)
+    (d / "union.aut").write_text(union_machine().serialize())
     (d / "A.mat").write_text(MAT_A_TEXT)
     (d / "sausage.mat").write_text("chi -1/2 1\n")
     (d / "broken.aut").write_text("aut x\nstates a\ntrans a 2 0 a\n")
@@ -630,8 +631,7 @@ def test_witness_json(capsys, files):
 
 
 def test_infer_recovers_the_matrix_from_the_machine(capsys, files):
-    code, out, err = run(
-        capsys, "infer", str(files / "a32.aut"), "--max-dim", "2")
+    code, out, err = run(capsys, "infer", str(files / "a32.aut"))
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "chi: 1/2 + x + x^2"
@@ -641,16 +641,15 @@ def test_infer_recovers_the_matrix_from_the_machine(capsys, files):
 
 
 def test_infer_reports_failure_with_exit_one(capsys, files):
-    code, out, err = run(
-        capsys, "infer", str(files / "a32.aut"), "--max-dim", "1")
+    # two copies side by side: abelian, but no one matrix places both from one anchor
+    code, out, err = run(capsys, "infer", str(files / "union.aut"))
     assert code == 1
-    assert out == "no matrix found within bounds\n"
+    assert out == "no matrix found\n"
     assert err == ""
 
 
 def test_infer_json(capsys, files):
-    code, payload = run_json(
-        capsys, "infer", str(files / "a32.aut"), "--max-dim", "2")
+    code, payload = run_json(capsys, "infer", str(files / "a32.aut"))
     assert code == 0
     assert payload["found"] is True
     assert payload["chi"] == ["1/2", "1", "1"]
@@ -661,22 +660,35 @@ def test_infer_json(capsys, files):
         "e": [3, 2],
         "assignment": {"f": [1, 0], "f0": [0, 1], "f1": [-2, -2]},
     }
-    code, payload = run_json(
-        capsys, "infer", str(files / "a32.aut"), "--max-dim", "1")
+    code, payload = run_json(capsys, "infer", str(files / "union.aut"))
     assert code == 1
     assert payload == {"found": False, "chi": None, "matrix": None, "location": None}
 
 
-def test_infer_budget_on_the_candidate_box(capsys, files):
-    start = time.perf_counter()
-    code, out, err = run(
-        capsys, "infer", str(files / "a32.aut"), "--max-dim", "9",
-        "--coeff-bound", "9")
-    assert time.perf_counter() - start < 1.0
+def test_infer_places_the_61_state_machine_at_its_own_chi(capsys, tmp_path):
+    # outside the candidate box that infer searched before: it exited 1 here
+    chi = "1/2 -1 3/2 -3/2 1"
+    aut = tmp_path / "o61.aut"
+    assert run(capsys, "principal", "--chi", chi, "-o", str(aut))[0] == 0
+    code, out, err = run(capsys, "infer", str(aut))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "chi: 1/2 - x + 3/2x^2 - 3/2x^3 + x^4"
+
+
+def test_infer_reports_an_unknown_classification_as_its_bound(capsys, files):
+    code, out, err = run(capsys, "infer", str(files / "union.aut"), "--bound", "3")
     assert (code, out) == (1, "")
-    assert err == ("error: infer candidate box reached 275122 candidate "
-                   "polynomials by dimension 5, over the bound 100000; lower "
-                   "the dimension or the coefficient bound\n")
+    assert err == ("error: abelian check of automaton 'union' reached an identity-test "
+                   "closure of 4 elements, over the bound 3; raise the bound\n")
+
+
+def test_infer_has_no_box_options(capsys, files):
+    # the matrix is constructed, so there is no candidate box to size
+    for flag in ("--max-dim", "--coeff-bound"):
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", str(files / "a32.aut"), flag, "2"])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_infer_has_no_length_option(capsys, files):
@@ -785,8 +797,6 @@ OUT_OF_RANGE = [
     (("witness", "2 2 1"), "--degree", -1, 0),
     (("witness", "2 2 1"), "--degree", -5, 0),
     (("infer", "a32.aut"), "--bound", 0, 1),
-    (("infer", "a32.aut"), "--max-dim", 0, 1),
-    (("infer", "a32.aut"), "--coeff-bound", -1, 0),
 ]
 
 
@@ -831,7 +841,7 @@ VALID_ARGV = {
     "scc": ("A.mat", "--json"),
     "pathpoly": ("01n",),
     "witness": ("2 2 1", "--degree", "4"),
-    "infer": ("a32.aut", "--max-dim", "2"),
+    "infer": ("a32.aut", "--json"),
 }
 
 

@@ -25,6 +25,7 @@ from abmealy.exactalg import (
     Polynomial,
     RationalMatrix,
     RationalPolynomial,
+    _poly_divmod,
     char_poly,
     chi_star,
     companion_from_chi,
@@ -575,6 +576,23 @@ def test_reduce_mod_is_homomorphism(a, t):
     assert reduce_mod(a * b, m) == mul_mod(reduce_mod(a, m), reduce_mod(b, m), m)
     r = reduce_mod(a, m)
     assert r.degree < m.degree
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), max_size=8),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+    st.booleans(),
+)
+def test_the_division_loop_is_euclidean_division(p, d, monic):
+    p, d = IntPolynomial(p), IntPolynomial(d + [1] if monic else d)
+    q, r = _poly_divmod(p, d)
+    assert q * d + r == p and r.degree < d.degree
+    # a monic divisor keeps an integral dividend integral
+    assert not monic or (q.is_integral() and r.is_integral())
+    # over Q the quotient and remainder are the unique ones
+    qf, rf = _poly_divmod(p * Fraction(1, 3), d)
+    assert (qf, rf) == (q * Fraction(1, 3), r * Fraction(1, 3))
 
 
 def test_try_divide_mod_pinned():

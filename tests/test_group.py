@@ -6,6 +6,7 @@ residuation fold, and the fold must agree with it word for word.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,6 +33,8 @@ from abmealy import (
     format_combination,
     gamma_of,
     identity_test,
+    infer_matrix,
+    locate,
     orbit_automaton,
     principal_class_elements,
     residuate_element,
@@ -56,6 +59,7 @@ from conftest import (
     oracle_parity,
     oracle_principal_gens,
     oracle_residuate,
+    random_machine,
     union_machine,
 )
 
@@ -301,6 +305,19 @@ def test_check_abelian_union_copies_share_gamma():
     assert small.verdict is AbelianVerdict.UNKNOWN
 
 
+def test_an_unknown_classification_is_a_bound_not_a_verdict(mat_a):
+    # Unknown says that a closure ran out, not that the group is not abelian:
+    # locate, infer and the principal machine name the bound it passed
+    union = union_machine()
+    message = ("abelian check of automaton 'union' reached an identity-test closure "
+               "of 4 elements, over the bound 3; raise the bound")
+    for classify in (lambda: locate(union, mat_a, bound=3),
+                     lambda: infer_matrix(union, bound=3),
+                     lambda: build_principal(union, bound=3)):
+        with pytest.raises(BoundExceededError, match=f"^{re.escape(message)}$"):
+            classify()
+
+
 def test_abelian_report_rejects_wrong_gamma(a32):
     gamma = gamma_of(a32)
     with pytest.raises(ValueError):
@@ -368,16 +385,6 @@ def check_abelian_all_pairs(aut, bound=DEFAULT_BOUND):
     if res.verdict is Verdict.IS_IDENTITY:
         return AbelianReport(AbelianVerdict.BOOLEAN_CANDIDATE, gamma=gamma)
     return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE, gamma=gamma)
-
-
-def random_machine(rng, n):
-    states = [f"s{i}" for i in range(n)]
-    trans = {}
-    for s in states:
-        flip = rng.random() < 0.5
-        for b in (0, 1):
-            trans[(s, b)] = (rng.choice(states), b ^ flip)
-    return MealyAutomaton(trans, name="random")
 
 
 def test_check_abelian_matches_the_all_pairs_oracle(a32, lamplighter, principal_figure):
