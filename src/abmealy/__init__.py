@@ -11,7 +11,7 @@ The layers, bottom up:
 * `complete` — complete automata over integer lattices, locating machines
   inside them, embeddings, and the fraction group;
 * `analysis` — component decompositions, path polynomials, witness search,
-  and matrix inference.
+  matrix inference, and the abelianness decision that uses it.
 """
 
 from .analysis import (
@@ -19,6 +19,7 @@ from .analysis import (
     SccDecomposition,
     SccInstanceReport,
     check_scc_instance,
+    classify,
     infer_matrix,
     path_polynomial,
     scc_decompose,

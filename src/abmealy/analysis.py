@@ -1,6 +1,6 @@
 """Reachability structure of complete automata and experiment drivers.
 
-Three instruments sit on top of the core machinery:
+Four instruments sit on top of the core machinery:
 
 * strongly connected component decomposition of any finite successor graph,
   used to inspect how the orbit of the unit vector and its negation split;
@@ -9,7 +9,10 @@ Three instruments sit on top of the core machinery:
   the algebraic shadow of a path carrying the unit vector to its negation;
 * the construction of the matrix that fits a given abelian machine: chi* is
   the gcd of the relations that the machine's transitions impose, and one
-  `locate` checks its companion matrix.
+  `locate` checks its companion matrix;
+* the abelianness decision behind `check`: a validated fit of that matrix
+  certifies AbelianFreeCandidate, so `group`'s residuation closures run only
+  on the even states and on machines that no matrix fits.
 """
 
 from __future__ import annotations
@@ -35,7 +38,16 @@ from .exactalg import (
     _poly_divmod,
     companion_from_chi,
 )
-from .group import DEFAULT_BOUND, _require_abelian_free
+from .group import (
+    DEFAULT_BOUND,
+    AbelianReport,
+    AbelianVerdict,
+    _even_tests,
+    _odd_table,
+    _odd_tests,
+    _require_abelian_free,
+    gamma_of,
+)
 from .mealy import MealyAutomaton
 
 # -- strongly connected components ---------------------------------------------
@@ -316,6 +328,42 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int | None = None,
     seen), the machine is classified once, raising as `locate` does, and
     None is returned.  `max_dim` caps the degree of chi.
     """
+    result = _construct_fit(aut, max_dim)
+    if result is None:
+        _require_abelian_free(aut, bound)
+    return result
+
+
+def classify(aut: MealyAutomaton, *, bound: int = DEFAULT_BOUND) -> AbelianReport:
+    """`check_abelian`'s report, decided by a validated fit where one exists.
+
+    The even-state identity tests run first, as in `check_abelian`: they
+    are cheap and reject most machines that are not abelian.  Then
+    `infer_matrix`'s construction and fit run.  A validated location map is
+    a certificate (`locate`): the group is a subgroup of Z^m, free abelian,
+    and every odd vector v has the residual difference A(v + e) - A(v - e)
+    = 2Ae != 0 (Nekrashevych and Sidki 2004; Nekrashevych, Self-Similar
+    Groups, 2005).  So the verdict is AbelianFreeCandidate, with gamma read
+    off the table, and no odd-state comparison or gamma closure runs.  Only
+    where nothing fits do those closures run, as in `check_abelian`.  The
+    two reports are equal wherever `check_abelian` decides; where it
+    reports Unknown, a fit makes this one AbelianFreeCandidate.
+    NotInvertibleError as `check_abelian`.
+    """
+    table, odd = _odd_table(aut)
+    if not odd:
+        return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
+    report, saw_unknown = _even_tests(table, bound)
+    if report is not None:
+        return report
+    if _construct_fit(aut) is not None:
+        return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE, gamma=gamma_of(aut))
+    return _odd_tests(aut, table, odd, saw_unknown, bound)
+
+
+def _construct_fit(aut: MealyAutomaton, max_dim: int | None = None) -> InferResult | None:
+    """chi* as the relation gcd and `locate`'s fit of its companion matrix,
+    or None when there is no chi of degree <= max_dim or its fit fails."""
     try:  # no odd state on a cycle, states out of reach, no chi, or a misfit
         star = _relation_gcd(aut)
         chi = Polynomial([Fraction(c, star.constant) for c in reversed(star.coeffs)])
@@ -324,35 +372,58 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int | None = None,
             return InferResult(matrix=A, chi=chi, location=locate(aut, A, classify=False))
     except (LocateError, MatrixError):
         pass
-    _require_abelian_free(aut, bound)
     return None
 
 
 def _relation_gcd(aut: MealyAutomaton) -> Polynomial:
-    """G of `infer_matrix`, monic, or 0 when every relation vanishes."""
+    """G of `infer_matrix`, monic, or 0 when every relation vanishes.
+
+    A polynomial sum c_i x^i is packed into the int sum c_i 2^(w i), so x^k
+    is a shift by w k bits and a relation costs a few int operations.  The
+    start s0 s has coefficients 0 and +-1, and each spread step shifts by x
+    at most and adds one +-x^k p, whose coefficients are 0 and +-1.  So over
+    n states a value's coefficients stay within n and a relation's within
+    2n + 1 < 2^(w-1) in absolute value: each coefficient is one digit, and
+    the packing is exact.  x^-k f is held as (k, packed f).  A relation is
+    stripped of its sign and its powers of x (chi*(0) != 0), and only one
+    not met before is unpacked and folded into the gcd.  A nonzero constant
+    gcd is returned at once: no chi* divides it.
+    """
     parity, anchor, sigmas = _anchor_cycle(aut)
-    cycle = Polynomial([-1] + [0] * (len(sigmas) - 1) + [1])
-    p = sigmas[0] * cycle
-
-    def shift(k, f):  # x^k f
-        return Polynomial((0,) * k + f.coeffs)
-
-    # the Laurent polynomial x^-k f is held as (k, f)
-    value = _spread(aut, parity, anchor, (0, sigmas[0] * Polynomial(sigmas)),
-                    lambda v, bit, sig: (v[0] + 1, v[1] + sig * shift(v[0], p)),
-                    lambda v, sig: (v[0], shift(1, v[1]) - sig * shift(v[0], p)))
-    g = Polynomial()
-    for s in aut.states:
-        k, f = value[s]
-        for bit in (0, 1):
-            j, h = value[aut.residual(s, bit)]
-            top = max(k, j)  # x^top N is a polynomial
-            g = _gcd(shift(top - k, f) - shift(top - j + 1, h)
-                     + _sigma(parity[s], bit) * shift(top, p), g)
-    g = Polynomial(g.coeffs[next((i for i, c in enumerate(g.coeffs) if c), 0):])
+    L, s0 = len(sigmas), sigmas[0]
+    cycle = Polynomial([-1] + [0] * (L - 1) + [1])
+    w = (2 * len(aut.states) + 1).bit_length() + 1
+    p = s0 * ((1 << w * L) - 1)  # s0 (x^L - 1)
+    start = sum(s0 * c << w * i for i, c in enumerate(sigmas))  # s0 s
+    value = _spread(aut, parity, anchor, (0, start),
+                    lambda v, bit, sig: (v[0] + 1, v[1] + sig * (p << w * v[0])),
+                    lambda v, sig: (v[0], (v[1] << w) - sig * (p << w * v[0])))
+    g, seen = Polynomial(), set()
+    for (s, bit), (t, _) in aut.transitions.items():
+        (k, f), (j, h) = value[s], value[t]
+        top = max(k, j)  # x^top N is a polynomial
+        rel = ((f << w * (top - k)) - (h << w * (top - j + 1))
+               + _sigma(parity[s], bit) * (p << w * top))
+        if rel:
+            rel = abs(rel) >> w * (((rel & -rel).bit_length() - 1) // w)  # no x, no sign
+            if rel not in seen:
+                seen.add(rel)
+                g = _gcd(Polynomial(_unpack(rel, w)), g)
+                if g.degree == 0:
+                    return g
     while not g.is_zero() and (h := _gcd(g, cycle)).degree > 0:
         g = _poly_divmod(g, h)[0]
     return g
+
+
+def _unpack(n: int, w: int) -> list[int]:
+    """The digits of n in base 2^w, each in [-2^(w-1), 2^(w-1)), constant first."""
+    half, mask, digits = 1 << (w - 1), (1 << w) - 1, []
+    while n:
+        d = ((n + half) & mask) - half
+        digits.append(d)
+        n = (n - d) >> w
+    return digits
 
 
 def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -15,7 +15,13 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import check_scc_instance, infer_matrix, path_polynomial, witness_search
+from .analysis import (
+    check_scc_instance,
+    classify,
+    infer_matrix,
+    path_polynomial,
+    witness_search,
+)
 from .complete import (
     CompleteConfig,
     GTildeElement,
@@ -35,7 +41,7 @@ from .complete import (
 )
 from .errors import AbmealyError, BoundExceededError
 from .exactalg import companion_from_chi, parse_chi, parse_matrix, serialize_matrix
-from .group import DEFAULT_BOUND, build_principal, check_abelian, gamma_of
+from .group import DEFAULT_BOUND, build_principal, gamma_of
 from .mealy import parse_automaton
 
 
@@ -96,7 +102,7 @@ def _cmd_transduce(args) -> int:
 
 def _cmd_check(args) -> int:
     aut = _load_aut(args.aut)
-    report = check_abelian(aut, bound=args.bound)
+    report = classify(aut, bound=args.bound)
     gamma = str(report.gamma) if report.gamma is not None else None
     witness = None
     lines = [f"verdict: {report.verdict}"]

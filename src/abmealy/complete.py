@@ -108,7 +108,7 @@ def _coerce_vector(v, m: int | None = None) -> tuple[int, ...]:
 
 
 def _apply_int(rows, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 # -- complete automaton ----------------------------------------------------------
@@ -581,17 +581,18 @@ def _spread(aut: MealyAutomaton, parity, anchor: str, start, forward, backward) 
     first assigned: a state s gives its targets forward(value, bit, sigma)
     and then its sources backward(value, sigma), sigma the source's sign on
     bit.  LocateError names the states left unreached."""
+    delta = aut.transitions
     back = {s: [] for s in aut.states}
     for s in aut.states:
         for b in (0, 1):
-            back[aut.residual(s, b)].append((s, b))
+            back[delta[s, b][0]].append((s, b))
     assignment = {anchor: start}
     queue = deque([anchor])
     while queue:
         s = queue.popleft()
         v = assignment[s]
         for bit in (0, 1):
-            t = aut.residual(s, bit)
+            t = delta[s, bit][0]
             if t not in assignment:
                 assignment[t] = forward(v, bit, _sigma(parity[s], bit))
                 queue.append(t)

@@ -15,7 +15,11 @@ accumulated partial sum and the term are both odd; the fold takes each
 state's run of equal terms in one step.
 
 These rules are only meaningful on machines whose group is abelian; callers
-are responsible for that (check_abelian provides the criterion).
+are responsible for that (check_abelian provides the criterion).  The
+criterion runs in two phases, the even states' identity tests and then the
+odd states' comparisons and the gamma test; `analysis.classify` runs a
+validated location between them, which decides a machine that fits with no
+odd-phase closure.
 """
 
 from __future__ import annotations
@@ -361,26 +365,47 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
     table, odd = _odd_table(aut)
     if not odd:
         return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
+    report, saw_unknown = _even_tests(table, bound)
+    if report is not None:
+        return report
+    return _odd_tests(aut, table, odd, saw_unknown, bound)
 
-    labels, f = table.labels, table.labels[odd[0]]
-    gamma = _residual_difference(table, odd[0])
+
+def _even_tests(table: _Table, bound: int) -> tuple[AbelianReport | None, bool]:
+    """`check_abelian`'s first phase: d1 f - d0 f = I for every even state f.
+
+    Returns the NotAbelian report of the first state that fails, else None,
+    and whether some closure ran past `bound`.
+    """
     saw_unknown = False
-    # every even state first, then every odd state but the least
-    for i in [i for i, o in enumerate(table.odd) if not o] + odd[1:]:
-        s, diff = labels[i], _residual_difference(table, i)
-        if table.odd[i]:
-            diff = _combine(gamma, diff, -1)
+    for i, odd in enumerate(table.odd):
+        if odd:
+            continue
+        diff = _residual_difference(table, i)
         res = _identity_test_coeffs(table, diff, bound)
         if res.verdict is Verdict.NOT_IDENTITY:
-            text, path = format_combination(table.coeffs(diff)), res.witness_path
-            if table.odd[i]:
-                why = (f"odd states {f} and {s} have different residual differences "
-                       f"({text} is odd along path {path!r})")
-                s = f
-            else:
-                why = (f"d1({s}) - d0({s}) = {text} is not the identity "
-                       f"(odd element along path {path!r})")
-            return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(s, why))
+            s = table.labels[i]
+            why = (f"d1({s}) - d0({s}) = {format_combination(table.coeffs(diff))} is not "
+                   f"the identity (odd element along path {res.witness_path!r})")
+            return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(s, why)), saw_unknown
+        saw_unknown |= res.verdict is Verdict.UNKNOWN
+    return None, saw_unknown
+
+
+def _odd_tests(aut: MealyAutomaton, table: _Table, odd: list[int], saw_unknown: bool,
+               bound: int) -> AbelianReport:
+    """`check_abelian` after the even states: each odd state against the
+    least one, whose difference is gamma, and then gamma itself."""
+    f = table.labels[odd[0]]
+    gamma = _residual_difference(table, odd[0])
+    for i in odd[1:]:
+        diff = _combine(gamma, _residual_difference(table, i), -1)
+        res = _identity_test_coeffs(table, diff, bound)
+        if res.verdict is Verdict.NOT_IDENTITY:
+            why = (f"odd states {f} and {table.labels[i]} have different residual "
+                   f"differences ({format_combination(table.coeffs(diff))} is odd "
+                   f"along path {res.witness_path!r})")
+            return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(f, why))
         saw_unknown |= res.verdict is Verdict.UNKNOWN
 
     res = _identity_test_coeffs(table, gamma, bound)

@@ -17,11 +17,13 @@ from abmealy.analysis import (
     InferResult,
     SccDecomposition,
     check_scc_instance,
+    classify,
     infer_matrix,
     path_polynomial,
     scc_decompose,
     witness_search,
 )
+from abmealy.cli import main
 from abmealy.complete import (
     CompleteConfig,
     orbit,
@@ -44,6 +46,7 @@ from abmealy.exactalg import (
     companion_from_chi,
     reduce_mod,
 )
+from abmealy.group import DEFAULT_BOUND, AbelianReport, AbelianVerdict, format_combination
 
 from conftest import (
     CORPUS_GS,
@@ -52,6 +55,7 @@ from conftest import (
     conjugate,
     contracting_chis,
     division_carries,
+    oracle_check_abelian,
     random_half_integral,
     random_machine,
     transduction_agrees,
@@ -720,3 +724,99 @@ def test_infer_matrix_agrees_with_the_candidate_box(a32, principal_figure, lampl
     # the dimension-4 corpus machines lie outside the box
     assert kinds["new"] >= 6
     assert kinds["InferResult"] > 80 and kinds["NotAbelianError"] > 1000
+
+
+# -- classification -----------------------------------------------------------------
+
+
+def _random_located_machine(rng, chis, max_states=60):
+    """The orbit machine of 1-3 random start vectors in c(A, e), A the
+    companion matrix of a random chi and e a random odd vector; redrawn
+    until the orbit has at most max_states states."""
+    while True:
+        A = companion_from_chi(rng.choice(chis))
+        e = (rng.choice((-3, -1, 1, 3)),) + tuple(rng.randint(-2, 2) for _ in range(A.dim - 1))
+        starts = [tuple(rng.randint(-3, 3) for _ in range(A.dim))
+                  for _ in range(rng.randint(1, 3))]
+        try:
+            return orbit_automaton(CompleteConfig(A, e), starts, bound=max_states)
+        except BoundExceededError:
+            pass
+
+
+def test_classify_agrees_with_check_abelian_and_the_oracle(a32, xyz, lamplighter):
+    """Where check_abelian decides, classify's report is the same; where it
+    reports Unknown, classify says AbelianFreeCandidate exactly when the
+    constructed matrix fits, and Unknown otherwise."""
+    rng = random.Random(19)
+    chis = contracting_chis(max_dim=3)
+    cheap = [_orbit_machine(g) for g in CORPUS_GS[:-2]] + [a32, xyz, lamplighter,
+                                                           union_machine()]
+    cheap += [random_machine(rng, rng.randint(2, 7)) for _ in range(2000)]
+    located = [_random_located_machine(rng, chis) for _ in range(300)]
+    cases = [(aut, DEFAULT_BOUND, True) for aut in cheap]
+    # the oracle runs on the cheap machines only: o61 costs check_abelian about
+    # two seconds a chi
+    cases += [(_orbit_machine(g), DEFAULT_BOUND, False) for g in CORPUS_GS[-2:]]
+    # a small bound leaves check_abelian Unknown on many located machines
+    cases += [(aut, bound, False) for aut in located for bound in (DEFAULT_BOUND, 20)]
+    kinds = Counter()
+    for aut, bound, with_oracle in cases:
+        want, got = group.check_abelian(aut, bound), classify(aut, bound=bound)
+        if with_oracle:
+            assert oracle_check_abelian(aut, bound) == want, aut.serialize()
+        if want.verdict is AbelianVerdict.UNKNOWN:
+            fit = analysis._construct_fit(aut)
+            if fit is not None:
+                fit.location.validate(aut, fit.matrix)
+                want = AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE,
+                                     gamma=group.gamma_of(aut))
+            kinds["unknown", fit is not None] += 1
+        assert got == want, aut.serialize()
+        assert str(got.gamma) == str(want.gamma)
+        kinds[got.verdict] += 1
+    assert set(kinds) >= set(AbelianVerdict)
+    assert kinds["unknown", True] > 10 and kinds["unknown", False] > 0
+    assert kinds[AbelianVerdict.ABELIAN_FREE_CANDIDATE] > 500
+
+
+def _closure_gamma_text(aut):
+    """d1(o) - d0(o) for the least odd state o, as check_abelian prints it."""
+    o = next(s for s in aut.states if aut.output(s, 0) == 1)
+    d = {aut.residual(o, 1): 1}
+    d[aut.residual(o, 0)] = d.get(aut.residual(o, 0), 0) - 1
+    return format_combination(d)
+
+
+@pytest.mark.parametrize("name", ["o61", "o823", "o227"])
+def test_check_decides_orbit_machines_by_the_fit(name, capsys, tmp_path, monkeypatch):
+    """check prints the closures' verdict and gamma, and the only identity
+    tests that run are the even states' (one each): no odd-state comparison
+    and no gamma closure.  check_abelian runs its closures for minutes on
+    o823 and on the 227-state machine and reports both Unknown."""
+    aut = {"o61": lambda: _orbit_machine(CORPUS_GS[-2]),
+           "o823": lambda: _orbit_machine((1, 1, 1, 2, 1)),
+           "o227": machine_227}[name]()
+    path = tmp_path / f"{name}.aut"
+    path.write_text(aut.serialize())
+    calls = []
+    test = group._identity_test_coeffs
+    monkeypatch.setattr(group, "_identity_test_coeffs",
+                        lambda *args: calls.append(args[1]) or test(*args))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr() == (
+        f"verdict: AbelianFreeCandidate\ngamma: {_closure_gamma_text(aut)}\n", "")
+    assert len(calls) == sum(aut.output(s, 0) == 0 for s in aut.states)
+
+
+def test_check_runs_no_construction_when_an_even_state_fails(capsys, tmp_path, monkeypatch,
+                                                            lamplighter):
+    calls = []
+    monkeypatch.setattr(analysis, "_relation_gcd", lambda aut: calls.append(aut))
+    path = tmp_path / "lamplighter.aut"
+    path.write_text(lamplighter.serialize())
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr() == (
+        "verdict: NotAbelian\nwitness: beta\nreason: d1(beta) - d0(beta) = alpha - beta "
+        "is not the identity (odd element along path '')\n", "")
+    assert calls == []
