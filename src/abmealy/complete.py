@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from operator import add, index, mul, sub
 
@@ -52,10 +53,21 @@ from .exactalg import (
     RationalMatrix,
     _int_poly,
     _mul_matrix_mod,
+    _poly_divmod,
+    companion_from_chi,
     reduce_mod,
     try_divide_mod,
 )
-from .group import DEFAULT_BOUND, _require_abelian_free
+from .group import (
+    DEFAULT_BOUND,
+    AbelianReport,
+    AbelianVerdict,
+    _even_tests,
+    _odd_table,
+    _odd_tests,
+    _require_abelian_free,
+    gamma_of,
+)
 from .mealy import MealyAutomaton, Parity
 
 # -- integer vectors ------------------------------------------------------------
@@ -495,7 +507,7 @@ def _cycle_quotient(A: HalfIntegralMatrix, sigmas) -> Polynomial | None:
 
 
 def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
-           bound: int = DEFAULT_BOUND, classify: bool = True) -> LocationMap:
+           bound: int = DEFAULT_BOUND) -> LocationMap:
     """Embed an abelian automaton into a complete automaton over A.
 
     With x acting as A^-1, the shortest cycle of the least odd state lying
@@ -510,23 +522,22 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
     vectors with A K in K, and A^n k -> 0 on a lattice forces k = 0), and
     the machine's group is a subgroup of Z^m, free abelian (Nekrashevych
     and Sidki 2004, on 1/2-endomorphisms of Z^m).  So no closure runs on a
-    fit.  On a misfit `locate` raises LocateError, or, with `classify`,
-    NotAbelianError when `check_abelian` finds the machine not
-    AbelianFreeCandidate (BoundExceededError when it reports Unknown).
+    fit.  A misfit is classified (`classify`): the fit's LocateError is
+    raised for AbelianFreeCandidate, BoundExceededError for Unknown (only
+    where no matrix fits), and NotAbelianError for any other verdict.
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
     _require_contracting(A)
     try:
-        return _fit(aut, A)
+        return _fit(aut, A, _anchor_cycle(aut))
     except (LocateError, MatrixError):
-        if classify:
-            _require_abelian_free(aut, bound)
+        _require_abelian_free(aut, bound, classify(aut, bound=bound))
         raise
 
 
-def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
-    """`locate` without the abelian check: anchor and cycle, e, vectors, validation.
+def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix, frame) -> LocationMap:
+    """`locate` without the abelian check, in `_anchor_cycle`'s frame: e, vectors, validation.
 
     First the anchor is pinned at e1 and e is named by p = (x^L - 1)/s, one
     division in Q[x]/chi*.  Where that p is not integral (e need not be
@@ -541,7 +552,7 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix) -> LocationMap:
     parity and is injective; so where the first is integral, both fit or
     neither does.  Every map that the division alone places is kept as it is.
     """
-    parity, anchor, sigmas = _anchor_cycle(aut)
+    parity, anchor, sigmas = frame
     e1, inv = unit_vector(A.dim), A.inv_rows
     # never None: chi* is irreducible and does not divide s (module docstring)
     p = _cycle_quotient(A, sigmas)
@@ -604,6 +615,112 @@ def _spread(aut: MealyAutomaton, parity, anchor: str, start, forward, backward) 
     if missing:
         raise LocateError(f"states not connected to {anchor}: {', '.join(missing)}")
     return assignment
+
+
+def _construct(aut: MealyAutomaton):
+    """(A, frame): the companion matrix of the chi that any fit of the
+    machine rescales to, and `_anchor_cycle`'s frame; LocateError or
+    MatrixError when there is no frame or no contracting half-integral chi.
+
+    A located machine fixes chi (Nekrashevych and Sidki 2004), and `_fit`'s
+    rescaled frame needs no A: with x as A^-1, the anchor sits at sigma_0 s
+    and p = sigma_0 (x^L - 1) names e.  Spreading Laurent polynomials f as
+    `_fit` spreads vectors leaves N = f_s - x f_t + sigma p per transition
+    (s, b) -> t.  Any fit rescales to this frame in Q[x]/chi* (its anchor is
+    odd, so nonzero), so chi* divides every N and their gcd G, also once G
+    is stripped of x and of its common factors with x^L - 1: chi* has no
+    root at 0 or on the unit circle.  chi is G's reversal over G(0).
+    """
+    frame = _anchor_cycle(aut)
+    star = _relation_gcd(aut, frame)
+    A = companion_from_chi(Polynomial([Fraction(c, star.constant) for c in reversed(star.coeffs)]))
+    _require_contracting(A)
+    return A, frame
+
+
+def _relation_gcd(aut: MealyAutomaton, frame) -> Polynomial:
+    """G of `_construct`, monic, or 0 when every relation vanishes.
+
+    A polynomial sum c_i x^i is packed into the int sum c_i 2^(w i), so x^k
+    is a shift by w k bits and a relation costs a few int operations.  The
+    start s0 s has coefficients 0 and +-1, and each spread step shifts by x
+    at most and adds one +-x^k p, whose coefficients are 0 and +-1.  So over
+    n states a value's coefficients stay within n and a relation's within
+    2n + 1 < 2^(w-1) in absolute value: each coefficient is one digit, and
+    the packing is exact.  x^-k f is held as (k, packed f).  A relation is
+    stripped of its sign and its powers of x (chi*(0) != 0), and only one
+    not met before is unpacked and folded into the gcd.  A nonzero constant
+    gcd is returned at once: no chi* divides it.
+    """
+    parity, anchor, sigmas = frame
+    L, s0 = len(sigmas), sigmas[0]
+    cycle = Polynomial([-1] + [0] * (L - 1) + [1])
+    w = (2 * len(aut.states) + 1).bit_length() + 1
+    p = s0 * ((1 << w * L) - 1)  # s0 (x^L - 1)
+    start = sum(s0 * c << w * i for i, c in enumerate(sigmas))  # s0 s
+    value = _spread(aut, parity, anchor, (0, start),
+                    lambda v, bit, sig: (v[0] + 1, v[1] + sig * (p << w * v[0])),
+                    lambda v, sig: (v[0], (v[1] << w) - sig * (p << w * v[0])))
+    g, seen = Polynomial(), set()
+    for (s, bit), (t, _) in aut.transitions.items():
+        (k, f), (j, h) = value[s], value[t]
+        top = max(k, j)  # x^top N is a polynomial
+        rel = ((f << w * (top - k)) - (h << w * (top - j + 1))
+               + _sigma(parity[s], bit) * (p << w * top))
+        if rel:
+            rel = abs(rel) >> w * (((rel & -rel).bit_length() - 1) // w)  # no x, no sign
+            if rel not in seen:
+                seen.add(rel)
+                g = _gcd(Polynomial(_unpack(rel, w)), g)
+                if g.degree == 0:
+                    return g
+    while not g.is_zero() and (h := _gcd(g, cycle)).degree > 0:
+        g = _poly_divmod(g, h)[0]
+    return g
+
+
+def _unpack(n: int, w: int) -> list[int]:
+    """The digits of n in base 2^w, each in [-2^(w-1), 2^(w-1)), constant first."""
+    half, mask, digits = 1 << (w - 1), (1 << w) - 1, []
+    while n:
+        d = ((n + half) & mask) - half
+        digits.append(d)
+        n = (n - d) >> w
+    return digits
+
+
+def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd over Q (0 for a = b = 0); a new relation a costs one division by b."""
+    while not b.is_zero():
+        a, b = b, _poly_divmod(a, b)[1]
+    return a if a.leading in (0, 1) else Polynomial([Fraction(c) / a.leading for c in a.coeffs])
+
+
+def classify(aut: MealyAutomaton, *, bound: int = DEFAULT_BOUND) -> AbelianReport:
+    """`check_abelian`'s report, decided by a validated fit where one exists.
+
+    The even-state identity tests run first, as in `check_abelian`: they
+    are cheap and reject most machines that are not abelian.  Then the
+    constructed matrix is fitted.  A validated fit is a certificate
+    (`locate`): the group is free abelian, and every odd vector v has the
+    residual difference A(v + e) - A(v - e) = 2Ae != 0 (Nekrashevych and
+    Sidki 2004).  So the verdict is AbelianFreeCandidate, with gamma read
+    off the table, and the odd-state comparisons and gamma closure run only
+    where nothing fits.  The report is `check_abelian`'s wherever that one
+    decides; where it is Unknown, a fit makes this one AbelianFreeCandidate.
+    NotInvertibleError as `check_abelian`.
+    """
+    table, odd = _odd_table(aut)
+    if not odd:
+        return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
+    report, saw_unknown = _even_tests(table, bound)
+    if report is not None:
+        return report
+    try:  # no odd state on a cycle, states out of reach, no chi, or a misfit
+        _fit(aut, *_construct(aut))
+    except (LocateError, MatrixError):
+        return _odd_tests(aut, table, odd, saw_unknown, bound)
+    return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE, gamma=gamma_of(aut))
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ state's run of equal terms in one step.
 These rules are only meaningful on machines whose group is abelian; callers
 are responsible for that (check_abelian provides the criterion).  The
 criterion runs in two phases, the even states' identity tests and then the
-odd states' comparisons and the gamma test; `analysis.classify` runs a
-validated location between them, which decides a machine that fits with no
-odd-phase closure.
+odd states' comparisons and the gamma test.  They are separate so that a
+validated location of the machine can run between them: it decides a
+machine that fits with no odd-phase closure.
 """
 
 from __future__ import annotations
@@ -418,11 +418,8 @@ def _odd_tests(aut: MealyAutomaton, table: _Table, odd: list[int], saw_unknown: 
 
 # -- principal machine ---------------------------------------------------------
 
-# Cached: `locate`, `infer_matrix` and `build_principal` may each classify
-# the same machine in one process.  Unknown, a closure past `bound`, is a bound.
-@lru_cache(maxsize=32)
-def _require_abelian_free(aut: MealyAutomaton, bound: int) -> AbelianReport:
-    report = check_abelian(aut, bound)
+def _require_abelian_free(aut: MealyAutomaton, bound: int, report: AbelianReport) -> AbelianReport:
+    """The report if AbelianFreeCandidate; BoundExceededError for Unknown, else NotAbelianError."""
     if report.verdict is AbelianVerdict.UNKNOWN:
         raise BoundExceededError(
             f"abelian check of automaton {aut.name!r} reached an identity-test "
@@ -446,7 +443,7 @@ def _principal_nodes(aut: MealyAutomaton, bound: int):
     closure of {gamma}, plus the identity, plus delta and the negations of
     everything, closed again.
     """
-    report = _require_abelian_free(aut, bound)
+    report = _require_abelian_free(aut, bound, check_abelian(aut, bound))
     gens = _machine_gens(aut)
     label = "delta"
     while label in gens:
@@ -532,6 +529,10 @@ def build_principal(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> MealyAut
     come from Moore refinement of that closure, which always finishes, so the
     closure size is the only bound.  Labels are the compact prints of class
     representatives (`f1-f0`, `I`, ...).
+
+    The machine is classified by `check_abelian`'s closures, not by a fit as
+    in `locate`: a fast `principal --aut` would push the benchmark, which
+    keeps every pass's output, past its peak-memory bound (ROADMAP item 1).
     """
     _, nodes, label_of, reps = _principal_classes(aut, bound)
     transitions = {}

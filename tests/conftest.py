@@ -37,8 +37,11 @@ from abmealy import (
 from abmealy.complete import (
     CompleteConfig,
     LocationMap,
+    _anchor_cycle,
     _apply_int,
+    _construct,
     _cycle_quotient,
+    _fit,
     _horner,
     _integral_name,
     _require_contracting,
@@ -47,13 +50,18 @@ from abmealy.complete import (
     format_vector,
 )
 from abmealy.analysis import InferResult
-from abmealy.errors import BoundExceededError, FormatError, LocateError, MatrixError
+from abmealy.errors import (
+    BoundExceededError,
+    FormatError,
+    LocateError,
+    MatrixError,
+    NotAbelianError,
+)
 from abmealy.exactalg import Polynomial, companion_from_chi, is_contracting
 from abmealy.group import (
     DEFAULT_BOUND,
     IdentityResult,
     Verdict,
-    _require_abelian_free,
     format_combination,
 )
 from abmealy.mealy import Parity
@@ -617,6 +625,54 @@ def cycle_words(aut, anchor, max_len):
         yield from walk(anchor, length, [])
 
 
+@functools.lru_cache(maxsize=32)
+def closure_gate(aut, bound=DEFAULT_BOUND):
+    """The abelian-free gate that `locate` and `infer_matrix` took before a
+    validated fit decided it: `check_abelian`'s closures alone.  Returns the
+    AbelianFreeCandidate report; raises BoundExceededError for Unknown and
+    NotAbelianError for any other verdict.  Cached as that gate was: the
+    oracles try one machine in several matrices, and o61 costs 2 s."""
+    report = abmealy.group.check_abelian(aut, bound)
+    if report.verdict is AbelianVerdict.UNKNOWN:
+        raise BoundExceededError(
+            f"abelian check of automaton {aut.name!r} reached an identity-test "
+            f"closure of {bound + 1} elements, over the bound {bound}; raise the bound"
+        )
+    if report.verdict is not AbelianVerdict.ABELIAN_FREE_CANDIDATE:
+        detail = f": {report.witness[1]}" if report.witness else ""
+        raise NotAbelianError(
+            f"automaton {aut.name!r} classified {report.verdict}{detail}; "
+            "need AbelianFreeCandidate"
+        )
+    return report
+
+
+def closure_locate(aut, A, *, bound=DEFAULT_BOUND):
+    """`locate` with `closure_gate` on a misfit, as it was before `classify`
+    decided the misfit."""
+    if not isinstance(A, HalfIntegralMatrix):
+        A = HalfIntegralMatrix(A)
+    _require_contracting(A)
+    try:
+        return _fit(aut, A, _anchor_cycle(aut))
+    except (LocateError, MatrixError):
+        closure_gate(aut, bound)
+        raise
+
+
+def closure_infer_matrix(aut, *, max_dim=None, bound=DEFAULT_BOUND):
+    """`infer_matrix` with `closure_gate` wherever the constructed matrix
+    does not place the machine, as it was before `classify` decided it."""
+    try:
+        A, frame = _construct(aut)
+        if max_dim is None or A.dim <= max_dim:
+            return InferResult(matrix=A, chi=A.chi, location=_fit(aut, A, frame))
+    except (LocateError, MatrixError):
+        pass
+    closure_gate(aut, bound)
+    return None
+
+
 CYCLE_LIMIT = 64  # cycle words that may fail to determine e before locate gives up
 
 
@@ -627,7 +683,7 @@ def reference_locate(aut, A, *, bound=DEFAULT_BOUND):
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
     _require_contracting(A)
-    abmealy.group._require_abelian_free(aut, bound)
+    closure_gate(aut, bound)
 
     parity = {s: aut.state_parity(s) for s in aut.states}
     anchor = next(
@@ -780,11 +836,11 @@ def box_infer_matrix(aut, *, max_dim=3, coeff_bound=2, bound=DEFAULT_BOUND):
                     continue
                 A = _box_companion(chi)
                 try:
-                    locmap = abmealy.complete.locate(aut, A, classify=False)
+                    locmap = _fit(aut, A, _anchor_cycle(aut))
                 except (LocateError, MatrixError):
                     continue
                 return InferResult(matrix=A, chi=chi, location=locmap)
-    _require_abelian_free(aut, bound)
+    closure_gate(aut, bound)
     return None
 
 

@@ -28,6 +28,7 @@ from abmealy.complete import (
     CompleteConfig,
     orbit,
     orbit_automaton,
+    locate,
     residual_vector,
     unit_vector,
 )
@@ -35,6 +36,7 @@ from abmealy.errors import (
     AbmealyError,
     BoundExceededError,
     FormatError,
+    LocateError,
     MatrixError,
     NotAbelianError,
 )
@@ -52,6 +54,8 @@ from conftest import (
     CORPUS_GS,
     CORPUS_TO_1179,
     box_infer_matrix,
+    closure_infer_matrix,
+    closure_locate,
     conjugate,
     contracting_chis,
     division_carries,
@@ -567,29 +571,32 @@ def test_infer_matrix_principal(principal_figure, mat_a):
 
 
 def test_infer_matrix_classifies_the_machine_once(a32, lamplighter, monkeypatch):
-    calls = {"check_abelian": [], "locate": 0, "char_poly": 0}
+    calls = {"classify": [], "check_abelian": [], "locate": 0, "char_poly": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            if name == "check_abelian":
+            if name in ("classify", "check_abelian"):
                 calls[name].append(args[0].name)
             else:
                 calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
+    # infer_matrix classifies through analysis's name, and locate through complete's
+    counted_classify = counted("classify", complete.classify)
+    monkeypatch.setattr(analysis, "classify", counted_classify)
+    monkeypatch.setattr(complete, "classify", counted_classify)
     monkeypatch.setattr(group, "check_abelian", counted("check_abelian", group.check_abelian))
     monkeypatch.setattr(analysis, "locate", counted("locate", analysis.locate))
     char_poly = counted("char_poly", exactalg.char_poly)
     for module in (exactalg, complete, analysis, group):
         if hasattr(module, "char_poly"):
             monkeypatch.setattr(module, "char_poly", char_poly)
-    group._require_abelian_free.cache_clear()
     # the constructed chi is located once, and a fit proves the group free
-    # abelian: no closure runs
+    # abelian: no classification runs
     assert infer_matrix(a32) is not None
     assert calls["locate"] == 1
-    assert calls["check_abelian"] == []
+    assert calls["classify"] == []
     # the chi comes with its companion matrix
     assert calls["char_poly"] == 0
     # when nothing fits, the machine is classified exactly once
@@ -598,9 +605,11 @@ def test_infer_matrix_classifies_the_machine_once(a32, lamplighter, monkeypatch)
             "alpha - beta is not the identity (odd element along path ''); "
             "need AbelianFreeCandidate")):
         infer_matrix(lamplighter)
-    assert calls["check_abelian"] == ["lamplighter"]
+    assert calls["classify"] == ["lamplighter"]
     assert infer_matrix(a32, max_dim=1) is None
-    assert calls["check_abelian"] == ["lamplighter", "a32"]
+    assert calls["classify"] == ["lamplighter", "a32"]
+    # the gate is classify's, never check_abelian's closures alone
+    assert calls["check_abelian"] == []
 
 
 def test_infer_matrix_exhaustion(a32):
@@ -680,10 +689,9 @@ def machine_227():
 def test_infer_constructs_the_own_chi_of_every_corpus_machine_with_no_closure(monkeypatch):
     # o7-o1179 and the 227-state machine: a fit needs no closure
     calls = []
-    check_abelian = group.check_abelian
-    monkeypatch.setattr(group, "check_abelian",
-                        lambda *args: calls.append(args[0].name) or check_abelian(*args))
-    group._require_abelian_free.cache_clear()
+    test = group._identity_test_coeffs
+    monkeypatch.setattr(group, "_identity_test_coeffs",
+                        lambda *args: calls.append(args[1]) or test(*args))
     machines = [(_orbit_machine(g), RationalPolynomial([Fraction(c, 2) for c in g] + [1]))
                 for g in CORPUS_TO_1179]
     machines.append((machine_227(), CHI227))
@@ -730,18 +738,28 @@ def test_infer_matrix_agrees_with_the_candidate_box(a32, principal_figure, lampl
 
 
 def _random_located_machine(rng, chis, max_states=60):
-    """The orbit machine of 1-3 random start vectors in c(A, e), A the
-    companion matrix of a random chi and e a random odd vector; redrawn
-    until the orbit has at most max_states states."""
+    """(machine, A): the orbit machine of 1-3 random start vectors in c(A, e),
+    A the companion matrix of a random chi and e a random odd vector;
+    redrawn until the orbit has at most max_states states."""
     while True:
         A = companion_from_chi(rng.choice(chis))
         e = (rng.choice((-3, -1, 1, 3)),) + tuple(rng.randint(-2, 2) for _ in range(A.dim - 1))
         starts = [tuple(rng.randint(-3, 3) for _ in range(A.dim))
                   for _ in range(rng.randint(1, 3))]
         try:
-            return orbit_automaton(CompleteConfig(A, e), starts, bound=max_states)
+            return orbit_automaton(CompleteConfig(A, e), starts, bound=max_states), A
         except BoundExceededError:
             pass
+
+
+def _constructed_fit(aut):
+    """The constructed matrix's fit of the machine, or None where there is
+    none or it misfits."""
+    try:
+        A, frame = complete._construct(aut)
+        return InferResult(matrix=A, chi=A.chi, location=complete._fit(aut, A, frame))
+    except (LocateError, MatrixError):
+        return None
 
 
 def test_classify_agrees_with_check_abelian_and_the_oracle(a32, xyz, lamplighter):
@@ -753,7 +771,7 @@ def test_classify_agrees_with_check_abelian_and_the_oracle(a32, xyz, lamplighter
     cheap = [_orbit_machine(g) for g in CORPUS_GS[:-2]] + [a32, xyz, lamplighter,
                                                            union_machine()]
     cheap += [random_machine(rng, rng.randint(2, 7)) for _ in range(2000)]
-    located = [_random_located_machine(rng, chis) for _ in range(300)]
+    located = [_random_located_machine(rng, chis)[0] for _ in range(300)]
     cases = [(aut, DEFAULT_BOUND, True) for aut in cheap]
     # the oracle runs on the cheap machines only: o61 costs check_abelian about
     # two seconds a chi
@@ -766,7 +784,7 @@ def test_classify_agrees_with_check_abelian_and_the_oracle(a32, xyz, lamplighter
         if with_oracle:
             assert oracle_check_abelian(aut, bound) == want, aut.serialize()
         if want.verdict is AbelianVerdict.UNKNOWN:
-            fit = analysis._construct_fit(aut)
+            fit = _constructed_fit(aut)
             if fit is not None:
                 fit.location.validate(aut, fit.matrix)
                 want = AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE,
@@ -812,7 +830,7 @@ def test_check_decides_orbit_machines_by_the_fit(name, capsys, tmp_path, monkeyp
 def test_check_runs_no_construction_when_an_even_state_fails(capsys, tmp_path, monkeypatch,
                                                             lamplighter):
     calls = []
-    monkeypatch.setattr(analysis, "_relation_gcd", lambda aut: calls.append(aut))
+    monkeypatch.setattr(complete, "_construct", lambda aut: calls.append(aut))
     path = tmp_path / "lamplighter.aut"
     path.write_text(lamplighter.serialize())
     assert main(["check", str(path)]) == 0
@@ -820,3 +838,48 @@ def test_check_runs_no_construction_when_an_even_state_fails(capsys, tmp_path, m
         "verdict: NotAbelian\nwitness: beta\nreason: d1(beta) - d0(beta) = alpha - beta "
         "is not the identity (odd element along path '')\n", "")
     assert calls == []
+
+
+def full_outcome(fn, *args, **kwargs):
+    """What fn returns, or the class and message of the domain error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except AbmealyError as exc:
+        return type(exc), str(exc)
+
+
+def test_locate_and_infer_agree_with_the_closure_gate(a32, xyz, lamplighter):
+    """Wherever check_abelian decides, locate and infer_matrix return what
+    they returned when check_abelian's closures alone decided a misfit, or
+    raise the same class with the same message.  Each located machine is
+    tried in its own matrix and in a mismatched contracting one, where the
+    gate runs; random machines, mostly not abelian, in a random matrix."""
+    rng = random.Random(20)
+    chis = contracting_chis(max_dim=3)
+    mats = [companion_from_chi(chi) for chi in chis]
+    located = [_random_located_machine(rng, chis, max_states=40) for _ in range(420)]
+    cases = [(aut, own, DEFAULT_BOUND) for aut, own in located]
+    # a small bound leaves check_abelian Unknown on some; those are skipped
+    cases += [(random_machine(rng, rng.randint(2, 7)), None, bound)
+              for bound in (DEFAULT_BOUND, 20) for _ in range(200)]
+    cases += [(a32, companion_from_chi(CHI_A), DEFAULT_BOUND)]
+    cases += [(aut, None, DEFAULT_BOUND) for aut in (xyz, lamplighter, union_machine())]
+    kinds = Counter()
+    for aut, own, bound in cases:
+        if group.check_abelian(aut, bound).verdict is AbelianVerdict.UNKNOWN:
+            kinds["unknown"] += 1
+            continue
+        kinds["own matrix"] += own is not None
+        other = rng.choice([A for A in mats if A != own])
+        for A in (own, other):
+            if A is not None:
+                want = full_outcome(closure_locate, aut, A, bound=bound)
+                assert full_outcome(locate, aut, A, bound=bound) == want, aut.serialize()
+                kinds["locate", want[0].__name__ if isinstance(want, tuple) else "map"] += 1
+        want = full_outcome(closure_infer_matrix, aut, bound=bound)
+        assert full_outcome(infer_matrix, aut, bound=bound) == want, aut.serialize()
+        kinds["infer", want[0].__name__ if isinstance(want, tuple) else str(want)[:4]] += 1
+    assert kinds["own matrix"] >= 400 and kinds["unknown"] > 0
+    assert kinds["locate", "map"] > 200 and kinds["locate", "LocateError"] > 400
+    assert kinds["locate", "NotAbelianError"] > 100 and kinds["infer", "NotAbelianError"] > 100
+    assert kinds["infer", "Infe"] > 200 and kinds["infer", "None"] > 50

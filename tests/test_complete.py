@@ -12,7 +12,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from abmealy import group
+from abmealy import complete, group
 from abmealy.analysis import check_scc_instance
 from abmealy.complete import (
     _cycle_quotient,
@@ -751,10 +751,9 @@ def test_shortest_cycle_is_the_first_cycle_word():
 def test_locate_classifies_only_a_machine_that_does_not_fit(a32, lamplighter, mat_a,
                                                             monkeypatch):
     calls = []
-    check_abelian = group.check_abelian
-    monkeypatch.setattr(group, "check_abelian",
-                        lambda *args: calls.append(args[0].name) or check_abelian(*args))
-    group._require_abelian_free.cache_clear()
+    classify = complete.classify
+    monkeypatch.setattr(complete, "classify",
+                        lambda aut, **kw: calls.append(aut.name) or classify(aut, **kw))
     cfg = unit_config((1, 2, 3, 3))
     o61 = orbit_automaton(cfg, [unit_vector(4)])
     assert len(o61.states) == 61
@@ -767,14 +766,31 @@ def test_locate_classifies_only_a_machine_that_does_not_fit(a32, lamplighter, ma
     assert calls == ["lamplighter", "a32"]
 
 
+def test_a_misfit_of_a_machine_that_fits_elsewhere_runs_no_odd_phase_closure(monkeypatch):
+    # o61 fits its own matrix, so its misfit in the mirror matrix is the
+    # fit's LocateError after the even states' identity tests alone; the
+    # odd-phase closures took 2 s here, and minutes on o823
+    o61 = orbit_automaton(unit_config((1, 2, 3, 3)), [unit_vector(4)])
+    mirror = unit_config((1, -2, 3, -3)).A
+    with pytest.raises(LocateError) as fit:
+        complete._fit(o61, mirror, complete._anchor_cycle(o61))
+    calls = []
+    test = group._identity_test_coeffs
+    monkeypatch.setattr(group, "_identity_test_coeffs",
+                        lambda *args: calls.append(args[1]) or test(*args))
+    with pytest.raises(LocateError) as got:
+        locate(o61, mirror)
+    assert str(got.value) == str(fit.value)
+    assert len(calls) == sum(o61.state_parity(s) is Parity.EVEN for s in o61.states)
+
+
 def test_locate_places_every_corpus_machine_in_its_own_matrix(monkeypatch):
     # o7-o61, o823 and o1179, 12 of the 18 only by the rescaled anchor; a fit
-    # needs no closure, so check_abelian never runs
+    # needs no closure, so no identity test runs
     calls = []
-    check_abelian = group.check_abelian
-    monkeypatch.setattr(group, "check_abelian",
-                        lambda *args: calls.append(args[0].name) or check_abelian(*args))
-    group._require_abelian_free.cache_clear()
+    test = group._identity_test_coeffs
+    monkeypatch.setattr(group, "_identity_test_coeffs",
+                        lambda *args: calls.append(args[1]) or test(*args))
     for g in CORPUS_TO_1179:
         cfg = unit_config(g)
         aut = orbit_automaton(cfg, [unit_vector(cfg.dim)])
