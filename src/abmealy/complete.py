@@ -216,20 +216,19 @@ def _walk(config: CompleteConfig, starts, bound: int):
     while queue:
         v = queue.popleft()
         w, out = _step(config, v, 0)
-        pairs = ((w, 1), (tuple(map(add, w, shift)), 0)) if out else ((w, 0), (w, 1))
-        steps = []
-        for w, out in pairs:
-            if w not in first:
-                if len(first) >= bound:
+        kept = []
+        for w in (w, tuple(map(add, w, shift))) if out else (w,):
+            u = first.setdefault(w, w)  # one lookup per successor: w itself iff w is new
+            if u is w:
+                if len(first) > bound:
                     raise BoundExceededError(
-                        f"orbit reached {len(first) + 1} vectors, over the bound "
+                        f"orbit reached {len(first)} vectors, over the bound "
                         f"{bound}; raise the bound or check that the matrix is "
                         "contracting"
                     )
-                first[w] = w
                 queue.append(w)
-            steps.append((first[w], out))
-        yield v, steps
+            kept.append(u)
+        yield v, ((kept[0], 1), (kept[1], 0)) if out else ((u, 0), (u, 1))
 
 
 def orbit(config: CompleteConfig, start, bound: int = DEFAULT_BOUND) -> list[tuple[int, ...]]:
@@ -247,13 +246,16 @@ def orbit_automaton(config: CompleteConfig, starts, name: str | None = None,
     starts = [_coerce_vector(s, config.dim) for s in starts]
     if not starts:
         raise MatrixError("need at least one start vector")
-    label = {s: vector_label(s) for s in starts}
+    fmt = "_".join(["%d"] * config.dim)  # vector_label of a tuple of ints
+    label = {s: fmt % s for s in starts}
     transitions = {}
     for v, steps in _walk(config, starts, bound):
+        src = label[v]
         for bit, (w, out) in enumerate(steps):
-            if w not in label:
-                label[w] = vector_label(w)
-            transitions[(label[v], bit)] = (label[w], out)
+            dst = label.get(w)
+            if dst is None:  # first seen: label it
+                dst = label[w] = fmt % w
+            transitions[src, bit] = (dst, out)
     if name is None:
         name = f"orbit_{vector_label(starts[0])}"
     return MealyAutomaton(transitions, name=name)

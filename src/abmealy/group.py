@@ -145,15 +145,20 @@ def format_combination(coeffs: dict[str, int], compact: bool = False) -> str:
 # build_principal compiles a second table with a fresh delta generator.
 
 class _Table:
-    __slots__ = ("labels", "index", "odd", "res")
+    __slots__ = ("labels", "index", "odd", "residuals", "res")
 
     def __init__(self, gens: dict[str, tuple[bool, dict[str, int], dict[str, int]]]):
         """gens maps label -> (odd, residual on 0, residual on 1)."""
         self.labels = tuple(sorted(gens))
         self.index = {s: i for i, s in enumerate(self.labels)}
         self.odd = tuple(gens[s][0] for s in self.labels)
-        self.res = tuple(tuple((k, self.parity(k)) for k in map(self.key, gens[s][1:]))
-                         for s in self.labels)
+        self.residuals = tuple(gens[s][1:] for s in self.labels)  # as coefficient maps
+        self.res = ()  # per generator, each residual's key and parity: keyed() at the first fold
+
+    def keyed(self) -> tuple:
+        self.res = tuple(tuple((k, self.parity(k)) for k in map(self.key, r))
+                         for r in self.residuals)
+        return self.res
 
     def key(self, coeffs: dict[str, int]) -> tuple:
         return tuple(sorted([(self.index[s], c) for s, c in coeffs.items() if c]))
@@ -167,7 +172,7 @@ class _Table:
 
 
 def _machine_gens(aut: MealyAutomaton) -> dict:
-    return {s: (aut._odd(s), {aut.residual(s, 0): 1}, {aut.residual(s, 1): 1})
+    return {s: (aut._odd(s), {aut._delta[s, 0][0]: 1}, {aut._delta[s, 1][0]: 1})
             for s in aut.states}
 
 
@@ -203,7 +208,7 @@ def _fold(table: _Table, key: tuple, bit: int) -> tuple[tuple, bool]:
     residuals; with b = bit xor the running parity, d_b gets c - floor(c/2)
     and d_(1-b) gets floor(c/2), for either sign of c.
     """
-    odd, res = table.odd, table.res
+    odd, res = table.odd, table.res or table.keyed()
     acc: dict[int, int] = {}
     get = acc.get
     acc_odd = child_odd = 0
@@ -273,6 +278,8 @@ class IdentityResult:
 def _identity_test_coeffs(table: _Table, key: tuple, bound: int) -> IdentityResult:
     if bound < 1:
         raise ValueError("bound must be positive")
+    if not key:
+        return IdentityResult(Verdict.IS_IDENTITY)
     if table.parity(key):
         return IdentityResult(Verdict.NOT_IDENTITY, "")
     visited = {key}
@@ -340,8 +347,8 @@ def _odd_table(aut: MealyAutomaton) -> tuple[_Table, list[int]]:
 
 def _residual_difference(table: _Table, i: int) -> tuple:
     """The key of d1(s) - d0(s) for the state s of index i."""
-    (r0, _), (r1, _) = table.res[i]
-    return _combine(r1, r0, -1)
+    r0, r1 = table.residuals[i]
+    return () if r0 == r1 else _combine(table.key(r1), table.key(r0), -1)
 
 
 def gamma_of(aut: MealyAutomaton) -> GroupElement:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from enum import Enum
+from operator import itemgetter
 
 from .errors import (
     AutomatonError,
@@ -34,6 +35,7 @@ from .errors import (
 )
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_+-]+\Z")
+_first, _second = itemgetter(0), itemgetter(1)
 
 Transition = tuple[str, int]  # (target state, output bit)
 
@@ -49,23 +51,30 @@ class Parity(Enum):
 def _check_bit(b) -> int:
     if b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b!r}")
-    return b
+    return int(b)
 
 
 class MealyAutomaton:
     """Immutable binary Mealy machine.
 
     transitions maps (state, input bit) -> (next state, output bit) and must
-    be total over the declared states.
+    be total over the declared states; every bit is stored as the int 0 or 1.
     """
 
     def __init__(self, transitions, name: str = "machine", states=None):
-        delta = {}
-        table = transitions if isinstance(transitions, dict) else dict(transitions)
-        for (src, a), (dst, out) in table.items():  # a dict is read, not copied
-            delta[src, _check_bit(a)] = (dst, _check_bit(out))
+        delta = dict(transitions)
+        # whole-table passes: keys and values are 2-tuples, bits are the ints 0 and 1
+        pairs = (*delta, *delta.values())
+        whole = {*map(type, pairs)} == {tuple} and {*map(len, pairs)} == {2}
+        if whole:
+            bits = [*map(_second, pairs)]
+            whole = {*map(type, bits)} == {int} and {*bits} <= {0, 1}
+        if not whole:  # entry by entry: names the first fault, or normalises the table
+            table, delta = delta, {}
+            for (src, a), (dst, out) in table.items():
+                delta[src, _check_bit(a)] = (dst, _check_bit(out))
         if states is None:
-            states = {s for s, _ in delta}
+            states = set(map(_first, delta))
         states = sorted(states)
         if not states:
             raise AutomatonError("automaton needs at least one state")
@@ -74,8 +83,8 @@ class MealyAutomaton:
             raise AutomatonError("duplicate state label")
         # keys lie in stateset x {0, 1} once every source is declared, and 2n
         # keys fill it; the loops below only name the first fault
-        if not (len(delta) == 2 * len(states) and stateset.issuperset(s for s, _ in delta)
-                and stateset.issuperset(d for d, _ in delta.values())
+        if not (len(delta) == 2 * len(states) and stateset.issuperset(map(_first, delta))
+                and stateset.issuperset(map(_first, delta.values()))
                 and all(map(LABEL_RE.match, states))):
             for s in states:
                 if not LABEL_RE.match(s):
@@ -175,6 +184,8 @@ class MealyAutomaton:
                 if kind != "aut" or len(toks) != 2:
                     fail("expected 'aut <name>' header", n)
                 name = toks[1]
+                if not LABEL_RE.match(name):
+                    fail(f"bad automaton name {name!r}", n)
                 continue
             if states is None:
                 if kind != "states" or len(toks) < 2:

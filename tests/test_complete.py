@@ -318,7 +318,7 @@ def test_corpus_matrices_take_the_companion_step(g):
     assert all(type(x) is int for x in cfg.A.companion)
 
 
-@pytest.mark.parametrize("g", CORPUS_TO_1179)
+@pytest.mark.parametrize("g", CORPUS_TO_1179 + [(1, -1, 0, 1, 0, 0)])  # and one of o23555
 def test_orbit_automaton_matches_the_generic_walk_on_the_corpus(g):
     cfg = unit_config(g)
     e1 = unit_vector(cfg.dim)

@@ -73,6 +73,7 @@ def test_parse_errors_carry_line_numbers():
         ("aut m\nstates a\ntrans a 0 1 a\n", "input 1"),
         ("aut m\nstates a\nfrobnicate a\n", "frobnicate"),
         ("aut m\nstates a b\ncopy a b\ncopy b q\n", "q"),
+        ("aut my.machine\nstates a\ncopy a a\n", "line 1: bad automaton name 'my.machine'"),
     ],
 )
 def test_parse_rejects(text, needle):
@@ -139,6 +140,45 @@ def test_constructor_validation():
         MealyAutomaton(LOOP, name="my machine")
 
 
+def test_constructor_names_a_fault_at_the_end_of_a_large_table():
+    # the whole-table passes fail, and the entry-by-entry checks name the fault
+    big = {(f"q{i}", b): (f"q{(i + 1) % 20000}", b) for i in range(20000) for b in (0, 1)}
+    states = sorted({s for s, _ in big})
+    cases = [
+        ({**big, ("z", 0): ("z", 0)}, {},
+         AutomatonError, "state 'z' has no transition on input 1"),
+        ({**big, ("z", 1): ("z", 1)}, {},
+         AutomatonError, "state 'z' has no transition on input 0"),
+        ({**big, ("z", 0): ("z", 0), ("z", 1): ("y", 1)}, {"states": states + ["z"]},
+         AutomatonError, "transition into unknown state 'y'"),
+        ({**big, ("z", 0): ("q0", 0)}, {"states": states},
+         AutomatonError, "transition from undeclared state 'z'"),
+        (big, {"states": states + ["z"]},
+         AutomatonError, "state 'z' has no transition on input 0"),
+        ({**big, ("z", 0): ("z", 0), ("z", 2): ("z", 1)}, {},
+         ValueError, "bit must be 0 or 1, got 2"),
+        ({**big, ("z", 0): ("z", 0), ("z", 1): ("z", 3)}, {},
+         ValueError, "bit must be 0 or 1, got 3"),
+        ({**big, ("z", 0): ("z", 0), ("z", 1): ("z", "1")}, {},
+         ValueError, "bit must be 0 or 1, got '1'"),
+        ({**big, ("z", 0): ("z", 0), ("z", 1): ("z",)}, {},
+         ValueError, "not enough values to unpack (expected 2, got 1)"),
+        ({**big, ("z", 0, 1): ("z", 0)}, {},
+         ValueError, "too many values to unpack (expected 2)"),
+        (big, {"states": states + ["q0"]}, AutomatonError, "duplicate state label"),
+        ({**big, ("z.", 0): ("z.", 0), ("z.", 1): ("z.", 1)}, {},
+         AutomatonError, "bad state label 'z.'"),
+        (big, {"name": "my machine"}, AutomatonError, "bad automaton name 'my machine'"),
+        # two faults: the bits are checked before any label, as in a small table
+        ({("a.b", 0): ("a.b", 0), ("a.b", 1): ("a.b", 1), **big, ("z", 2): ("z", 1)}, {},
+         ValueError, "bit must be 0 or 1, got 2"),
+    ]
+    for table, kwargs, error, message in cases:
+        with pytest.raises(error) as exc:
+            MealyAutomaton(table, **kwargs)
+        assert str(exc.value) == message
+
+
 def test_constructor_reports_the_first_fault():
     # states are checked in sorted order before any transition, and
     # transitions in table order; the name comes last
@@ -160,6 +200,12 @@ def test_constructor_normalizes_the_table():
     aut = MealyAutomaton([(("a", 0), ["a", 1]), (("a", 1), ["a", 0])], states=("a",))
     assert aut.step("a", 0) == ("a", 1) and type(aut.step("a", 0)) is tuple
     assert aut == MealyAutomaton({("a", 0): ("a", 1), ("a", 1): ("a", 0)})
+    # bits equal to 0 or 1 are stored as those ints
+    odd = MealyAutomaton({("a", 0): ("a", True), ("a", 1.0): ("a", False)})
+    assert all(type(b) is int for (_, a), (_, out) in odd.transitions.items() for b in (a, out))
+    assert repr(odd.step("a", 1)) == "('a', 0)"
+    assert odd.serialize() == "aut machine\nstates a\ntrans a 0 1 a\ntrans a 1 0 a\n"
+    assert parse_automaton(odd.serialize()) == odd
 
 
 def test_serialize_roundtrip_and_canonical_form(a32):
