@@ -201,6 +201,34 @@ def _require_contracting(A: HalfIntegralMatrix) -> None:
         raise MatrixError(f"characteristic polynomial {A.chi} is not contracting")
 
 
+def _successors(config: CompleteConfig):
+    """succ(v) -> (A (v - e), A (v + e)) at an odd v and (A v, None) at an even v,
+    straight-line code compiled once per walk from the ints of 2A and e: with
+    h = v0 // 2, row r of 2A gives w_i = r_0 h + sum r_j / 2 v_j (r_j is even
+    for j > 0), which is (A v)_i at an even v and, less the same sum at e with
+    e0 // 2 for h, A (v - e)_i at an odd v; A (v + e) adds 2A e.  Zero terms
+    are dropped, and coefficients +-1 get no multiply."""
+    def linear(terms):  # source of sum c x over the pairs (c, x), x "" for a constant
+        parts = [f"{c}" if not x else x if c == 1 else "-" + x if c == -1 else f"{c} * {x}"
+                 for c, x in terms if c]
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+    def tup(items):  # the trailing comma makes a one-tuple in dimension 1
+        return f"({', '.join(items)},)"
+
+    rows, e, k = config.A.rows2, config.e, config.e[0] >> 1
+    low = [r[0] * k + sum(map(mul, r[1:], e[1:])) // 2 for r in rows]  # r_j e_j is even for j > 0
+    w = [f"w{i}" for i in range(len(e))]
+    source = "\n    ".join([
+        "def succ(v):", tup(f"v{j}" for j in range(len(e))) + " = v", "h = v0 >> 1",
+        *(f"w{i} = " + linear([(r[0], "h")] + [(c >> 1, f"v{j}") for j, c in enumerate(r) if j])
+          for i, r in enumerate(rows)),
+        "if v0 & 1: return " + tup(linear([(1, x), (-c, "")]) for x, c in zip(w, low)) + ", "
+        + tup(linear([(1, x), (sum(map(mul, r, e)) - c, "")]) for x, r, c in zip(w, rows, low)),
+        f"return {tup(w)}, None"])
+    exec(source, scope := {})  # the source holds only ints, from the checked 2A and e
+    return scope["succ"]
+
+
 def _walk(config: CompleteConfig, starts, bound: int):
     """Breadth-first walk of c(A, e) from checked start vectors.
 
@@ -209,15 +237,14 @@ def _walk(config: CompleteConfig, starts, bound: int):
     Raises MatrixError unless chi is contracting, so that orbits are finite.
     """
     _require_contracting(config.A)
-    # one product per vector: A (v + e) = A (v - e) + 2A e, and A v for both bits of an even v
-    shift = tuple(sum(map(mul, row, config.e)) for row in config.A.rows2)
+    succ = _successors(config)
     first = {s: s for s in starts}
     queue = deque(first)
     while queue:
         v = queue.popleft()
-        w, out = _step(config, v, 0)
+        w, plus = succ(v)
         kept = []
-        for w in (w, tuple(map(add, w, shift))) if out else (w,):
+        for w in (w,) if plus is None else (w, plus):
             u = first.setdefault(w, w)  # one lookup per successor: w itself iff w is new
             if u is w:
                 if len(first) > bound:
@@ -228,7 +255,7 @@ def _walk(config: CompleteConfig, starts, bound: int):
                     )
                 queue.append(w)
             kept.append(u)
-        yield v, ((kept[0], 1), (kept[1], 0)) if out else ((u, 0), (u, 1))
+        yield v, ((u, 0), (u, 1)) if plus is None else ((kept[0], 1), (u, 0))
 
 
 def orbit(config: CompleteConfig, start, bound: int = DEFAULT_BOUND) -> list[tuple[int, ...]]:
@@ -594,7 +621,7 @@ def _spread(aut: MealyAutomaton, parity, anchor: str, start, forward, backward) 
     first assigned: a state s gives its targets forward(value, bit, sigma)
     and then its sources backward(value, sigma), sigma the source's sign on
     bit.  LocateError names the states left unreached."""
-    delta = aut.transitions
+    delta = aut._delta  # read in place, as `group` reads it
     back = {s: [] for s in aut.states}
     for s in aut.states:
         for b in (0, 1):
@@ -664,7 +691,7 @@ def _relation_gcd(aut: MealyAutomaton, frame) -> Polynomial:
                     lambda v, bit, sig: (v[0] + 1, v[1] + sig * (p << w * v[0])),
                     lambda v, sig: (v[0], (v[1] << w) - sig * (p << w * v[0])))
     g, seen = Polynomial(), set()
-    for (s, bit), (t, _) in aut.transitions.items():
+    for (s, bit), (t, _) in aut._delta.items():
         (k, f), (j, h) = value[s], value[t]
         top = max(k, j)  # x^top N is a polynomial
         rel = ((f << w * (top - k)) - (h << w * (top - j + 1))

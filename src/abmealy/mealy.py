@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from enum import Enum
+from itertools import product
 from operator import itemgetter
 
 from .errors import (
@@ -35,6 +36,7 @@ from .errors import (
 )
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_+-]+\Z")
+_LABELS_RE = re.compile(r"[A-Za-z0-9_+-]+(?:\n[A-Za-z0-9_+-]+)*\Z")  # labels joined by "\n"
 _first, _second = itemgetter(0), itemgetter(1)
 
 Transition = tuple[str, int]  # (target state, output bit)
@@ -85,7 +87,8 @@ class MealyAutomaton:
         # keys fill it; the loops below only name the first fault
         if not (len(delta) == 2 * len(states) and stateset.issuperset(map(_first, delta))
                 and stateset.issuperset(map(_first, delta.values()))
-                and all(map(LABEL_RE.match, states))):
+                and _LABELS_RE.match(joined := "\n".join(states))
+                and joined.count("\n") == len(states) - 1):  # no label holds a "\n"
             for s in states:
                 if not LABEL_RE.match(s):
                     raise AutomatonError(f"bad state label {s!r}")
@@ -255,9 +258,8 @@ class MealyAutomaton:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(
-                (self.name, self.states, tuple(sorted(self._delta.items())))
-            )
+            self._hash = hash((self.name, self.states,
+                               tuple(map(self._delta.__getitem__, product(self.states, (0, 1))))))
         return self._hash
 
     def __repr__(self):

@@ -254,6 +254,9 @@ CORPUS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -2), (-1, 0, 
 # and of the corpus orbit machines of 823 and 1,179 states
 CORPUS_TO_1179 = CORPUS_GS + [(1, 1, 1, 2, 1), (-1, 1, -1, 2, -1),
                               (1, 1, 0, 1, 0), (-1, 1, 0, 1, 0)]
+# and of both chi of every corpus size class o7-o55275
+CORPUS_GS_ALL = CORPUS_TO_1179 + [(1, -1, 0, 1, 0, 0), (1, 1, 0, -1, 0, 0),
+                                  (-1, 0, 1, 0, 0, -1), (-1, 0, 1, 0, 0, 1)]
 
 
 def random_half_integral(rng, m):

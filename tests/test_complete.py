@@ -7,18 +7,21 @@ is x^2 + x + 1/2, and the three-state machine locates in c(A, (3,2))."""
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
 
 from abmealy import complete, group
 from abmealy.analysis import check_scc_instance
+from abmealy.cli import main
 from abmealy.complete import (
     _cycle_quotient,
     _horner,
     _shortest_cycle,
     _sigma,
+    _step,
+    _successors,
     CompleteConfig,
     GTildeElement,
     LocationMap,
@@ -70,6 +73,7 @@ from abmealy.mealy import MealyAutomaton, Parity, find_isomorphism
 import conftest
 from conftest import (
     CORPUS_GS,
+    CORPUS_GS_ALL,
     CORPUS_TO_1179,
     conjugate,
     contracting_chis,
@@ -379,6 +383,134 @@ def test_orbit_and_scc_on_non_companion_conjugates(g):
     assert sorted(map(len, got.decomposition.components)) == sorted(
         map(len, want.decomposition.components))
     assert got.single_nontrivial == want.single_nontrivial
+
+
+# -- the generated successor kernel of the orbit walk ----------------------------------
+
+
+def step_successors(config):
+    """The kernel's contract by two `_step` calls: the walk's successors before the kernel."""
+    def succ(v):
+        w, out = _step(config, v, 0)
+        return (w, _step(config, v, 1)[0]) if out else (w, None)
+    return succ
+
+
+def assert_kernel_matches_the_step(config, vectors):
+    """succ(v) is (A (v - e), A (v + e)) at an odd v and (A v, None) at an even v,
+    as `_step` on bit 0 plus the shift 2A e gives them, in ints."""
+    succ = _successors(config)
+    shift = tuple(sum(a * x for a, x in zip(row, config.e)) for row in config.A.rows2)
+    for v in vectors:
+        w, out = _step(config, v, 0)
+        assert out == v[0] % 2
+        want = (w, tuple(a + b for a, b in zip(w, shift))) if out else (w, None)
+        got = succ(v)
+        assert got == want, (config, v)
+        assert all(type(x) is int for u in got if u is not None for x in u)
+        if out:
+            assert want[1] == _step(config, v, 1)[0]
+
+
+def random_odd_e(rng, m, size):
+    """A translation vector with an odd first entry, and zero, negative and large ones."""
+    def entry():
+        return rng.choice((0, 0, rng.randint(-size, size), -rng.randint(1, size)))
+    return (rng.randint(-size, size) | 1,) + tuple(entry() for _ in range(m - 1))
+
+
+def sheared_half_integral(rng, m, size):
+    """A non-companion half-integral matrix of dimension m >= 2, 2A with an entry
+    beyond size: `random_half_integral` conjugated by shears P = I + t E_ij, which
+    keep the shape (t is even when i = 0, so that column j stays integral)."""
+    rows = [list(row) for row in random_half_integral(rng, m).rows]
+    while max(abs(2 * x) for row in rows for x in row) <= size:
+        i, j = rng.sample(range(m), 2)
+        t = rng.choice((-1, 1)) * rng.randint(1, 64) * (2 if i == 0 else 1)
+        rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]  # P A
+        for row in rows:  # (P A) P^-1
+            row[j] -= t * row[i]
+    A = HalfIntegralMatrix(rows)
+    assert A.companion is None and A.dim == m
+    return A
+
+
+@pytest.mark.parametrize("g", CORPUS_GS_ALL)
+def test_successor_kernel_matches_the_step_on_the_corpus(g):
+    cfg = unit_config(g)
+    m, rng = cfg.dim, random.Random(sum(g) + 10 * len(g))
+    box = list(product(range(-2, 3), repeat=m))
+    for e in (cfg.e, random_odd_e(rng, m, 2 ** 70), random_odd_e(rng, m, 5)):
+        assert_kernel_matches_the_step(CompleteConfig(cfg.A, e), box)
+    assert_kernel_matches_the_step(cfg, orbit(cfg, unit_vector(m)))
+
+
+def test_successor_kernel_matches_the_step_on_random_matrices():
+    rng = random.Random(22)
+    for m in range(2, 7):
+        for _ in range(6):
+            A = random_half_integral(rng, m)  # entries +-1 and 0 as well as large ones
+            for A in (A, sheared_half_integral(rng, m, 2 ** 64)):
+                cfg = CompleteConfig(A, random_odd_e(rng, m, 2 ** 70))
+                big = [tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(m)) for _ in range(40)]
+                vectors = [*product(range(-1, 2), repeat=m), *big]
+                vectors += [_step(cfg, v, 0)[0] for v in vectors]
+                assert_kernel_matches_the_step(cfg, vectors)
+
+
+def test_successor_kernel_in_dimension_one():
+    # the kernel unpacks and returns one-tuples, (v0,) = v and (w0,)
+    for half in (HALF, -HALF):
+        A = HalfIntegralMatrix([[half]])
+        for e in ((1,), (-1,), (3,), (-7,), (2 ** 70 + 1,)):
+            cfg = CompleteConfig(A, e)
+            vectors = [(x,) for x in range(-40, 41)] + [(2 ** 70,), (-2 ** 70 - 1,)]
+            assert_kernel_matches_the_step(cfg, vectors)
+            assert orbit_automaton(cfg, [e]).serialize() == oracle_orbit_text(cfg, [e])
+
+
+@pytest.mark.parametrize("g", CORPUS_GS_ALL)
+def test_walk_is_unchanged_by_the_kernel_on_the_corpus(g, monkeypatch):
+    # yields and BoundExceededError text, also at the bounds n - 1, n and n/3
+    cfg = unit_config(g)
+    e1 = unit_vector(cfg.dim)
+    n = len(orbit(cfg, e1))
+
+    def walk(start, bound):
+        try:
+            return list(complete._walk(cfg, [start], bound))
+        except BoundExceededError as exc:
+            return str(exc)
+
+    cases = [(e1, n - 1), (e1, n), (e1, n // 3), (tuple(-c for c in e1), n)]
+    got = [walk(*case) for case in cases]
+    assert got[0].startswith(f"orbit reached {n} vectors, over the bound {n - 1};")
+    assert len(got[1]) == n
+    assert got[2].startswith(f"orbit reached {n // 3 + 1} vectors, over the bound {n // 3};")
+    monkeypatch.setattr(complete, "_successors", step_successors)
+    assert [walk(*case) for case in cases] == got
+
+
+@pytest.mark.parametrize("g", CORPUS_TO_1179)
+def test_orbit_scc_and_principal_output_is_unchanged_by_the_kernel(g, tmp_path, capsys,
+                                                                   monkeypatch):
+    cfg = unit_config(g)
+    n = len(orbit(cfg, cfg.e))
+    chi = " ".join(str(Fraction(c, 2)) for c in g) + " 1"
+    mat = tmp_path / "A.mat"
+    mat.write_text(f"chi {chi}\n")
+    commands = (["orbit", str(mat), "--e", " ".join(map(str, cfg.e))], ["scc", str(mat)],
+                ["principal", "--chi", chi])
+    bounds = ([], *(["--bound", str(b)] for b in (n - 1, n, n // 3)))
+    argvs = [[*c, *b, *f] for c in commands for b in bounds for f in ([], ["--json"])]
+
+    def outputs():
+        return [(main(argv), *capsys.readouterr()) for argv in argvs]
+
+    got = outputs()
+    assert sum(code == 1 for code, _, _ in got) >= 8  # n - 1 and n/3 fail orbit and principal
+    monkeypatch.setattr(complete, "_successors", step_successors)
+    assert outputs() == got
 
 
 # -- polynomial coordinates ---------------------------------------------------------

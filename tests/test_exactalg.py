@@ -43,7 +43,7 @@ from abmealy.exactalg import (
 
 from conftest import (
     CHI_ERRORS,
-    CORPUS_TO_1179,
+    CORPUS_GS_ALL,
     MAT_A_TEXT,
     contracting_chis,
     faddeev_leverrier,
@@ -366,11 +366,6 @@ def test_char_poly_matches_determinant_pointwise():
             lhs = chi(t)
             rhs = RationalMatrix((t * fraction_matrix(m, 0) - fraction_matrix(m)).tolist()).det()
             assert lhs == rhs
-
-
-# both chi of every corpus size class o7-o55275, as g in chi = x^m + g(x)/2
-CORPUS_GS_ALL = CORPUS_TO_1179 + [(1, -1, 0, 1, 0, 0), (1, 1, 0, -1, 0, 0),
-                                  (-1, 0, 1, 0, 0, -1), (-1, 0, 1, 0, 0, 1)]
 
 
 def test_char_poly_matches_faddeev_leverrier():

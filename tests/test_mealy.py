@@ -168,6 +168,9 @@ def test_constructor_names_a_fault_at_the_end_of_a_large_table():
         (big, {"states": states + ["q0"]}, AutomatonError, "duplicate state label"),
         ({**big, ("z.", 0): ("z.", 0), ("z.", 1): ("z.", 1)}, {},
          AutomatonError, "bad state label 'z.'"),
+        # the labels are checked joined by "\n", which this one holds
+        ({**big, ("z\nq", 0): ("z\nq", 0), ("z\nq", 1): ("z\nq", 1)}, {},
+         AutomatonError, "bad state label 'z\\nq'"),
         (big, {"name": "my machine"}, AutomatonError, "bad automaton name 'my machine'"),
         # two faults: the bits are checked before any label, as in a small table
         ({("a.b", 0): ("a.b", 0), ("a.b", 1): ("a.b", 1), **big, ("z", 2): ("z", 1)}, {},
@@ -232,6 +235,20 @@ def test_equality_includes_name(a32):
     same = parse_automaton(A32_TEXT)
     assert same == a32
     assert hash(same) == hash(a32)
+
+
+def test_equal_machines_hash_equal_whatever_the_table_order():
+    # the hash lists each state's two transitions in `states` order
+    table = {(f"q{i}", b): (f"q{(3 * i + b) % 50}", (i + b) % 2)
+             for i in range(50) for b in (0, 1)}
+    machine = MealyAutomaton(table, name="m")
+    shuffled = list(table.items())
+    random.Random(5).shuffle(shuffled)
+    for other in (MealyAutomaton(dict(shuffled), name="m"),
+                  MealyAutomaton(dict(reversed(shuffled)), name="m",
+                                 states=reversed(machine.states)),
+                  parse_automaton(machine.serialize())):
+        assert other == machine and hash(other) == hash(machine)
 
 
 # -- simulation --------------------------------------------------------------
