@@ -247,29 +247,23 @@ def check_scc_instance(A: HalfIntegralMatrix, *,
     e1 = unit_vector(A.dim)
     neg = tuple(-c for c in e1)
     config = CompleteConfig(A, e1)
-    graph = {}
-    parent = {e1: None}  # first discovery from e1, with its path letter, until -e1
+    graph, witness = {}, None
     for start in (e1, neg):
         if start not in graph:  # else its orbit is already in the graph
-            for v, (step0, step1) in _walk(config, [start], bound):
-                # input 0 outputs 1 exactly at an odd vector; at an even one
-                # both inputs step to one tuple, kept once
-                graph[v] = (step0[0], step1[0]) if step0[1] else (step0[0],)
-                if start == e1 and neg not in parent:
-                    for (w, _), letter in zip((step0, step1), "n1" if step0[1] else "00"):
-                        parent.setdefault(w, (v, letter))
+            order, succ = _walk(config, [start], bound)
+            # both inputs step an even vector to one tuple, kept once
+            graph.update(zip(order, [(order[a], order[b]) if v[0] & 1 else (order[a],)
+                                     for v, a, b in zip(order, succ[::2], succ[1::2])]))
+            if start == e1 and neg in graph:
+                # read back from -e1 to e1 (index 0), so the first step's letter, c_0, comes last
+                letters, j = [], order.index(neg)
+                while j:  # succ's first p naming j is the step that discovered it
+                    j = (p := succ.index(j)) >> 1
+                    letters.append("n1"[p & 1] if order[j][0] & 1 else "0")
+                witness = path_polynomial("".join(letters))
     dec = scc_decompose(graph)
     zero = (0,) * A.dim
-    nontrivial = tuple(
-        i for i, comp in enumerate(dec.components) if zero not in comp
-    )
-    # read back from -e1, so the first step's letter, c_0, comes last
-    letters, link = [], parent.get(neg)
-    while link is not None:
-        v, letter = link
-        letters.append(letter)
-        link = parent[v]
-    witness = path_polynomial("".join(letters)) if neg in parent else None
+    nontrivial = tuple(i for i, comp in enumerate(dec.components) if zero not in comp)
     return SccInstanceReport(
         chi=A.chi,
         chi_star=A.chi_star,

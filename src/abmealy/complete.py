@@ -201,10 +201,12 @@ def _require_contracting(A: HalfIntegralMatrix) -> None:
         raise MatrixError(f"characteristic polynomial {A.chi} is not contracting")
 
 
-def _successors(config: CompleteConfig):
-    """succ(v) -> (A (v - e), A (v + e)) at an odd v and (A v, None) at an even v,
-    straight-line code compiled once per walk from the ints of 2A and e: with
-    h = v0 // 2, row r of 2A gives w_i = r_0 h + sum r_j / 2 v_j (r_j is even
+def _walk_kernel(config: CompleteConfig):
+    """walk(order, bound) -> succ, the breadth-first loop of c(A, e) in straight-line
+    code compiled from the ints of 2A and e: order, distinct starts, gains each
+    vector as it is discovered, and succ[2 i + b] indexes the step of order[i] on
+    input b; past bound the loop returns early, short of 2 len(order) indices.
+    With h = v0 // 2, row r of 2A gives w_i = r_0 h + sum r_j / 2 v_j (r_j is even
     for j > 0), which is (A v)_i at an even v and, less the same sum at e with
     e0 // 2 for h, A (v - e)_i at an odd v; A (v + e) adds 2A e.  Zero terms
     are dropped, and coefficients +-1 get no multiply."""
@@ -214,78 +216,63 @@ def _successors(config: CompleteConfig):
         return " + ".join(parts).replace("+ -", "- ") or "0"
     def tup(items):  # the trailing comma makes a one-tuple in dimension 1
         return f"({', '.join(items)},)"
+    def visit(u, i):  # one setdefault per successor: it hands back n itself iff u is new
+        return [f"u = {u}", f"{i} = put(u, n)", f"if {i} is n:",
+                "    add(u); n += 1", "    if n > bound: return succ"]
 
     rows, e, k = config.A.rows2, config.e, config.e[0] >> 1
     low = [r[0] * k + sum(map(mul, r[1:], e[1:])) // 2 for r in rows]  # r_j e_j is even for j > 0
     w = [f"w{i}" for i in range(len(e))]
+    odd = (visit(tup(linear([(1, x), (-c, "")]) for x, c in zip(w, low)), "a")
+           + visit(tup(linear([(1, x), (sum(map(mul, r, e)) - c, "")])
+                       for x, r, c in zip(w, rows, low)), "b") + ["succ += a, b"])
     source = "\n    ".join([
-        "def succ(v):", tup(f"v{j}" for j in range(len(e))) + " = v", "h = v0 >> 1",
-        *(f"w{i} = " + linear([(r[0], "h")] + [(c >> 1, f"v{j}") for j, c in enumerate(r) if j])
+        "def walk(order, bound):", "index = {v: i for i, v in enumerate(order)}",
+        "put, add, n, succ = index.setdefault, order.append, len(order), []",
+        f"for {tup(f'v{j}' for j in range(len(e)))} in order:", "    h = v0 >> 1",
+        *(f"    w{i} = " + linear([(r[0], "h")] + [(c >> 1, f"v{j}") for j, c in enumerate(r) if j])
           for i, r in enumerate(rows)),
-        "if v0 & 1: return " + tup(linear([(1, x), (-c, "")]) for x, c in zip(w, low)) + ", "
-        + tup(linear([(1, x), (sum(map(mul, r, e)) - c, "")]) for x, r, c in zip(w, rows, low)),
-        f"return {tup(w)}, None"])
+        "    if v0 & 1:", *("        " + line for line in odd),
+        "    else:", *("        " + line for line in visit(tup(w), "a") + ["succ += a, a"]),
+        "return succ"])
     exec(source, scope := {})  # the source holds only ints, from the checked 2A and e
-    return scope["succ"]
+    return scope["walk"]
 
 
 def _walk(config: CompleteConfig, starts, bound: int):
-    """Breadth-first walk of c(A, e) from checked start vectors.
-
-    Yields each reached vector once, in discovery order, with its two steps
-    ((w0, out0), (w1, out1)); every w is the one tuple kept for its vector.
-    Raises MatrixError unless chi is contracting, so that orbits are finite.
-    """
+    """(order, succ) of one `_walk_kernel` run from checked start vectors: every
+    reached vector once, as one tuple, in discovery order (distinct starts first),
+    and order[i] steps on input b to order[succ[2 i + b]] with output b ^ v0 % 2.
+    MatrixError unless chi is contracting, so that orbits are finite, and
+    BoundExceededError on discovering the (bound + 1)-th vector."""
     _require_contracting(config.A)
-    succ = _successors(config)
-    first = {s: s for s in starts}
-    queue = deque(first)
-    while queue:
-        v = queue.popleft()
-        w, plus = succ(v)
-        kept = []
-        for w in (w,) if plus is None else (w, plus):
-            u = first.setdefault(w, w)  # one lookup per successor: w itself iff w is new
-            if u is w:
-                if len(first) > bound:
-                    raise BoundExceededError(
-                        f"orbit reached {len(first)} vectors, over the bound "
-                        f"{bound}; raise the bound or check that the matrix is "
-                        "contracting"
-                    )
-                queue.append(w)
-            kept.append(u)
-        yield v, ((u, 0), (u, 1)) if plus is None else ((kept[0], 1), (u, 0))
+    order = list(dict.fromkeys(starts))
+    succ = _walk_kernel(config)(order, bound)
+    if len(succ) < 2 * len(order):  # the walk stopped past the bound
+        raise BoundExceededError(
+            f"orbit reached {len(order)} vectors, over the bound {bound}; raise the "
+            "bound or check that the matrix is contracting")
+    return order, succ
 
 
 def orbit(config: CompleteConfig, start, bound: int = DEFAULT_BOUND) -> list[tuple[int, ...]]:
     """All vectors reachable from start, in breadth-first discovery order."""
-    start = _coerce_vector(start, config.dim)
-    return [v for v, _ in _walk(config, [start], bound)]
+    return _walk(config, [_coerce_vector(start, config.dim)], bound)[0]
 
 
 def orbit_automaton(config: CompleteConfig, starts, name: str | None = None,
                     bound: int = DEFAULT_BOUND) -> MealyAutomaton:
-    """Finite sub-machine of c(A, e) on everything reachable from starts.
-
-    States are labelled through `vector_label`.
-    """
+    """Finite sub-machine of c(A, e) on everything reachable from starts: each
+    vector of `_walk`'s order labelled once (`vector_label`), and the table,
+    in that order, filled from its successor indices."""
     starts = [_coerce_vector(s, config.dim) for s in starts]
     if not starts:
         raise MatrixError("need at least one start vector")
-    fmt = "_".join(["%d"] * config.dim)  # vector_label of a tuple of ints
-    label = {s: fmt % s for s in starts}
-    transitions = {}
-    for v, steps in _walk(config, starts, bound):
-        src = label[v]
-        for bit, (w, out) in enumerate(steps):
-            dst = label.get(w)
-            if dst is None:  # first seen: label it
-                dst = label[w] = fmt % w
-            transitions[src, bit] = (dst, out)
-    if name is None:
-        name = f"orbit_{vector_label(starts[0])}"
-    return MealyAutomaton(transitions, name=name)
+    order, succ = _walk(config, starts, bound)
+    labels = list(map("_".join(["%d"] * config.dim).__mod__, order))  # vector_label of int tuples
+    table = dict(zip([(s, b) for s in labels for b in (0, 1)], zip(
+        map(labels.__getitem__, succ), [b ^ v[0] & 1 for v in order for b in (0, 1)])))
+    return MealyAutomaton(table, name=f"orbit_{labels[0]}" if name is None else name)
 
 
 # -- polynomial coordinates -------------------------------------------------------

@@ -36,7 +36,11 @@ from .errors import (
 )
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_+-]+\Z")
-_LABELS_RE = re.compile(r"[A-Za-z0-9_+-]+(?:\n[A-Za-z0-9_+-]+)*\Z")  # labels joined by "\n"
+# sorted distinct labels joined by "\n": only the first can be empty
+_LABELS_RE = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9_+\n-]*\Z")
+# an AUT text in `serialize`'s form: header, states, then trans lines only
+_SERIAL_RE = re.compile(r"aut ([A-Za-z0-9_+-]+)\nstates((?: [A-Za-z0-9_+-]+)+)\n"
+                        r"((?:trans [A-Za-z0-9_+-]+ [01] [01] [A-Za-z0-9_+-]+\n)*)")
 _first, _second = itemgetter(0), itemgetter(1)
 
 Transition = tuple[str, int]  # (target state, output bit)
@@ -65,28 +69,32 @@ class MealyAutomaton:
 
     def __init__(self, transitions, name: str = "machine", states=None):
         delta = dict(transitions)
+        keys, values = delta.keys(), delta.values()
         # whole-table passes: keys and values are 2-tuples, bits are the ints 0 and 1
-        pairs = (*delta, *delta.values())
-        whole = {*map(type, pairs)} == {tuple} and {*map(len, pairs)} == {2}
+        whole = ({*map(type, keys), *map(type, values)} == {tuple}
+                 and {*map(len, keys), *map(len, values)} == {2})
         if whole:
-            bits = [*map(_second, pairs)]
+            bits = [*map(_second, keys), *map(_second, values)]
             whole = {*map(type, bits)} == {int} and {*bits} <= {0, 1}
         if not whole:  # entry by entry: names the first fault, or normalises the table
             table, delta = delta, {}
             for (src, a), (dst, out) in table.items():
                 delta[src, _check_bit(a)] = (dst, _check_bit(out))
-        if states is None:
-            states = set(map(_first, delta))
-        states = sorted(states)
+        if states is None:  # the sources, in table order: distinct, and each one declared
+            stateset = dict(delta.keys())  # source -> a bit, from the 2-tuple keys
+            states, declared = sorted(stateset), True
+        else:
+            states = sorted(states)  # states may be an iterator
+            stateset = set(states)
+            if len(stateset) != len(states):
+                raise AutomatonError("duplicate state label")
+            declared = stateset.issuperset(map(_first, delta))
         if not states:
             raise AutomatonError("automaton needs at least one state")
-        stateset = set(states)
-        if len(stateset) != len(states):
-            raise AutomatonError("duplicate state label")
         # keys lie in stateset x {0, 1} once every source is declared, and 2n
         # keys fill it; the loops below only name the first fault
-        if not (len(delta) == 2 * len(states) and stateset.issuperset(map(_first, delta))
-                and stateset.issuperset(map(_first, delta.values()))
+        if not (declared and len(delta) == 2 * len(states)
+                and all(map(stateset.__contains__, map(_first, delta.values())))
                 and _LABELS_RE.match(joined := "\n".join(states))
                 and joined.count("\n") == len(states) - 1):  # no label holds a "\n"
             for s in states:
@@ -173,6 +181,17 @@ class MealyAutomaton:
 
     @classmethod
     def parse(cls, text: str) -> "MealyAutomaton":
+        """`serialize`'s form in whole-text passes, else the line loop: it names the first fault."""
+        m = _SERIAL_RE.fullmatch(text if text.endswith("\n") else text + "\n")
+        if m:
+            toks, bit = m[3].split(), {"0": 0, "1": 1}.__getitem__
+            delta = dict(zip(zip(toks[1::5], map(bit, toks[2::5])),
+                             zip(toks[4::5], map(bit, toks[3::5]))))
+            if len(delta) == len(toks) // 5:  # no duplicate transition
+                try:
+                    return cls(delta, name=m[1], states=m[2].split())
+                except AutomatonError:
+                    pass  # a state without a transition, an unknown one or a duplicate
         name = None
         states: list[str] | None = None
         delta: dict[tuple[str, int], tuple[str, int]] = {}

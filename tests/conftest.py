@@ -247,6 +247,36 @@ def unit_config(g):
     return CompleteConfig(companion_from_chi(chi), unit_vector(len(g)))
 
 
+def reference_walk(config, starts, bound=DEFAULT_BOUND):
+    """`complete._walk` by a plain breadth-first walk on `_step`, input 0 then 1
+    at every vector: (order, succ), or the walk's BoundExceededError on
+    discovering the (bound + 1)-th vector."""
+    _require_contracting(config.A)
+    order = list(dict.fromkeys(starts))
+    index, succ = {v: i for i, v in enumerate(order)}, []
+    for v in order:  # grows while it is read
+        for bit in (0, 1):
+            w = _step(config, v, bit)[0]
+            if w not in index:
+                index[w] = len(order)
+                order.append(w)
+                if len(order) > bound:
+                    raise BoundExceededError(
+                        f"orbit reached {len(order)} vectors, over the bound {bound}; "
+                        "raise the bound or check that the matrix is contracting")
+            succ.append(index[w])
+    return order, succ
+
+
+def reference_table(config, starts):
+    """`orbit_automaton`'s table as a list, in its order: `reference_walk`'s
+    vectors through `vector_label`, with `_step`'s outputs."""
+    order, succ = reference_walk(config, starts)
+    label = ["_".join(map(str, v)) for v in order]
+    return [((label[i], bit), (label[succ[2 * i + bit]], _step(config, v, bit)[1]))
+            for i, v in enumerate(order) for bit in (0, 1)]
+
+
 # chi of the 14 corpus orbit machines of 7 to 61 states
 CORPUS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -2), (-1, 0, 2),
              (1, 0, 1, -1), (1, 0, 1, 1), (1, 0, -1, -1), (1, 0, -1, 1),

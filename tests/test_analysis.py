@@ -531,8 +531,9 @@ def test_check_scc_instance_matches_the_two_successor_graph(g, mat_a):
     config, graph = CompleteConfig(A, e1), {}
     for start in (e1, tuple(-c for c in e1)):
         if start not in graph:
-            for v, (step0, step1) in complete._walk(config, [start], group.DEFAULT_BOUND):
-                graph[v] = (step0[0], step1[0])
+            order, succ = complete._walk(config, [start], group.DEFAULT_BOUND)
+            for i, v in enumerate(order):
+                graph[v] = (order[succ[2 * i]], order[succ[2 * i + 1]])
     assert check_scc_instance(A).decomposition == scc_decompose(graph)
 
 

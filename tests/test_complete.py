@@ -12,7 +12,7 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
-from abmealy import complete, group
+from abmealy import analysis, complete, group
 from abmealy.analysis import check_scc_instance
 from abmealy.cli import main
 from abmealy.complete import (
@@ -21,7 +21,7 @@ from abmealy.complete import (
     _shortest_cycle,
     _sigma,
     _step,
-    _successors,
+    _walk_kernel,
     CompleteConfig,
     GTildeElement,
     LocationMap,
@@ -86,6 +86,8 @@ from conftest import (
     reference_locate,
     reference_parse_int_poly,
     reference_parse_vector,
+    reference_table,
+    reference_walk,
     self_reachable,
     transduction_agrees,
     union_machine,
@@ -385,31 +387,48 @@ def test_orbit_and_scc_on_non_companion_conjugates(g):
     assert got.single_nontrivial == want.single_nontrivial
 
 
-# -- the generated successor kernel of the orbit walk ----------------------------------
-
-
-def step_successors(config):
-    """The kernel's contract by two `_step` calls: the walk's successors before the kernel."""
-    def succ(v):
-        w, out = _step(config, v, 0)
-        return (w, _step(config, v, 1)[0]) if out else (w, None)
-    return succ
+# -- the generated walk kernel of c(A, e) ----------------------------------------------
 
 
 def assert_kernel_matches_the_step(config, vectors):
-    """succ(v) is (A (v - e), A (v + e)) at an odd v and (A v, None) at an even v,
-    as `_step` on bit 0 plus the shift 2A e gives them, in ints."""
-    succ = _successors(config)
-    shift = tuple(sum(a * x for a, x in zip(row, config.e)) for row in config.A.rows2)
-    for v in vectors:
-        w, out = _step(config, v, 0)
-        assert out == v[0] % 2
-        want = (w, tuple(a + b for a, b in zip(w, shift))) if out else (w, None)
-        got = succ(v)
-        assert got == want, (config, v)
-        assert all(type(x) is int for u in got if u is not None for x in u)
-        if out:
-            assert want[1] == _step(config, v, 1)[0]
+    """The kernel, run from the vectors as starts until every start is stepped
+    (each stepped vector discovers at most two), indexes `_step`'s successor
+    of every vector it steps on inputs 0 and 1, as a tuple of ints; the
+    matrix need not be contracting."""
+    order = list(dict.fromkeys(vectors))
+    k = len(order)
+    succ = _walk_kernel(config)(order, 3 * k)
+    assert 2 * k <= len(succ) <= 2 * len(order) and len(succ) % 2 == 0
+    for i, v in enumerate(order[:len(succ) // 2]):
+        for bit in (0, 1):
+            assert order[succ[2 * i + bit]] == _step(config, v, bit)[0], (config, v, bit)
+    assert all(type(x) is int for u in order for x in u)
+
+
+def walk_or_error(walk, config, starts, bound):
+    """walk(config, starts, bound), or the text of its BoundExceededError."""
+    try:
+        return walk(config, starts, bound)
+    except BoundExceededError as exc:
+        return str(exc)
+
+
+def assert_walk_matches_the_reference(config, starts):
+    """`_walk` against `reference_walk`: order, successor indices and the
+    BoundExceededError text at bounds n - 1, n and n/3; `orbit_automaton`'s
+    table, in order, against `reference_table`."""
+    want = reference_walk(config, starts)
+    n = len(want[0])
+    assert complete._walk(config, starts, group.DEFAULT_BOUND) == want
+    for bound in (n - 1, n, n // 3):
+        got = walk_or_error(complete._walk, config, starts, bound)
+        assert got == walk_or_error(reference_walk, config, starts, bound)
+        if bound < n:  # the count is one past the bound, or past the starts
+            assert got.startswith(f"orbit reached {max(bound, len(set(starts))) + 1} vectors, "
+                                  f"over the bound {bound};")
+    table = orbit_automaton(config, starts).transitions
+    assert list(table.items()) == reference_table(config, starts)
+    assert all(type(b) is int for key, value in table.items() for b in (key[1], value[1]))
 
 
 def random_odd_e(rng, m, size):
@@ -419,20 +438,21 @@ def random_odd_e(rng, m, size):
     return (rng.randint(-size, size) | 1,) + tuple(entry() for _ in range(m - 1))
 
 
-def sheared_half_integral(rng, m, size):
-    """A non-companion half-integral matrix of dimension m >= 2, 2A with an entry
-    beyond size: `random_half_integral` conjugated by shears P = I + t E_ij, which
-    keep the shape (t is even when i = 0, so that column j stays integral)."""
-    rows = [list(row) for row in random_half_integral(rng, m).rows]
-    while max(abs(2 * x) for row in rows for x in row) <= size:
+def sheared(A, rng, size):
+    """P A P^-1 for shears P = I + t E_ij until 2A has an entry beyond size: same
+    chi, and the half-integral shape is kept (t is even when i = 0, so that
+    column j stays integral).  Never a companion matrix."""
+    m, rows = A.dim, [list(row) for row in A.rows]
+    while max(abs(2 * x) for row in rows for x in row) <= size or (
+            HalfIntegralMatrix(rows).companion is not None):
         i, j = rng.sample(range(m), 2)
         t = rng.choice((-1, 1)) * rng.randint(1, 64) * (2 if i == 0 else 1)
         rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]  # P A
         for row in rows:  # (P A) P^-1
             row[j] -= t * row[i]
-    A = HalfIntegralMatrix(rows)
-    assert A.companion is None and A.dim == m
-    return A
+    B = HalfIntegralMatrix(rows)
+    assert B.chi == A.chi and B.dim == m
+    return B
 
 
 @pytest.mark.parametrize("g", CORPUS_GS_ALL)
@@ -450,45 +470,69 @@ def test_successor_kernel_matches_the_step_on_random_matrices():
     for m in range(2, 7):
         for _ in range(6):
             A = random_half_integral(rng, m)  # entries +-1 and 0 as well as large ones
-            for A in (A, sheared_half_integral(rng, m, 2 ** 64)):
+            for A in (A, sheared(A, rng, 2 ** 64)):
                 cfg = CompleteConfig(A, random_odd_e(rng, m, 2 ** 70))
                 big = [tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(m)) for _ in range(40)]
                 vectors = [*product(range(-1, 2), repeat=m), *big]
                 vectors += [_step(cfg, v, 0)[0] for v in vectors]
                 assert_kernel_matches_the_step(cfg, vectors)
+    # whole walks from e, on contracting non-companion matrices: corpus
+    # companions conjugated by unimodular changes of basis, with e1 and a
+    # random e, and sheared past 2^64
+    for g in CORPUS_GS:
+        A, e1 = unit_config(g).A, unit_vector(len(g))
+        cases = [(sheared(A, rng, 2 ** 64), e1)]
+        if len(g) > 2:
+            B = conjugate(A, rng)[0]
+            cases += [(B, e1), (B, random_odd_e(rng, B.dim, 3))]
+        for B, e in cases:
+            assert B.companion is None and B.contracting
+            assert_walk_matches_the_reference(CompleteConfig(B, e), [e])
 
 
 def test_successor_kernel_in_dimension_one():
-    # the kernel unpacks and returns one-tuples, (v0,) = v and (w0,)
+    # the kernel unpacks and builds one-tuples, (v0,) in order and (w0,)
     for half in (HALF, -HALF):
         A = HalfIntegralMatrix([[half]])
         for e in ((1,), (-1,), (3,), (-7,), (2 ** 70 + 1,)):
             cfg = CompleteConfig(A, e)
             vectors = [(x,) for x in range(-40, 41)] + [(2 ** 70,), (-2 ** 70 - 1,)]
             assert_kernel_matches_the_step(cfg, vectors)
+            assert_walk_matches_the_reference(cfg, [e])
             assert orbit_automaton(cfg, [e]).serialize() == oracle_orbit_text(cfg, [e])
 
 
 @pytest.mark.parametrize("g", CORPUS_GS_ALL)
-def test_walk_is_unchanged_by_the_kernel_on_the_corpus(g, monkeypatch):
-    # yields and BoundExceededError text, also at the bounds n - 1, n and n/3
+def test_walk_is_unchanged_by_the_kernel_on_the_corpus(g):
+    # order, indices, tables and BoundExceededError text, also at the bounds n - 1, n and n/3
     cfg = unit_config(g)
     e1 = unit_vector(cfg.dim)
-    n = len(orbit(cfg, e1))
+    assert_walk_matches_the_reference(cfg, [e1])
+    n, neg = len(orbit(cfg, e1)), [tuple(-c for c in e1)]
+    assert walk_or_error(complete._walk, cfg, neg, n) == walk_or_error(reference_walk, cfg, neg, n)
 
-    def walk(start, bound):
-        try:
-            return list(complete._walk(cfg, [start], bound))
-        except BoundExceededError as exc:
-            return str(exc)
 
-    cases = [(e1, n - 1), (e1, n), (e1, n // 3), (tuple(-c for c in e1), n)]
-    got = [walk(*case) for case in cases]
-    assert got[0].startswith(f"orbit reached {n} vectors, over the bound {n - 1};")
-    assert len(got[1]) == n
-    assert got[2].startswith(f"orbit reached {n // 3 + 1} vectors, over the bound {n // 3};")
-    monkeypatch.setattr(complete, "_successors", step_successors)
-    assert [walk(*case) for case in cases] == got
+def test_orbit_automaton_starts(mat_a):
+    """Several starts, repeated ones, ones inside another's orbit and even
+    ones, against the reference walk; the machine is named after the first."""
+    o823 = unit_config((1, 1, 1, 2, 1))
+    e1, neg, zero = unit_vector(5), (-1, 0, 0, 0, 0), (0,) * 5
+    inside = orbit(o823, e1)[100]
+    assert zero in orbit(o823, e1) and orbit(o823, zero) == [zero]
+    cases = [(CompleteConfig(mat_a, (3, 2)), [(1, 0), (5, -3), (0, 0)]),
+             (CompleteConfig(mat_a, (3, 2)), [(4, 2)]),
+             (CompleteConfig(mat_a, (1, 1)), [(2, -2), (1, 1), (2, -2), (1, 1)]),
+             (o823, [e1, neg]), (o823, [e1, e1, e1]), (o823, [inside, e1]), (o823, [e1, inside]),
+             (o823, [zero, e1]), (o823, [e1, zero]), (o823, [(2, 0, 0, 0, 0), e1]),
+             (o823, [neg, inside, neg])]
+    for cfg, starts in cases:
+        assert_walk_matches_the_reference(cfg, starts)
+        order = complete._walk(cfg, starts, group.DEFAULT_BOUND)[0]
+        assert order[:len(set(starts))] == list(dict.fromkeys(starts))
+        machine = orbit_automaton(cfg, starts)
+        assert machine.name == "orbit_" + vector_label(starts[0])
+        assert set(machine.states) == {vector_label(v) for v in order}
+    assert orbit(CompleteConfig(mat_a, (3, 2)), (4, 2))[0] == (4, 2)
 
 
 @pytest.mark.parametrize("g", CORPUS_TO_1179)
@@ -509,7 +553,8 @@ def test_orbit_scc_and_principal_output_is_unchanged_by_the_kernel(g, tmp_path, 
 
     got = outputs()
     assert sum(code == 1 for code, _, _ in got) >= 8  # n - 1 and n/3 fail orbit and principal
-    monkeypatch.setattr(complete, "_successors", step_successors)
+    monkeypatch.setattr(complete, "_walk", reference_walk)
+    monkeypatch.setattr(analysis, "_walk", reference_walk)
     assert outputs() == got
 
 

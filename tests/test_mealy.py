@@ -19,6 +19,7 @@ from abmealy import (
     parse_automaton,
 )
 
+from abmealy import mealy
 from conftest import A32_TEXT
 
 
@@ -112,6 +113,46 @@ def test_parse_round_trips_a_large_machine():
     assert parse_automaton(text).serialize() == text
 
 
+def parse_outcome(text):
+    try:
+        return parse_automaton(text)
+    except FormatError as exc:
+        return str(exc)
+
+
+def test_whole_text_parse_agrees_with_the_line_loop():
+    # a comment on the header line keeps every line number and sends the
+    # text to the line loop; serialize's form takes the whole-text passes
+    rng = random.Random(23)
+    labels = [f"q{i}" for i in range(3000)]
+    big = MealyAutomaton({(s, b): (rng.choice(labels), b ^ (i % 2)) for i, s in enumerate(labels)
+                          for b in (0, 1)}, name="big").serialize()
+    lines = big.split("\n")  # the last trans line is lines[-2], line len(lines) - 1
+
+    def last_line(i, token):  # big with token i of its last trans line replaced
+        parts = lines[-2].split()
+        parts[i] = token
+        return "\n".join(lines[:-2] + [" ".join(parts), ""])
+
+    texts = [A32_TEXT, big, big.rstrip("\n"), "aut m\nstates a\n",
+             last_line(4, "z"), last_line(1, "q3000"), last_line(2, "0"),
+             big.replace("trans q1500 0 ", "trans q1500 1 "),  # duplicate mid-table
+             "\n".join(lines[:-2] + [""]),  # the last state has no transition on input 1
+             big.replace("states q0 ", "states q0 q0 "),
+             big.replace("states q0 ", "states q0 extra "),
+             A32_TEXT.replace("trans f1 1 1 f", "trans f1 1 1 f\ntrans f1 1 1 f")]
+    for text in texts:
+        assert mealy._SERIAL_RE.fullmatch(text if text.endswith("\n") else text + "\n"), text
+        loop = text.replace("\n", " # line loop\n", 1)
+        assert mealy._SERIAL_RE.fullmatch(loop) is None
+        assert parse_outcome(text) == parse_outcome(loop)
+    assert parse_outcome(big) == parse_outcome(big.rstrip("\n")) == MealyAutomaton.parse(
+        big.replace("\n", "\n\n"))
+    assert parse_outcome(texts[4]) == f"line {len(lines) - 1}: unknown target state 'z'"
+    last = lines[-2].split()[1]  # the greatest label, q999
+    assert parse_outcome(texts[8]) == f"state {last!r} has no transition on input 1"
+
+
 LOOP = {("a", 0): ("a", 0), ("a", 1): ("a", 1)}
 
 
@@ -171,6 +212,9 @@ def test_constructor_names_a_fault_at_the_end_of_a_large_table():
         # the labels are checked joined by "\n", which this one holds
         ({**big, ("z\nq", 0): ("z\nq", 0), ("z\nq", 1): ("z\nq", 1)}, {},
          AutomatonError, "bad state label 'z\\nq'"),
+        # and the empty label sorts first, so the joined text starts "\n"
+        ({**big, ("", 0): ("", 0), ("", 1): ("", 1)}, {}, AutomatonError, "bad state label ''"),
+        (big, {"states": [*states, ""]}, AutomatonError, "bad state label ''"),
         (big, {"name": "my machine"}, AutomatonError, "bad automaton name 'my machine'"),
         # two faults: the bits are checked before any label, as in a small table
         ({("a.b", 0): ("a.b", 0), ("a.b", 1): ("a.b", 1), **big, ("z", 2): ("z", 1)}, {},
