@@ -333,7 +333,7 @@ def _add_bound(p):
 
 def _transduce_args(p):
     p.add_argument("aut", help="AUT file")
-    p.add_argument("state")
+    p.add_argument("state", help="state label; one that begins with - goes after --")
     p.add_argument("word", help="binary word, or - for the empty word")
     _add_json(p)
 

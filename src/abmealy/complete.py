@@ -263,16 +263,23 @@ def orbit(config: CompleteConfig, start, bound: int = DEFAULT_BOUND) -> list[tup
 def orbit_automaton(config: CompleteConfig, starts, name: str | None = None,
                     bound: int = DEFAULT_BOUND) -> MealyAutomaton:
     """Finite sub-machine of c(A, e) on everything reachable from starts: each
-    vector of `_walk`'s order labelled once (`vector_label`), and the table,
-    in that order, filled from its successor indices."""
+    vector of `_walk`'s order labelled once (`vector_label`), the labels sorted
+    once, and the walk's successor indices remapped through their ranks into
+    the machine's index table, which the whole-array checks never refuse."""
     starts = [_coerce_vector(s, config.dim) for s in starts]
     if not starts:
         raise MatrixError("need at least one start vector")
     order, succ = _walk(config, starts, bound)
     labels = list(map("_".join(["%d"] * config.dim).__mod__, order))  # vector_label of int tuples
-    table = dict(zip([(s, b) for s in labels for b in (0, 1)], zip(
-        map(labels.__getitem__, succ), [b ^ v[0] & 1 for v in order for b in (0, 1)])))
-    return MealyAutomaton(table, name=f"orbit_{labels[0]}" if name is None else name)
+    walk = sorted(range(len(order)), key=labels.__getitem__)  # the walk index of each rank
+    states = list(map(labels.__getitem__, walk))
+    index = {s: r for r, s in enumerate(states)}
+    rank, table, out = list(map(index.__getitem__, labels)), [0] * len(succ), [0] * len(succ)
+    for b in (0, 1):  # entry 2 r + b is the walk's entry 2 walk[r] + b, its target ranked
+        table[b::2] = map(rank.__getitem__, map(succ[b::2].__getitem__, walk))
+        out[b::2] = [b ^ order[k][0] & 1 for k in walk]
+    return MealyAutomaton._indexed(f"orbit_{labels[0]}" if name is None else name,
+                                   states, index, table, out)
 
 
 # -- polynomial coordinates -------------------------------------------------------
@@ -492,24 +499,18 @@ def _shortest_cycle(aut: MealyAutomaton, anchor: str) -> str | None:
     least shortest word, so the first transition back into anchor closes the
     least cycle.
     """
-    words = {anchor: ""}
-    queue = deque([anchor])
+    succ, a = aut._succ, aut._index[anchor]
+    words, queue = {a: ""}, deque([a])
     while queue:
-        s = queue.popleft()
+        i = queue.popleft()
         for b in (0, 1):
-            t = aut.residual(s, b)
-            if t == anchor:
-                return words[s] + str(b)
+            t = succ[2 * i + b]
+            if t == a:
+                return words[i] + "01"[b]
             if t not in words:
-                words[t] = words[s] + str(b)
+                words[t] = words[i] + "01"[b]
                 queue.append(t)
     return None
-
-
-def _sigma(parity: Parity, bit: int) -> int:
-    if parity is not Parity.ODD:
-        return 0
-    return -1 if bit == 0 else 1
 
 
 def _cycle_quotient(A: HalfIntegralMatrix, sigmas) -> Polynomial | None:
@@ -568,7 +569,7 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix, frame) -> LocationMap:
     parity and is injective; so where the first is integral, both fit or
     neither does.  Every map that the division alone places is kept as it is.
     """
-    parity, anchor, sigmas = frame
+    signs, anchor, sigmas = frame
     e1, inv = unit_vector(A.dim), A.inv_rows
     # never None: chi* is irreducible and does not divide s (module docstring)
     p = _cycle_quotient(A, sigmas)
@@ -581,7 +582,7 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix, frame) -> LocationMap:
 
     config = CompleteConfig(A, e)
     assignment = _spread(
-        aut, parity, anchor, start, lambda v, bit, sig: _step(config, v, bit)[0],
+        aut, signs, anchor, start, lambda v, bit, sig: _step(config, v, bit)[0],
         lambda v, sig: tuple(map(sub, _apply_int(inv, v), (sig * c for c in e))))
     located = LocationMap(p=p, e=e, assignment=assignment)
     located.validate(aut, A)
@@ -589,48 +590,50 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix, frame) -> LocationMap:
 
 
 def _anchor_cycle(aut: MealyAutomaton):
-    """(parity of each state, anchor, signs s of its shortest cycle): the
-    anchor is the least odd state on a cycle; LocateError when none is."""
-    parity = {s: aut.state_parity(s) for s in aut.states}
-    cycles = ((s, _shortest_cycle(aut, s)) for s in aut.states if parity[s] is Parity.ODD)
+    """(the sign of each transition, anchor, signs s of its shortest cycle):
+    state i on bit b has signs[2 i + b] = -1, +1 on b = 0, 1 when odd and 0
+    when even; the anchor is the least odd state on a cycle; LocateError when
+    none is."""
+    odd = [aut.state_parity(s) is Parity.ODD for s in aut.states]
+    cycles = ((s, _shortest_cycle(aut, s)) for s, o in zip(aut.states, odd) if o)
     anchor, word = next(((s, w) for s, w in cycles if w is not None), (None, None))
     if anchor is None:
         raise LocateError("no odd state lies on a cycle")
-    sigmas, state = [], anchor
-    for ch in word:
-        sigmas.append(_sigma(parity[state], int(ch)))
-        state = aut.residual(state, int(ch))
-    return parity, anchor, sigmas
+    signs = [(2 * b - 1) * o for o in odd for b in (0, 1)]
+    sigmas, i = [], aut._index[anchor]
+    for b in map(int, word):
+        sigmas.append(signs[2 * i + b])
+        i = aut._succ[2 * i + b]
+    return signs, anchor, sigmas
 
 
-def _spread(aut: MealyAutomaton, parity, anchor: str, start, forward, backward) -> dict:
+def _spread(aut: MealyAutomaton, signs, anchor: str, start, forward, backward) -> dict:
     """A value for every state, breadth first from the anchor's, first come
     first assigned: a state s gives its targets forward(value, bit, sigma)
     and then its sources backward(value, sigma), sigma the source's sign on
-    bit.  LocateError names the states left unreached."""
-    delta = aut._delta  # read in place, as `group` reads it
-    back = {s: [] for s in aut.states}
-    for s in aut.states:
-        for b in (0, 1):
-            back[delta[s, b][0]].append((s, b))
-    assignment = {anchor: start}
-    queue = deque([anchor])
+    bit (`_anchor_cycle`).  LocateError names the states left unreached."""
+    states, succ = aut.states, aut._succ  # read in place, as `group` reads them
+    back = [[] for _ in states]  # the entries 2 u + bit into each state
+    for j, t in enumerate(succ):
+        back[t].append(j)
+    a = aut._index[anchor]
+    values, queue = {a: start}, deque([a])
     while queue:
-        s = queue.popleft()
-        v = assignment[s]
+        i = queue.popleft()
+        v = values[i]
         for bit in (0, 1):
-            t = delta[s, bit][0]
-            if t not in assignment:
-                assignment[t] = forward(v, bit, _sigma(parity[s], bit))
+            t = succ[2 * i + bit]
+            if t not in values:
+                values[t] = forward(v, bit, signs[2 * i + bit])
                 queue.append(t)
-        for u, bit in back[s]:
-            if u not in assignment:
-                assignment[u] = backward(v, _sigma(parity[u], bit))
+        for j in back[i]:
+            if (u := j >> 1) not in values:
+                values[u] = backward(v, signs[j])
                 queue.append(u)
-    missing = sorted(set(aut.states) - set(assignment))
-    if missing:
+    if len(values) < len(states):
+        missing = [s for i, s in enumerate(states) if i not in values]
         raise LocateError(f"states not connected to {anchor}: {', '.join(missing)}")
-    return assignment
+    return {states[i]: v for i, v in values.items()}
 
 
 def _construct(aut: MealyAutomaton):
@@ -668,21 +671,20 @@ def _relation_gcd(aut: MealyAutomaton, frame) -> Polynomial:
     not met before is unpacked and folded into the gcd.  A nonzero constant
     gcd is returned at once: no chi* divides it.
     """
-    parity, anchor, sigmas = frame
+    signs, anchor, sigmas = frame
     L, s0 = len(sigmas), sigmas[0]
     cycle = Polynomial([-1] + [0] * (L - 1) + [1])
     w = (2 * len(aut.states) + 1).bit_length() + 1
     p = s0 * ((1 << w * L) - 1)  # s0 (x^L - 1)
     start = sum(s0 * c << w * i for i, c in enumerate(sigmas))  # s0 s
-    value = _spread(aut, parity, anchor, (0, start),
+    value = _spread(aut, signs, anchor, (0, start),
                     lambda v, bit, sig: (v[0] + 1, v[1] + sig * (p << w * v[0])),
                     lambda v, sig: (v[0], (v[1] << w) - sig * (p << w * v[0])))
     g, seen = Polynomial(), set()
-    for (s, bit), (t, _) in aut._delta.items():
-        (k, f), (j, h) = value[s], value[t]
+    for e, t in enumerate(aut._succ):  # the transition of state e >> 1 on bit e & 1
+        (k, f), (j, h) = value[aut.states[e >> 1]], value[aut.states[t]]
         top = max(k, j)  # x^top N is a polynomial
-        rel = ((f << w * (top - k)) - (h << w * (top - j + 1))
-               + _sigma(parity[s], bit) * (p << w * top))
+        rel = ((f << w * (top - k)) - (h << w * (top - j + 1)) + signs[e] * (p << w * top))
         if rel:
             rel = abs(rel) >> w * (((rel & -rel).bit_length() - 1) // w)  # no x, no sign
             if rel not in seen:

@@ -63,7 +63,7 @@ class GroupElement:
     @classmethod
     def of(cls, aut: MealyAutomaton, coeffs: dict[str, int]) -> "GroupElement":
         for s in coeffs:
-            if (s, 0) not in aut._delta:
+            if s not in aut._index:
                 raise UnknownStateError(f"unknown state {s!r}")
         return cls(aut, coeffs)
 
@@ -138,26 +138,23 @@ def format_combination(coeffs: dict[str, int], compact: bool = False) -> str:
 
 # -- the residuation fold ----------------------------------------------------
 #
-# A table indexes generators in label order.  Generator i has a parity odd[i]
-# and, per input bit, a residual given as a key with its parity.  A key is the
-# sorted tuple of (index, coefficient) pairs with nonzero coefficients; every
-# closure below works on keys, and labels appear only at the API edge.
-# build_principal compiles a second table with a fresh delta generator.
+# A table indexes generators: a machine's in its own order and index, and
+# build_principal's, with a fresh delta generator, in label order.  Generator i
+# has a parity odd[i] and, per input bit, a residual given as a key with its
+# parity.  A key is the sorted tuple of (index, coefficient) pairs with nonzero
+# coefficients; every closure below works on keys, and labels appear only at
+# the API edge.
 
 class _Table:
     __slots__ = ("labels", "index", "odd", "residuals", "res")
 
-    def __init__(self, gens: dict[str, tuple[bool, dict[str, int], dict[str, int]]]):
-        """gens maps label -> (odd, residual on 0, residual on 1)."""
-        self.labels = tuple(sorted(gens))
-        self.index = {s: i for i, s in enumerate(self.labels)}
-        self.odd = tuple(gens[s][0] for s in self.labels)
-        self.residuals = tuple(gens[s][1:] for s in self.labels)  # as coefficient maps
+    def __init__(self, labels: tuple, index: dict, odd: tuple, residuals: tuple):
+        """Labels in index order, label -> index, parities, residual keys on 0 and 1."""
+        self.labels, self.index, self.odd, self.residuals = labels, index, odd, residuals
         self.res = ()  # per generator, each residual's key and parity: keyed() at the first fold
 
     def keyed(self) -> tuple:
-        self.res = tuple(tuple((k, self.parity(k)) for k in map(self.key, r))
-                         for r in self.residuals)
+        self.res = tuple(tuple((k, self.parity(k)) for k in r) for r in self.residuals)
         return self.res
 
     def key(self, coeffs: dict[str, int]) -> tuple:
@@ -171,16 +168,15 @@ class _Table:
         return bool(sum(c for i, c in key if self.odd[i]) & 1)
 
 
-def _machine_gens(aut: MealyAutomaton) -> dict:
-    return {s: (aut._odd(s), {aut._delta[s, 0][0]: 1}, {aut._delta[s, 1][0]: 1})
-            for s in aut.states}
-
-
 @lru_cache(maxsize=128)
 def _table(aut: MealyAutomaton) -> _Table:
+    """The machine's table: state i is odd when its output on 0 is 1, and its
+    residuals are the unit keys of its two successors."""
     if not aut.is_invertible():
         raise NotInvertibleError(f"automaton {aut.name!r} is not invertible")
-    return _Table(_machine_gens(aut))
+    units = [((t, 1),) for t in aut._succ]
+    return _Table(aut.states, aut._index, tuple(map(bool, aut._out[0::2])),
+                  tuple(zip(units[0::2], units[1::2])))
 
 
 def _keyed(e: GroupElement) -> tuple[_Table, tuple]:
@@ -348,7 +344,7 @@ def _odd_table(aut: MealyAutomaton) -> tuple[_Table, list[int]]:
 def _residual_difference(table: _Table, i: int) -> tuple:
     """The key of d1(s) - d0(s) for the state s of index i."""
     r0, r1 = table.residuals[i]
-    return () if r0 == r1 else _combine(table.key(r1), table.key(r0), -1)
+    return () if r0 == r1 else _combine(r1, r0, -1)
 
 
 def gamma_of(aut: MealyAutomaton) -> GroupElement:
@@ -451,12 +447,17 @@ def _principal_nodes(aut: MealyAutomaton, bound: int):
     everything, closed again.
     """
     report = _require_abelian_free(aut, bound, check_abelian(aut, bound))
-    gens = _machine_gens(aut)
+    base = _table(aut)
+    gens = {s: (odd, *map(base.coeffs, r)) for s, odd, r in zip(base.labels, base.odd,
+                                                                base.residuals)}
     label = "delta"
     while label in gens:
         label += "_"
     gens[label] = (True, {}, report.gamma.coeffs)  # d0(delta) = I, d1(delta) = gamma
-    table = _Table(gens)
+    labels = tuple(sorted(gens))  # each residual is keyed once the index is built
+    table = _Table(labels, {s: i for i, s in enumerate(labels)},
+                   tuple(gens[s][0] for s in labels), ())
+    table.residuals = tuple(tuple(map(table.key, gens[s][1:])) for s in labels)
 
     nodes: dict[tuple, tuple[bool, tuple, tuple] | None] = {}
     queue = deque()

@@ -5,6 +5,11 @@ A machine is a finite set of states, each with exactly two transitions
 state is the root of a length-preserving function on binary words, and the
 group-theoretic layers treat states as generators.
 
+A machine is one indexed table: `states`, the labels sorted, `_index`, each
+label's position i, and `_succ[2 i + b]` and `_out[2 i + b]`, the target index
+and output bit of state i on input b.  The constructor converts a dict table;
+`parse` and `complete.orbit_automaton` fill the index form directly.
+
 Words are plain strings over '0'/'1'; bits are the ints 0 and 1.  Machines
 are immutable after construction and safe to share across threads.
 
@@ -24,8 +29,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from enum import Enum
-from itertools import product
-from operator import itemgetter
+from itertools import islice, product
+from operator import itemgetter, lt, ne
 
 from .errors import (
     AutomatonError,
@@ -41,9 +46,9 @@ _LABELS_RE = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9_+\n-]*\Z")
 # an AUT text in `serialize`'s form: header, states, then trans lines only
 _SERIAL_RE = re.compile(r"aut ([A-Za-z0-9_+-]+)\nstates((?: [A-Za-z0-9_+-]+)+)\n"
                         r"((?:trans [A-Za-z0-9_+-]+ [01] [01] [A-Za-z0-9_+-]+\n)*)")
-_first, _second = itemgetter(0), itemgetter(1)
-
-Transition = tuple[str, int]  # (target state, output bit)
+_BIT = {"0": 0, "1": 1}.__getitem__
+_INT_BIT = {0: 0, 1: 1}.__getitem__  # True and 1.0 to 1; KeyError for any other bit
+_second = itemgetter(1)
 
 
 class Parity(Enum):
@@ -60,6 +65,17 @@ def _check_bit(b) -> int:
     return int(b)
 
 
+def _fits(states, succ, out) -> bool:
+    """The index table's facts, in whole-array passes: at least one label, all
+    valid, sorted and distinct; 2n targets in range(n); 2n bits, each 0 or 1."""
+    n = len(states)
+    return bool(n and len(succ) == len(out) == 2 * n
+                and _LABELS_RE.match(joined := "\n".join(states))
+                and joined.count("\n") == n - 1  # no label holds a "\n"
+                and all(map(lt, states, islice(states, 1, None)))
+                and min(succ) >= 0 and max(succ) < n and {*out} <= {0, 1})
+
+
 class MealyAutomaton:
     """Immutable binary Mealy machine.
 
@@ -67,82 +83,64 @@ class MealyAutomaton:
     be total over the declared states; every bit is stored as the int 0 or 1.
     """
 
+    __slots__ = ("name", "states", "_index", "_succ", "_out", "_hash", "_invertible")
+
     def __init__(self, transitions, name: str = "machine", states=None):
-        delta = dict(transitions)
-        keys, values = delta.keys(), delta.values()
-        # whole-table passes: keys and values are 2-tuples, bits are the ints 0 and 1
-        whole = ({*map(type, keys), *map(type, values)} == {tuple}
-                 and {*map(len, keys), *map(len, values)} == {2})
-        if whole:
-            bits = [*map(_second, keys), *map(_second, values)]
-            whole = {*map(type, bits)} == {int} and {*bits} <= {0, 1}
-        if not whole:  # entry by entry: names the first fault, or normalises the table
-            table, delta = delta, {}
-            for (src, a), (dst, out) in table.items():
-                delta[src, _check_bit(a)] = (dst, _check_bit(out))
-        if states is None:  # the sources, in table order: distinct, and each one declared
-            stateset = dict(delta.keys())  # source -> a bit, from the 2-tuple keys
-            states, declared = sorted(stateset), True
-        else:
-            states = sorted(states)  # states may be an iterator
-            stateset = set(states)
-            if len(stateset) != len(states):
-                raise AutomatonError("duplicate state label")
-            declared = stateset.issuperset(map(_first, delta))
-        if not states:
-            raise AutomatonError("automaton needs at least one state")
-        # keys lie in stateset x {0, 1} once every source is declared, and 2n
-        # keys fill it; the loops below only name the first fault
-        if not (declared and len(delta) == 2 * len(states)
-                and all(map(stateset.__contains__, map(_first, delta.values())))
-                and _LABELS_RE.match(joined := "\n".join(states))
-                and joined.count("\n") == len(states) - 1):  # no label holds a "\n"
-            for s in states:
-                if not LABEL_RE.match(s):
-                    raise AutomatonError(f"bad state label {s!r}")
-                for a in (0, 1):
-                    if (s, a) not in delta:
-                        raise AutomatonError(f"state {s!r} has no transition on input {a}")
-            for (src, _a), (dst, _out) in delta.items():
-                if src not in stateset:
-                    raise AutomatonError(f"transition from undeclared state {src!r}")
-                if dst not in stateset:
-                    raise AutomatonError(f"transition into unknown state {dst!r}")
+        delta = transitions if type(transitions) is dict else dict(transitions)  # only read
+        given = None if states is None else list(states)  # states may be an iterator
+        try:  # 2n lookups, and 2n keys: every source is declared
+            states = sorted(dict(delta.keys()) if given is None else given)
+            index = {s: i for i, s in enumerate(states)}
+            rows = list(map(delta.__getitem__, product(states, (0, 1))))
+            succ, out = [index[t] for t, _ in rows], list(map(_INT_BIT, map(_second, rows)))
+            fits = len(delta) == len(succ) and _fits(states, succ, out)
+        except (KeyError, TypeError, ValueError):
+            fits = False
+        if not fits:
+            _name_fault(delta, given, name)
+        self._take(name, states, index, succ, out)
+
+    @classmethod
+    def _indexed(cls, name: str, states, index: dict, succ: list, out: list) -> "MealyAutomaton":
+        """The machine of an index table (the module docstring's form), or None
+        where a `_fits` pass refuses the table."""
+        if _fits(states, succ, out):
+            return cls.__new__(cls)._take(name, states, index, succ, out)
+        return None
+
+    def _take(self, name, states, index, succ, out) -> "MealyAutomaton":
         if not LABEL_RE.match(name):
             raise AutomatonError(f"bad automaton name {name!r}")
-        self.name = name
-        self.states: tuple[str, ...] = tuple(states)
-        self._delta = delta
-        self._hash: int | None = None
-        self._invertible: bool | None = None
+        self.name, self.states = name, tuple(states)
+        self._index, self._succ, self._out = index, succ, out
+        self._hash = self._invertible = None
+        return self
 
     # -- basic queries -----------------------------------------------------
 
-    def step(self, state: str, bit: int) -> tuple[str, int]:
-        """One transition: returns (next state, output bit)."""
-        _check_bit(bit)
+    def _position(self, state: str) -> int:
         try:
-            return self._delta[(state, bit)]
+            return self._index[state]
         except KeyError:
             raise UnknownStateError(f"unknown state {state!r}") from None
 
+    def step(self, state: str, bit: int) -> tuple[str, int]:
+        """One transition: returns (next state, output bit)."""
+        j = _check_bit(bit) + 2 * self._position(state)  # the bit is checked first
+        return self.states[self._succ[j]], self._out[j]
+
     def transduce(self, state: str, word: str) -> str:
         """Run the machine from `state` over `word`; length-preserving."""
-        if (state, 0) not in self._delta:
-            raise UnknownStateError(f"unknown state {state!r}")
-        delta = self._delta
-        out = []
-        s = state
+        succ, out = self._succ, self._out
+        i, res = 2 * self._position(state), []
         for ch in word:
-            if ch == "0":
-                a = 0
-            elif ch == "1":
-                a = 1
-            else:
+            if ch == "1":
+                i += 1
+            elif ch != "0":
                 raise FormatError(f"word must be over '0'/'1', got {ch!r}")
-            s, b = delta[(s, a)]
-            out.append("1" if b else "0")
-        return "".join(out)
+            res.append("1" if out[i] else "0")
+            i = 2 * succ[i]
+        return "".join(res)
 
     def output(self, state: str, bit: int) -> int:
         return self.step(state, bit)[1]
@@ -153,29 +151,21 @@ class MealyAutomaton:
     def is_invertible(self) -> bool:
         """True iff every state outputs different bits on inputs 0 and 1."""
         if self._invertible is None:
-            self._invertible = all(
-                self._delta[(s, 0)][1] != self._delta[(s, 1)][1] for s in self.states
-            )
+            self._invertible = all(map(ne, self._out[0::2], self._out[1::2]))
         return self._invertible
-
-    def _odd(self, state: str) -> bool:
-        # internal: parity without the invertibility guard
-        return self._delta[(state, 0)][1] == 1
 
     def state_parity(self, state: str) -> Parity:
         """Odd states flip the first input bit; requires an invertible machine."""
         if not self.is_invertible():
             raise NotInvertibleError(
-                f"automaton {self.name!r} is not invertible; parity is undefined"
-            )
-        if (state, 0) not in self._delta:
-            raise UnknownStateError(f"unknown state {state!r}")
-        return Parity.ODD if self._odd(state) else Parity.EVEN
+                f"automaton {self.name!r} is not invertible; parity is undefined")
+        return Parity.ODD if self._out[2 * self._position(state)] else Parity.EVEN
 
     @property
     def transitions(self) -> dict[tuple[str, int], tuple[str, int]]:
-        """Copy of the transition table."""
-        return dict(self._delta)
+        """The transition table as a fresh dict, in `states` order."""
+        return dict(zip(product(self.states, (0, 1)),
+                        zip(map(self.states.__getitem__, self._succ), self._out)))
 
     # -- text format ---------------------------------------------------------
 
@@ -183,15 +173,21 @@ class MealyAutomaton:
     def parse(cls, text: str) -> "MealyAutomaton":
         """`serialize`'s form in whole-text passes, else the line loop: it names the first fault."""
         m = _SERIAL_RE.fullmatch(text if text.endswith("\n") else text + "\n")
-        if m:
-            toks, bit = m[3].split(), {"0": 0, "1": 1}.__getitem__
-            delta = dict(zip(zip(toks[1::5], map(bit, toks[2::5])),
-                             zip(toks[4::5], map(bit, toks[3::5]))))
-            if len(delta) == len(toks) // 5:  # no duplicate transition
-                try:
-                    return cls(delta, name=m[1], states=m[2].split())
-                except AutomatonError:
-                    pass  # a state without a transition, an unknown one or a duplicate
+        if m:  # the token columns, each label resolved through the states index
+            states = sorted(m[2].split())
+            index, toks = {s: i for i, s in enumerate(states)}, m[3].split()
+            try:
+                at = [2 * i + b for i, b in zip(map(index.__getitem__, toks[1::5]),
+                                                 map(_BIT, toks[2::5]))]
+                dst = list(map(index.__getitem__, toks[4::5]))
+            except KeyError:  # an unknown source or target
+                at = []
+            if len(at) == 2 * len(states):  # a duplicate leaves some entry at -1
+                succ, out = [-1] * len(at), [-1] * len(at)
+                for j, t, o in zip(at, dst, map(_BIT, toks[3::5])):
+                    succ[j], out[j] = t, o
+                if (aut := cls._indexed(m[1], states, index, succ, out)) is not None:
+                    return aut  # else the line loop names the fault
         name = None
         states: list[str] | None = None
         delta: dict[tuple[str, int], tuple[str, int]] = {}
@@ -255,34 +251,52 @@ class MealyAutomaton:
 
     def serialize(self) -> str:
         """Canonical AUT text: states sorted, two `trans` lines per state."""
-        lines = [f"aut {self.name}", "states " + " ".join(self.states)]
-        for s in self.states:
-            for a in (0, 1):
-                dst, out = self._delta[(s, a)]
-                lines.append(f"trans {s} {a} {out} {dst}")
-        return "\n".join(lines) + "\n"
+        states = self.states
+        return "\n".join([f"aut {self.name}", "states " + " ".join(states)] + [
+            f"trans {states[j >> 1]} {j & 1} {o} {states[t]}"
+            for j, (t, o) in enumerate(zip(self._succ, self._out))]) + "\n"
 
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, MealyAutomaton):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.states == other.states
-            and self._delta == other._delta
-        )
+        return self is other or (self.name, self.states, self._succ, self._out) == (
+            other.name, other.states, other._succ, other._out)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.name, self.states,
-                               tuple(map(self._delta.__getitem__, product(self.states, (0, 1))))))
+            self._hash = hash((self.name, self.states, tuple(self._succ), tuple(self._out)))
         return self._hash
 
     def __repr__(self):
         return f"MealyAutomaton({self.name!r}, {len(self.states)} states)"
+
+
+def _name_fault(table: dict, states: list | None, name: str):
+    """Raise the first fault of a dict table, entry by entry: the bits, the states
+    sorted (the sources if states is None), the transitions in order, the name."""
+    delta = {}
+    for (src, a), (dst, out) in table.items():
+        delta[src, _check_bit(a)] = (dst, _check_bit(out))
+    states = sorted(dict(delta.keys()) if states is None else states)
+    stateset = set(states)
+    if len(stateset) != len(states):
+        raise AutomatonError("duplicate state label")
+    if not states:
+        raise AutomatonError("automaton needs at least one state")
+    for s in states:
+        if not LABEL_RE.match(s):
+            raise AutomatonError(f"bad state label {s!r}")
+        for a in (0, 1):
+            if (s, a) not in delta:
+                raise AutomatonError(f"state {s!r} has no transition on input {a}")
+    for (src, _a), (dst, _out) in delta.items():
+        if src not in stateset:
+            raise AutomatonError(f"transition from undeclared state {src!r}")
+        if dst not in stateset:
+            raise AutomatonError(f"transition into unknown state {dst!r}")
+    raise AutomatonError(f"bad automaton name {name!r}")  # the one fact left
 
 
 def parse_automaton(text: str) -> MealyAutomaton:
@@ -296,54 +310,50 @@ def find_isomorphism(a: MealyAutomaton, b: MealyAutomaton) -> dict[str, str] | N
     set, so the search is: repeatedly pick the least unmatched state of `a`,
     try every still-free compatible state of `b`, and propagate.  Backtracking
     runs on an explicit stack of choices, each with the pairs it forced.
+    States are matched by index.
     """
-    if len(a.states) != len(b.states):
+    n = len(a.states)
+    if n != len(b.states):
         return None
-    da, db = a._delta, b._delta
-    fwd: dict[str, str] = {}
-    used: set[str] = set()
-    position = {s: j for j, s in enumerate(b.states)}
-    free = 0  # every state of b below this index is used
+    sa, oa, sb, ob = a._succ, a._out, b._succ, b._out
+    fwd: dict[int, int] = {}  # in insertion order, so undo takes the last pairs matched first
+    used, free = [False] * n, 0  # every state of b below free is used
 
     def undo(size: int) -> None:
         nonlocal free
-        # fwd keeps insertion order, so the last pairs matched go first
         while len(fwd) > size:
             y = fwd.popitem()[1]
-            used.discard(y)
-            free = min(free, position[y])
+            used[y] = False
+            free = min(free, y)
 
-    def extend(sa: str, sb: str) -> bool:
-        """Match sa with sb and every pair that forces, or match nothing."""
-        size = len(fwd)
-        queue = deque([(sa, sb)])
+    def extend(sx: int, sy: int) -> bool:
+        """Match sx with sy and every pair that forces, or match nothing."""
+        size, queue = len(fwd), deque([(sx, sy)])
         while queue:
             x, y = queue.popleft()
             if x in fwd:
                 if fwd[x] == y:
                     continue
-            elif y not in used and da[x, 0][1] == db[y, 0][1] and da[x, 1][1] == db[y, 1][1]:
-                fwd[x] = y
-                used.add(y)
-                queue.extend(((da[x, 0][0], db[y, 0][0]), (da[x, 1][0], db[y, 1][0])))
+            elif not used[y] and oa[2 * x:2 * x + 2] == ob[2 * y:2 * y + 2]:
+                fwd[x], used[y] = y, True
+                queue.extend(zip(sa[2 * x:2 * x + 2], sb[2 * y:2 * y + 2]))
                 continue
             undo(size)
             return False
         return True
 
-    n = len(a.states)
     choices: list[tuple[int, int, int]] = []  # (cursor, candidate, size of fwd before)
     cursor = candidate = 0
     while True:
-        while cursor < n and a.states[cursor] in fwd:
+        while cursor < n and cursor in fwd:
             cursor += 1
         if cursor == n:
-            return fwd
-        while free < n and b.states[free] in used:
+            return {a.states[x]: b.states[y] for x, y in fwd.items()}
+        while free < n and used[free]:
             free += 1
         size = len(fwd)
         for j in range(max(candidate, free), n):
-            if b.states[j] not in used and extend(a.states[cursor], b.states[j]):
+            if not used[j] and extend(cursor, j):
                 choices.append((cursor, j, size))
                 candidate = 0
                 break

@@ -45,7 +45,6 @@ from abmealy.complete import (
     _horner,
     _integral_name,
     _require_contracting,
-    _sigma,
     _step,
     format_vector,
 )
@@ -239,6 +238,14 @@ def division_carries(chi_star):
                     seen.add(nxt)
                     todo.append(nxt)
     return seen
+
+
+def sigma(parity, bit):
+    """The sign of a transition in locate's cycle equation: -1 and +1 on
+    inputs 0 and 1 at an odd state, 0 at an even one."""
+    if parity is not Parity.ODD:
+        return 0
+    return -1 if bit == 0 else 1
 
 
 def unit_config(g):
@@ -478,7 +485,8 @@ class GenInfo:
 def oracle_gen_table(aut):
     """label -> GenInfo for the states of an invertible machine."""
     return {
-        s: GenInfo(aut._odd(s), ((aut.residual(s, 0), 1),), ((aut.residual(s, 1), 1),))
+        s: GenInfo(aut.output(s, 0) == 1, ((aut.residual(s, 0), 1),),
+                   ((aut.residual(s, 1), 1),))
         for s in aut.states
     }
 
@@ -734,7 +742,7 @@ def reference_locate(aut, A, *, bound=DEFAULT_BOUND):
     for tried, word in enumerate(cycle_words(aut, anchor, max_len), start=1):
         sigmas, state = [], anchor
         for ch in word:
-            sigmas.append(_sigma(parity[state], int(ch)))
+            sigmas.append(sigma(parity[state], int(ch)))
             state = aut.residual(state, int(ch))
         q = _cycle_quotient(A, sigmas)
         if q is not None or tried >= CYCLE_LIMIT:
@@ -790,7 +798,7 @@ def reference_locate(aut, A, *, bound=DEFAULT_BOUND):
             if u in assignment:
                 continue
             w = _apply_int(inv, v)
-            sig = _sigma(parity[u], bit)
+            sig = sigma(parity[u], bit)
             if sig:
                 w = tuple(map(sub, w, (sig * c for c in e)))
             assignment[u] = w
@@ -875,6 +883,64 @@ def box_infer_matrix(aut, *, max_dim=3, coeff_bound=2, bound=DEFAULT_BOUND):
                 return InferResult(matrix=A, chi=chi, location=locmap)
     closure_gate(aut, bound)
     return None
+
+
+class DictMachine:
+    """A machine as a plain dict keyed by (label, bit), with no checks: the
+    oracle of `MealyAutomaton`'s index table.  It stores bits as ints and
+    sorts its states."""
+
+    def __init__(self, table, name="machine", states=None):
+        self.delta = {(s, int(a)): (d, int(o)) for (s, a), (d, o) in dict(table).items()}
+        self.name = name
+        self.states = tuple(sorted({s for s, _ in self.delta} if states is None else states))
+
+    def step(self, state, bit):
+        return self.delta[state, bit]
+
+    def transduce(self, state, word):
+        out = []
+        for ch in word:
+            state, b = self.delta[state, int(ch)]
+            out.append(str(b))
+        return "".join(out)
+
+    def is_invertible(self):
+        return all(self.delta[s, 0][1] != self.delta[s, 1][1] for s in self.states)
+
+    def state_parity(self, state):
+        return Parity.ODD if self.delta[state, 0][1] else Parity.EVEN
+
+    @property
+    def transitions(self):
+        return {(s, b): self.delta[s, b] for s in self.states for b in (0, 1)}
+
+    def serialize(self):
+        lines = [f"aut {self.name}", "states " + " ".join(self.states)]
+        lines += [f"trans {s} {b} {self.delta[s, b][1]} {self.delta[s, b][0]}"
+                  for s in self.states for b in (0, 1)]
+        return "\n".join(lines) + "\n"
+
+    def value(self):
+        """What equality compares: the name, the states and the table."""
+        return self.name, self.states, sorted(self.delta.items())
+
+
+def random_table(rng, n):
+    """A table of n states with labels drawn from several shapes, self-loops
+    about one target in three, and odd, even and non-invertible states; some
+    bits are True, False, 1.0 or 0.0 in place of the ints."""
+    pool = ["q0", "q1", "a", "A", "_", "+", "-", "-1_2", "-10_-10_-1", "0_0", "s+t", "Z9"]
+    labels = rng.sample(pool, n)
+    kinds = (int, int, bool, float)
+    table = {}
+    for s in labels:
+        shape = rng.choice(("odd", "even", "any"))
+        for b in (0, 1):
+            out = b ^ (shape == "odd") if shape != "any" else rng.randint(0, 1)
+            dst = s if rng.random() < 1 / 3 else rng.choice(labels)
+            table[s, rng.choice(kinds)(b)] = (dst, rng.choice(kinds)(out))
+    return table
 
 
 def random_machine(rng, n):

@@ -353,7 +353,7 @@ def test_nonabelian_witness_is_honest(lamplighter):
 
 def check_abelian_all_pairs(aut, bound=DEFAULT_BOUND):
     """Oracle: the criterion with one identity test per pair of odd states."""
-    odd = [s for s in aut.states if aut._odd(s)]
+    odd = [s for s in aut.states if aut.output(s, 0) == 1]
     if not odd:
         return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
 

@@ -20,7 +20,7 @@ from abmealy import (
 )
 
 from abmealy import mealy
-from conftest import A32_TEXT
+from conftest import A32_TEXT, DictMachine, random_table
 
 
 # -- parsing -----------------------------------------------------------------
@@ -129,18 +129,29 @@ def test_whole_text_parse_agrees_with_the_line_loop():
                           for b in (0, 1)}, name="big").serialize()
     lines = big.split("\n")  # the last trans line is lines[-2], line len(lines) - 1
 
-    def last_line(i, token):  # big with token i of its last trans line replaced
-        parts = lines[-2].split()
+    def edit(k, i, token):  # big with token i of line k replaced
+        parts = lines[k].split()
         parts[i] = token
-        return "\n".join(lines[:-2] + [" ".join(parts), ""])
+        return "\n".join(lines[:k] + [" ".join(parts)] + lines[k + 1:])
 
+    def last_line(i, token):  # big with token i of its last trans line replaced
+        return edit(len(lines) - 2, i, token)
+
+    body = lines[2:-1]
+    shuffled = lines[:2] + random.Random(24).sample(body, len(body))
     texts = [A32_TEXT, big, big.rstrip("\n"), "aut m\nstates a\n",
              last_line(4, "z"), last_line(1, "q3000"), last_line(2, "0"),
              big.replace("trans q1500 0 ", "trans q1500 1 "),  # duplicate mid-table
              "\n".join(lines[:-2] + [""]),  # the last state has no transition on input 1
              big.replace("states q0 ", "states q0 q0 "),
              big.replace("states q0 ", "states q0 extra "),
-             A32_TEXT.replace("trans f1 1 1 f", "trans f1 1 1 f\ntrans f1 1 1 f")]
+             A32_TEXT.replace("trans f1 1 1 f", "trans f1 1 1 f\ntrans f1 1 1 f"),
+             "\n".join(shuffled + [""]),  # every line, out of `states` order
+             "\n".join(lines[:1] + ["states " + " ".join(lines[1].split()[:0:-1])] + body + [""]),
+             edit(3000, 4, "q9999"),  # an unknown target mid-table
+             "\n".join(lines[:3000] + lines[3001:]),  # a transition missing mid-table
+             "\n".join(lines[:3001] + lines[3000:]),  # one line twice, mid-table
+             "\n".join(shuffled[:-1] + shuffled[-1:] * 2 + [""])]  # out of order, and twice
     for text in texts:
         assert mealy._SERIAL_RE.fullmatch(text if text.endswith("\n") else text + "\n"), text
         loop = text.replace("\n", " # line loop\n", 1)
@@ -151,6 +162,10 @@ def test_whole_text_parse_agrees_with_the_line_loop():
     assert parse_outcome(texts[4]) == f"line {len(lines) - 1}: unknown target state 'z'"
     last = lines[-2].split()[1]  # the greatest label, q999
     assert parse_outcome(texts[8]) == f"state {last!r} has no transition on input 1"
+    assert parse_outcome(texts[12]) == parse_outcome(texts[13]) == parse_outcome(big)
+    assert parse_outcome(texts[14]) == "line 3001: unknown target state 'q9999'"
+    assert parse_outcome(texts[15]).endswith("has no transition on input 0")
+    assert parse_outcome(texts[16]).startswith("line 3002: duplicate transition for state ")
 
 
 LOOP = {("a", 0): ("a", 0), ("a", 1): ("a", 1)}
@@ -293,6 +308,74 @@ def test_equal_machines_hash_equal_whatever_the_table_order():
                                  states=reversed(machine.states)),
                   parse_automaton(machine.serialize())):
         assert other == machine and hash(other) == hash(machine)
+
+
+def test_index_table_agrees_with_the_dict_model():
+    # random tables of 1-9 states against the plain dict model: every public
+    # method, the text round trip, equality and the hash across build orders
+    rng = random.Random(24)
+    kinds = set()
+    for trial in range(400):
+        table = random_table(rng, rng.randint(1, 9))
+        items = list(table.items())
+        rng.shuffle(items)
+        kwargs = {}
+        if trial % 3 == 0:  # states given, in another order, as an iterator
+            labels = sorted({s for s, _ in table}, key=lambda s: rng.random())
+            kwargs["states"] = iter(labels)
+        aut, model = MealyAutomaton(items, name="m", **kwargs), DictMachine(table, name="m")
+        assert aut.states == model.states
+        assert list(aut.transitions.items()) == list(model.transitions.items())
+        assert all(type(b) is int for (_, a), (_, o) in aut.transitions.items() for b in (a, o))
+        assert aut.transitions is not aut.transitions  # a fresh dict
+        for s in aut.states:
+            for b in (0, 1):
+                assert aut.step(s, b) == model.step(s, b)
+                assert aut.residual(s, b) == model.step(s, b)[0]
+                assert aut.output(s, b) == model.step(s, b)[1]
+            word = "".join(rng.choice("01") for _ in range(rng.randint(0, 12)))
+            assert aut.transduce(s, word) == model.transduce(s, word)
+        assert aut.is_invertible() == model.is_invertible()
+        kinds.add(aut.is_invertible())
+        for s in aut.states:
+            if model.is_invertible():
+                assert aut.state_parity(s) is model.state_parity(s)
+            else:
+                with pytest.raises(NotInvertibleError):
+                    aut.state_parity(s)
+        text = aut.serialize()
+        assert text == model.serialize()
+        back = parse_automaton(text)
+        assert back == aut and hash(back) == hash(aut) and back.transitions == aut.transitions
+        reordered = MealyAutomaton(dict(reversed(items)), name="m")
+        assert reordered == aut and hash(reordered) == hash(aut)
+        # a machine of another random table is equal exactly when the model is
+        other_table = random_table(rng, rng.randint(1, 3))
+        other = MealyAutomaton(other_table, name="m")
+        assert (other == aut) == (DictMachine(other_table, name="m").value() == model.value())
+        assert MealyAutomaton(items, name="n") != aut
+        s = aut.states[-1]
+        flipped = {**model.transitions, (s, 1): (model.step(s, 1)[0], 1 - model.step(s, 1)[1])}
+        assert MealyAutomaton(flipped, name="m") != aut
+    assert kinds == {True, False}
+
+
+def test_index_table_check_refuses_each_fault():
+    # the one check that the constructor, parse and orbit_automaton share
+    states, index = ["a", "b"], {"a": 0, "b": 1}
+    good = ([1, 0, 1, 1], [1, 0, 0, 1])
+    aut = MealyAutomaton._indexed("m", states, index, *good)
+    assert aut == MealyAutomaton({("a", 0): ("b", 1), ("a", 1): ("a", 0),
+                                  ("b", 0): ("b", 0), ("b", 1): ("b", 1)}, name="m")
+    refused = [(states, [1, 0, 1, 2], good[1]), (states, [1, 0, -1, 1], good[1]),
+               (states, good[0], [1, 0, 2, 1]), (states, good[0], [1, 0, -1, 1]),
+               (states, good[0][:3], good[1][:3]), (states, good[0], good[1] + [0]),
+               (["b", "a"], *good), (["a", "a"], *good), (["", "a"], *good),
+               (["a", "b\nc"], *good), (["a", "b."], *good), ([], [], [])]
+    for table in refused:
+        assert MealyAutomaton._indexed("m", table[0], index, *table[1:]) is None, table
+    with pytest.raises(AutomatonError, match="bad automaton name 'm m'"):
+        MealyAutomaton._indexed("m m", states, index, *good)
 
 
 # -- simulation --------------------------------------------------------------
