@@ -1,16 +1,15 @@
 """Reachability structure of complete automata and experiment drivers.
 
-Four instruments sit on top of the core machinery:
+Three instruments sit on top of the core machinery:
 
 * strongly connected component decomposition of any finite successor graph,
   used to inspect how the orbit of the unit vector and its negation split;
 * path polynomials and the search for a monic witness polynomial with
   coefficients in {-1, 0, 1} that is congruent to -1 modulo chi*, which is
   the algebraic shadow of a path carrying the unit vector to its negation;
-* the construction of the matrix that fits a given abelian machine: chi* is
-  the gcd of the relations that the machine's transitions impose, and one
-  `locate` checks its companion matrix; the construction and `classify`,
-  the abelianness decision, live next to the fit in `complete`.
+* `infer_matrix`: chi* is the gcd of the relations that the machine's
+  transitions impose, and one `locate` maps the machine into the complete
+  automaton of its companion; the construction and `classify` are `complete`'s.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .complete import (
 )
 from .errors import BoundExceededError, FormatError, LocateError, MatrixError
 from .exactalg import HalfIntegralMatrix, Polynomial, _check_modulus
-from .group import DEFAULT_BOUND, _require_abelian_free
+from .group import DEFAULT_BOUND, _require_abelian_free, check_abelian
 from .mealy import MealyAutomaton
 
 # -- strongly connected components ---------------------------------------------
@@ -289,21 +288,17 @@ def infer_matrix(aut: MealyAutomaton, *, max_dim: int | None = None,
                  bound: int = DEFAULT_BOUND) -> InferResult | None:
     """The matrix whose complete automaton contains the machine, by construction.
 
-    `complete._construct` reads chi* off the machine's transitions, and
-    `locate` tries its companion matrix once, checking every transition: no
-    closure runs on a fit.  `locate` classifies a misfit, and None is
-    returned where that does not raise.  When no chi comes out, or its
-    degree is past `max_dim`, the machine is classified once (`classify`),
-    raising as `locate` does, and None is returned.
+    `complete._construct` reads chi* off the machine's transitions, and its
+    companion matrix always fits: one `locate` builds the map, and no closure
+    runs.  Past `max_dim`, None is returned unclassified.  Where no chi comes
+    out, `check_abelian` (what `classify` decides there) gates as in `locate`,
+    raising outside AbelianFreeCandidate, and None is returned.
     """
     try:  # no odd state on a cycle, states out of reach, or no chi
-        A = _construct(aut)[0]
+        A = _construct(aut)
     except (LocateError, MatrixError):
-        A = None
-    if A is None or (max_dim is not None and A.dim > max_dim):
-        _require_abelian_free(aut, bound, classify(aut, bound=bound))
+        _require_abelian_free(aut, bound, check_abelian(aut, bound))
         return None
-    try:
-        return InferResult(matrix=A, chi=A.chi, location=locate(aut, A, bound=bound))
-    except (LocateError, MatrixError):
+    if max_dim is not None and A.dim > max_dim:
         return None
+    return InferResult(matrix=A, chi=A.chi, location=locate(aut, A, bound=bound))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -479,11 +480,13 @@ def main(argv=None) -> int:
     command = next((a for a in argv if a in _COMMANDS), "")
     args = build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
-    except AbmealyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:  # the reader left: exit quietly, the unflushed rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as exc:
+    except (AbmealyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -539,9 +539,9 @@ def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
     vectors with A K in K, and A^n k -> 0 on a lattice forces k = 0), and
     the machine's group is a subgroup of Z^m, free abelian (Nekrashevych
     and Sidki 2004, on 1/2-endomorphisms of Z^m).  So no closure runs on a
-    fit.  A misfit is classified (`classify`): the fit's LocateError is
-    raised for AbelianFreeCandidate, BoundExceededError for Unknown (only
-    where no matrix fits), and NotAbelianError for any other verdict.
+    fit.  A misfit is classified by the machine's own construction
+    (`classify`): the fit's error for AbelianFreeCandidate, BoundExceededError
+    for Unknown (no chi constructed), NotAbelianError for other verdicts.
     """
     if not isinstance(A, HalfIntegralMatrix):
         A = HalfIntegralMatrix(A)
@@ -637,24 +637,28 @@ def _spread(aut: MealyAutomaton, signs, anchor: str, start, forward, backward) -
 
 
 def _construct(aut: MealyAutomaton):
-    """(A, frame): the companion matrix of the chi that any fit of the
-    machine rescales to, and `_anchor_cycle`'s frame; LocateError or
-    MatrixError when there is no frame or no contracting half-integral chi.
+    """The companion matrix of the chi that the relations force, which always
+    fits; LocateError or MatrixError without a frame or a contracting chi.
 
-    A located machine fixes chi (Nekrashevych and Sidki 2004), and `_fit`'s
-    rescaled frame needs no A: with x as A^-1, the anchor sits at sigma_0 s
-    and p = sigma_0 (x^L - 1) names e.  Spreading Laurent polynomials f as
-    `_fit` spreads vectors leaves N = f_s - x f_t + sigma p per transition
-    (s, b) -> t.  Any fit rescales to this frame in Q[x]/chi* (its anchor is
-    odd, so nonzero), so chi* divides every N and their gcd G, also once G
-    is stripped of x and of its common factors with x^L - 1: chi* has no
-    root at 0 or on the unit circle.  chi is G's reversal over G(0).
+    With x as A^-1, `_fit`'s rescaled frame (anchor sigma_0 s, p = sigma_0
+    (x^L - 1)) needs no A.  Spreading Laurent polynomials f as `_fit` spreads
+    vectors leaves N = f_s - x f_t + sigma p per transition (s, b) -> t.  Any
+    fit rescales to this frame, so chi* divides every N and their gcd G,
+    stripped of x and of its factors of x^L - 1 (chi* has no root at 0 or on
+    the unit circle); chi is G's reversal over G(0).  A returned G is a
+    contracting chi*, so irreducible (module docstring), and P = xR is a
+    maximal (R/P = Z/2), principal ideal of R = Z[x]/chi*: R_P has a
+    valuation v.  As N = 0, x f_t = f_s + sigma p with v(p) = 0 (x^L - 1 =
+    -1 mod P), and a least v(f_s) < 0 would give v(f_t) < v(f_s).  So v(f_s)
+    is >= 0, 0 at an odd s and >= 1 at an even one: the parity of f_s(A^-1)
+    e1 (`_fit`).  R[1/x], holding f_s, meets R_P in R, so each vector is
+    integral, and `_fit`'s map validates, also in its division frame (over
+    the unit sigma_0 s).  A factor left in G yields no chi, never a wrong one.
     """
-    frame = _anchor_cycle(aut)
-    star = _relation_gcd(aut, frame)
+    star = _relation_gcd(aut, _anchor_cycle(aut))
     A = companion_from_chi(Polynomial([Fraction(c, star.constant) for c in reversed(star.coeffs)]))
     _require_contracting(A)
-    return A, frame
+    return A
 
 
 def _relation_gcd(aut: MealyAutomaton, frame) -> Polynomial:
@@ -715,18 +719,16 @@ def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def classify(aut: MealyAutomaton, *, bound: int = DEFAULT_BOUND) -> AbelianReport:
-    """`check_abelian`'s report, decided by a validated fit where one exists.
+    """`check_abelian`'s report, decided by the construction where one exists.
 
     The even-state identity tests run first, as in `check_abelian`: they
-    are cheap and reject most machines that are not abelian.  Then the
-    constructed matrix is fitted.  A validated fit is a certificate
-    (`locate`): the group is free abelian, and every odd vector v has the
-    residual difference A(v + e) - A(v - e) = 2Ae != 0 (Nekrashevych and
-    Sidki 2004).  So the verdict is AbelianFreeCandidate, with gamma read
-    off the table, and the odd-state comparisons and gamma closure run only
-    where nothing fits.  The report is `check_abelian`'s wherever that one
-    decides; where it is Unknown, a fit makes this one AbelianFreeCandidate.
-    NotInvertibleError as `check_abelian`.
+    are cheap and reject most machines that are not abelian.  Then a
+    constructed chi is a certificate (`_construct`): the group is free
+    abelian, and gamma acts as the vector 2Ae != 0 (Nekrashevych and Sidki
+    2004), so the verdict is AbelianFreeCandidate, with gamma read off the
+    table.  The odd-state comparisons and gamma closure run only where no
+    chi comes out, so the report is `check_abelian`'s wherever that one
+    decides.  NotInvertibleError as `check_abelian`.
     """
     table, odd = _odd_table(aut)
     if not odd:
@@ -734,8 +736,8 @@ def classify(aut: MealyAutomaton, *, bound: int = DEFAULT_BOUND) -> AbelianRepor
     report, saw_unknown = _even_tests(table, bound)
     if report is not None:
         return report
-    try:  # no odd state on a cycle, states out of reach, no chi, or a misfit
-        _fit(aut, *_construct(aut))
+    try:  # no odd state on a cycle, states out of reach, or no chi
+        _construct(aut)
     except (LocateError, MatrixError):
         return _odd_tests(aut, table, odd, saw_unknown, bound)
     return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE, gamma=gamma_of(aut))

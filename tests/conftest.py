@@ -705,7 +705,7 @@ def closure_infer_matrix(aut, *, max_dim=None, bound=DEFAULT_BOUND):
     """`infer_matrix` with `closure_gate` wherever the constructed matrix
     does not place the machine, as it was before `classify` decided it."""
     try:
-        A, frame = _construct(aut)
+        A, frame = _construct(aut), _anchor_cycle(aut)
         if max_dim is None or A.dim <= max_dim:
             return InferResult(matrix=A, chi=A.chi, location=_fit(aut, A, frame))
     except (LocateError, MatrixError):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from abmealy import analysis, complete, exactalg, group
+from abmealy import MealyAutomaton, analysis, complete, exactalg, group
 from abmealy.analysis import (
     InferResult,
     SccDecomposition,
@@ -583,34 +583,36 @@ def test_infer_matrix_classifies_the_machine_once(a32, lamplighter, monkeypatch)
             return fn(*args, **kwargs)
         return wrapper
 
-    # infer_matrix classifies through analysis's name, and locate through complete's
+    # each name is counted in every module that binds it
     counted_classify = counted("classify", complete.classify)
     monkeypatch.setattr(analysis, "classify", counted_classify)
     monkeypatch.setattr(complete, "classify", counted_classify)
-    monkeypatch.setattr(group, "check_abelian", counted("check_abelian", group.check_abelian))
+    counted_check = counted("check_abelian", group.check_abelian)
+    monkeypatch.setattr(group, "check_abelian", counted_check)
+    monkeypatch.setattr(analysis, "check_abelian", counted_check)
     monkeypatch.setattr(analysis, "locate", counted("locate", analysis.locate))
     char_poly = counted("char_poly", exactalg.char_poly)
     for module in (exactalg, complete, analysis, group):
         if hasattr(module, "char_poly"):
             monkeypatch.setattr(module, "char_poly", char_poly)
-    # the constructed chi is located once, and a fit proves the group free
-    # abelian: no classification runs
+    # the constructed chi is located once, and the construction proves the
+    # group free abelian: no classification runs
     assert infer_matrix(a32) is not None
     assert calls["locate"] == 1
-    assert calls["classify"] == []
+    assert calls["classify"] == calls["check_abelian"] == []
     # the chi comes with its companion matrix
     assert calls["char_poly"] == 0
-    # when nothing fits, the machine is classified exactly once
+    # when no chi comes out, check_abelian gates once, as classify would there
     with pytest.raises(NotAbelianError, match=re.escape(
             "automaton 'lamplighter' classified NotAbelian: d1(beta) - d0(beta) = "
             "alpha - beta is not the identity (odd element along path ''); "
             "need AbelianFreeCandidate")):
         infer_matrix(lamplighter)
-    assert calls["classify"] == ["lamplighter"]
+    assert calls["check_abelian"] == ["lamplighter"]
+    # a chi past max_dim is still a certificate: None, with no classification
     assert infer_matrix(a32, max_dim=1) is None
-    assert calls["classify"] == ["lamplighter", "a32"]
-    # the gate is classify's, never check_abelian's closures alone
-    assert calls["check_abelian"] == []
+    assert calls["check_abelian"] == ["lamplighter"]
+    assert calls["classify"] == [] and calls["locate"] == 1
 
 
 def test_infer_matrix_exhaustion(a32):
@@ -738,12 +740,12 @@ def test_infer_matrix_agrees_with_the_candidate_box(a32, principal_figure, lampl
 # -- classification -----------------------------------------------------------------
 
 
-def _random_located_machine(rng, chis, max_states=60):
+def _random_located_machine(rng, mats, max_states=60):
     """(machine, A): the orbit machine of 1-3 random start vectors in c(A, e),
-    A the companion matrix of a random chi and e a random odd vector;
-    redrawn until the orbit has at most max_states states."""
+    A drawn from mats and e a random odd vector; redrawn until the orbit has
+    at most max_states states."""
     while True:
-        A = companion_from_chi(rng.choice(chis))
+        A = rng.choice(mats)
         e = (rng.choice((-3, -1, 1, 3)),) + tuple(rng.randint(-2, 2) for _ in range(A.dim - 1))
         starts = [tuple(rng.randint(-3, 3) for _ in range(A.dim))
                   for _ in range(rng.randint(1, 3))]
@@ -757,22 +759,29 @@ def _constructed_fit(aut):
     """The constructed matrix's fit of the machine, or None where there is
     none or it misfits."""
     try:
-        A, frame = complete._construct(aut)
-        return InferResult(matrix=A, chi=A.chi, location=complete._fit(aut, A, frame))
+        A = complete._construct(aut)
+        return InferResult(matrix=A, chi=A.chi,
+                           location=complete._fit(aut, A, complete._anchor_cycle(aut)))
     except (LocateError, MatrixError):
         return None
+
+
+def _classify_machines(a32, xyz, lamplighter):
+    """(cheap, located): small corpus and figure machines with 2,000 random
+    ones, and 300 orbit machines of random starts, all drawn from seed 19."""
+    rng = random.Random(19)
+    mats = [companion_from_chi(chi) for chi in contracting_chis(max_dim=3)]
+    cheap = [_orbit_machine(g) for g in CORPUS_GS[:-2]] + [a32, xyz, lamplighter,
+                                                           union_machine()]
+    cheap += [random_machine(rng, rng.randint(2, 7)) for _ in range(2000)]
+    return cheap, [_random_located_machine(rng, mats)[0] for _ in range(300)]
 
 
 def test_classify_agrees_with_check_abelian_and_the_oracle(a32, xyz, lamplighter):
     """Where check_abelian decides, classify's report is the same; where it
     reports Unknown, classify says AbelianFreeCandidate exactly when the
     constructed matrix fits, and Unknown otherwise."""
-    rng = random.Random(19)
-    chis = contracting_chis(max_dim=3)
-    cheap = [_orbit_machine(g) for g in CORPUS_GS[:-2]] + [a32, xyz, lamplighter,
-                                                           union_machine()]
-    cheap += [random_machine(rng, rng.randint(2, 7)) for _ in range(2000)]
-    located = [_random_located_machine(rng, chis)[0] for _ in range(300)]
+    cheap, located = _classify_machines(a32, xyz, lamplighter)
     cases = [(aut, DEFAULT_BOUND, True) for aut in cheap]
     # the oracle runs on the cheap machines only: o61 costs check_abelian about
     # two seconds a chi
@@ -799,6 +808,69 @@ def test_classify_agrees_with_check_abelian_and_the_oracle(a32, xyz, lamplighter
     assert kinds[AbelianVerdict.ABELIAN_FREE_CANDIDATE] > 500
 
 
+def test_every_construction_is_fitted_by_its_companion_matrix(
+        a32, xyz, lamplighter, principal_figure, identity_machine, flip):
+    """Wherever `_construct` returns, `_fit` in its frame validates: the
+    certificate that classify and infer_matrix take from the construction
+    alone (`_construct`'s proof), rechecked transition by transition.  An
+    orbit machine of c(A, e) constructs A's own chi.  Over the corpus
+    o7-o1179 and the 227-state machine, the figure machines, the machines of
+    `_classify_machines`, and orbit machines of random non-companion
+    matrices of dimension 2-3 and of conjugates of the corpus matrices of
+    dimension 4-6: their Krylov bases need not be unimodular."""
+    rng = random.Random(25)
+    cheap, located = _classify_machines(a32, xyz, lamplighter)
+    owned = [(_orbit_machine(g), unit_config(g).A) for g in CORPUS_TO_1179]
+    owned.append((machine_227(), companion_from_chi(CHI227)))
+    randoms = []
+    while len(randoms) < 40:
+        A = random_half_integral(rng, rng.choice((2, 3)))
+        if A.contracting:
+            randoms.append(A)
+    owned += [_random_located_machine(rng, randoms, 200) for _ in range(300)]
+    for g in CORPUS_TO_1179:  # random starts would mostly pass the bound in dimension 4-6
+        if len(g) >= 4:
+            B, e1 = conjugate(unit_config(g).A, rng)[0], unit_vector(len(g))
+            owned.append((orbit_automaton(CompleteConfig(B, e1), [e1]), B))
+    machines = [(aut, None) for aut in cheap + located
+                + [principal_figure, identity_machine, flip]] + owned
+    kinds = Counter()
+    for aut, own in machines:
+        try:
+            A = complete._construct(aut)
+        except (LocateError, MatrixError):
+            kinds["none", own is not None] += 1
+            continue
+        complete._fit(aut, A, complete._anchor_cycle(aut))  # validates, or raises LocateError
+        if own is not None:
+            assert A.chi == own.chi, aut.serialize()
+        kinds["fit", own is not None] += 1
+    assert kinds["fit", True] > 200 and kinds["fit", False] > 250
+    assert kinds["none", False] > 1500
+
+
+# The odometer s0 beside two even states that swap, both the identity.  The
+# swap leaves the relation (1 - x^2) f, and the anchor's cycle, of length 1,
+# strips only x - 1 from the gcd.
+ODOMETER_SWAP = {("s0", 0): ("s0", 1), ("s0", 1): ("s2", 0), ("s1", 0): ("s2", 0),
+                 ("s1", 1): ("s2", 1), ("s2", 0): ("s1", 0), ("s2", 1): ("s1", 1)}
+
+
+def test_a_factor_left_in_the_gcd_costs_the_matrix_never_the_verdict():
+    """The gcd keeps x + 1 beside chi* = x - 2, and (x - 2)(x + 1) is not a
+    contracting chi*: nothing is constructed, so the closures classify the
+    machine, and infer finds no matrix, though c(1/2, -1) holds it."""
+    aut = MealyAutomaton(ODOMETER_SWAP, name="odometer_swap")
+    assert str(complete._relation_gcd(aut, complete._anchor_cycle(aut))) == "-2 - x + x^2"
+    with pytest.raises(MatrixError, match=re.escape("-1/2 + 1/2x + x^2 is not contracting")):
+        complete._construct(aut)
+    want = group.check_abelian(aut)
+    assert want.verdict is AbelianVerdict.ABELIAN_FREE_CANDIDATE
+    assert classify(aut) == want
+    assert infer_matrix(aut) is None
+    assert locate(aut, [[HALF]]).assignment == {"s0": (1,), "s1": (0,), "s2": (0,)}
+
+
 def _closure_gamma_text(aut):
     """d1(o) - d0(o) for the least odd state o, as check_abelian prints it."""
     o = next(s for s in aut.states if aut.output(s, 0) == 1)
@@ -812,12 +884,18 @@ def test_check_decides_orbit_machines_by_the_fit(name, capsys, tmp_path, monkeyp
     """check prints the closures' verdict and gamma, and the only identity
     tests that run are the even states' (one each): no odd-state comparison
     and no gamma closure.  check_abelian runs its closures for minutes on
-    o823 and on the 227-state machine and reports both Unknown."""
+    o823 and on the 227-state machine and reports both Unknown.  The
+    construction alone decides: the fit that would certify it never runs."""
     aut = {"o61": lambda: _orbit_machine(CORPUS_GS[-2]),
            "o823": lambda: _orbit_machine((1, 1, 1, 2, 1)),
            "o227": machine_227}[name]()
     path = tmp_path / f"{name}.aut"
     path.write_text(aut.serialize())
+
+    def no_fit(*args):
+        raise AssertionError("check ran a fit")
+
+    monkeypatch.setattr(complete, "_fit", no_fit)
     calls = []
     test = group._identity_test_coeffs
     monkeypatch.setattr(group, "_identity_test_coeffs",
@@ -856,9 +934,8 @@ def test_locate_and_infer_agree_with_the_closure_gate(a32, xyz, lamplighter):
     tried in its own matrix and in a mismatched contracting one, where the
     gate runs; random machines, mostly not abelian, in a random matrix."""
     rng = random.Random(20)
-    chis = contracting_chis(max_dim=3)
-    mats = [companion_from_chi(chi) for chi in chis]
-    located = [_random_located_machine(rng, chis, max_states=40) for _ in range(420)]
+    mats = [companion_from_chi(chi) for chi in contracting_chis(max_dim=3)]
+    located = [_random_located_machine(rng, mats, max_states=40) for _ in range(420)]
     cases = [(aut, own, DEFAULT_BOUND) for aut, own in located]
     # a small bound leaves check_abelian Unknown on some; those are skipped
     cases += [(random_machine(rng, rng.randint(2, 7)), None, bound)

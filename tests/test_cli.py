@@ -1,11 +1,12 @@
 """End-to-end tests for the command line interface.
 
-Every test drives ``abmealy.cli.main`` in process with a real argv list and
-asserts exact stdout/stderr text, JSON payloads, and exit codes.  Input files
+Most tests drive ``abmealy.cli.main`` in process with a real argv list and
+assert exact stdout/stderr text, JSON payloads, and exit codes.  Input files
 are written once to a per-module temporary directory.  One smoke test runs
 the ``abmealy`` console-script entry point declared in ``pyproject.toml``
 through a generated wrapper script in a subprocess, against this checkout's
-``src``.
+``src``; others run ``python -m abmealy`` where a process is the point, as
+with a stdout whose reader has gone.
 """
 
 import argparse
@@ -954,3 +955,23 @@ def test_console_script_is_installed(files, tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["pathpoly", "1n0"],
+                                  ["orbit", "o823.mat", "--e", "1 0 0 0 0"]],
+                         ids=["small", "large"])
+def test_a_closed_stdout_exits_1_quietly(argv, unbuffered, tmp_path):
+    # the read end is closed before the tool starts: a small output fails at
+    # the flush, a large one (823 lines) while it is printed
+    (tmp_path / "o823.mat").write_text("chi 1/2 1/2 1/2 1 1/2 1\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "abmealy", *argv], cwd=tmp_path,
+                              env=env, stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
