@@ -14,7 +14,10 @@ Three instruments sit on top of the core machinery:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
+from operator import sub
 
 from .complete import (
     CompleteConfig,
@@ -58,76 +61,99 @@ class SccDecomposition:
         )
 
 
-def scc_decompose(graph: dict) -> SccDecomposition:
-    """Tarjan's algorithm, iteratively, over a node -> successors mapping whose
-    successors are re-iterable collections: the edge pass walks them again."""
-    # index[node] is the node's visit number until its component is closed,
-    # then `done`, which is above every visit number and so lowers no low-link.
-    done = len(graph)
-    index: dict = {}
-    low: list[int] = []
-    stack: list = []
-    raw_components: list[tuple] = []
-    work: list = []  # (node, its visit number, iterator over its successors)
-
-    def enter(node):
-        index[node] = k = len(low)
-        low.append(k)
-        stack.append(node)
-        work.append((node, k, iter(graph[node])))
-
-    for root in graph:
-        if root in index:
+def _tarjan(first, targets) -> list[int]:
+    """Tarjan's algorithm, iteratively, over the nodes 0 ... n - 1 of a graph in
+    index form, node v's successors being targets[first[v]:first[v + 1]]:
+    each node's component number, components numbered as they close."""
+    n = len(first) - 1
+    # num[v] is -1 until v is visited, then its visit number while its component
+    # is open, and n + its component number once closed: above every visit
+    # number, so that a closed node lowers no low-link.
+    num, low, stack, path = [-1] * n, [0] * n, [], []
+    push, pop, save, resume = stack.append, stack.pop, path.append, path.pop
+    count, closed = 0, n
+    for root in range(n):
+        if num[root] >= 0:
             continue
-        enter(root)
-        while work:
-            node, k, targets = work[-1]
-            for t in targets:
-                j = index.get(t)
-                if j is None:
-                    # never indexed, so met here: every node is a root and
-                    # scans all its successors
-                    if t not in graph:
-                        raise ValueError(f"successor {t!r} is not a node of the graph")
-                    enter(t)
-                    break
-                low[k] = min(low[k], j)
-            else:  # every successor is visited, so node is finished
-                work.pop()
-                if low[k] == k:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        index[w] = done
-                        comp.append(w)
-                        if w == node:
-                            break
-                    raw_components.append(tuple(sorted(comp)))
-                if work:
-                    parent = work[-1][1]
-                    low[parent] = min(low[parent], low[k])
-    del index, low  # free the bookkeeping before the maps below are built
-    components = tuple(sorted(raw_components, key=lambda c: c[0]))
-    component_of = {}
-    for i, comp in enumerate(components):
-        for node in comp:
-            component_of[node] = i
-    edges = set()
-    cyclic = [len(c) > 1 for c in components]
-    for node, targets in graph.items():
-        i = component_of[node]
-        for t in targets:
-            j = component_of[t]
-            if i == j:
-                cyclic[i] = True
-            else:
-                edges.add((i, j))
+        v, e = root, first[root]
+        num[v] = low[v] = count
+        count += 1
+        push(v)
+        while True:
+            end = first[v + 1]
+            while e < end:
+                w = targets[e]
+                e += 1
+                k = num[w]
+                if k < 0:  # unvisited: descend, and come back to v's next edge
+                    save((v, e))
+                    v, e = w, first[w]
+                    num[v] = low[v] = count
+                    count += 1
+                    push(v)
+                    end = first[v + 1]
+                elif k < low[v]:
+                    low[v] = k
+            if low[v] == num[v]:  # v is the root of its component
+                while (w := pop()) != v:
+                    num[w] = closed
+                num[v] = closed
+                closed += 1
+            if not path:
+                break
+            u, e = resume()
+            if low[v] < low[u]:
+                low[u] = low[v]
+            v = u
+    return [k - n for k in num]
+
+
+def _decomposition(nodes, rank, first, targets) -> SccDecomposition:
+    """The decomposition of the graph on nodes[0 ... n - 1] in `_tarjan`'s index
+    form, rank listing the indices in the order of their sorted nodes: one pass
+    over it puts each component's members in order, and the components are
+    ordered by least member, the order in which the pass meets them."""
+    comp = _tarjan(first, targets)
+    groups = [[] for _ in range(max(comp, default=-1) + 1)]
+    for v in rank:
+        groups[comp[v]].append(nodes[v])
+    label = {c: i for i, c in enumerate(dict.fromkeys(map(comp.__getitem__, rank)))}
+    components = tuple(tuple(groups[c]) for c in label)
+    del groups
+    comp = list(map(label.__getitem__, comp))
+    # the distinct (source, target) component pairs of all edges
+    sources = chain.from_iterable(map(repeat, comp, map(sub, islice(first, 1, None), first)))
+    cyclic, edges = [len(c) > 1 for c in components], set()
+    for i, j in set(zip(sources, map(comp.__getitem__, targets))):
+        if i == j:
+            cyclic[i] = True
+        else:
+            edges.add((i, j))
     return SccDecomposition(
         components=components,
-        component_of=component_of,
+        component_of={node: i for i, c in enumerate(components) for node in c},
         edges=frozenset(edges),
         cyclic=tuple(cyclic),
     )
+
+
+def scc_decompose(graph: dict) -> SccDecomposition:
+    """Tarjan's algorithm over a node -> successors mapping, its nodes numbered
+    once: each node's successors are read once, so any iterable will do.
+    ValueError names the first successor, in the mapping's order, that is not
+    a node."""
+    nodes = list(graph)
+    index = {node: i for i, node in enumerate(nodes)}
+    first, targets = [0], []
+    for succs in graph.values():
+        try:
+            targets.extend(map(index.__getitem__, succs))
+        except KeyError as exc:
+            raise ValueError(f"successor {exc.args[0]!r} is not a node of the graph") from None
+        first.append(len(targets))
+    del index
+    return _decomposition(nodes, sorted(range(len(nodes)), key=nodes.__getitem__),
+                          first, targets)
 
 
 # -- path polynomials and witnesses -----------------------------------------------
@@ -246,32 +272,46 @@ def check_scc_instance(A: HalfIntegralMatrix, *,
     e1 = unit_vector(A.dim)
     neg = tuple(-c for c in e1)
     config = CompleteConfig(A, e1)
-    graph, witness = {}, None
-    for start in (e1, neg):
-        if start not in graph:  # else its orbit is already in the graph
-            order, succ = _walk(config, [start], bound)
-            # both inputs step an even vector to one tuple, kept once
-            graph.update(zip(order, [(order[a], order[b]) if v[0] & 1 else (order[a],)
-                                     for v, a, b in zip(order, succ[::2], succ[1::2])]))
-            if start == e1 and neg in graph:
-                # read back from -e1 to e1 (index 0), so the first step's letter, c_0, comes last
-                letters, j = [], order.index(neg)
-                while j:  # succ's first p naming j is the step that discovered it
-                    j = (p := succ.index(j)) >> 1
-                    letters.append("n1"[p & 1] if order[j][0] & 1 else "0")
-                witness = path_polynomial("".join(letters))
-    dec = scc_decompose(graph)
-    zero = (0,) * A.dim
-    nontrivial = tuple(i for i, comp in enumerate(dec.components) if zero not in comp)
+    order, succ = _walk(config, [e1], bound)
+    rank = sorted(range(len(order)), key=order.__getitem__)
+    states = tuple(map(order.__getitem__, rank))
+    at = bisect_left(states, neg)
+    if at < len(states) and states[at] == neg:
+        witness = _walk_witness(order, succ, rank[at])
+    else:
+        # v -> -v maps c(A, e1) onto itself, swapping the inputs at odd v, so
+        # orbit(-e1) = -orbit(e1): the union is at most twice the first walk
+        witness = None
+        order, succ = _walk(config, [e1, neg], 2 * bound)
+        rank = sorted(range(len(order)), key=order.__getitem__)
+        states = tuple(map(order.__getitem__, rank))
+    # both inputs step an even vector to one index, which Tarjan reads twice
+    dec = _decomposition(order, rank, range(0, len(succ) + 1, 2), succ)
+    zero = dec.component_of.get((0,) * A.dim)
+    nontrivial = tuple(i for i in range(len(dec.components)) if i != zero)
     return SccInstanceReport(
         chi=A.chi,
         chi_star=A.chi_star,
-        states=tuple(sorted(graph)),
+        states=states,
         decomposition=dec,
         nontrivial_components=nontrivial,
         single_nontrivial=len(nontrivial) == 1,
         witness=witness,
     )
+
+
+def _walk_witness(order, succ, j: int) -> Polynomial:
+    """The path polynomial of `_walk`'s path from order[0] to order[j], read
+    back so that the first step's letter, c_0, comes last.  The walk names
+    each vector first when it discovers it, as a new highest index, so the
+    first entry of succ naming j is the running maximum's first reach of j."""
+    reach = list(accumulate(islice(succ, 2 * j), max))  # the parent of j is below j
+    letters = []
+    while j:
+        p = bisect_left(reach, j)
+        j = p >> 1
+        letters.append("n1"[p & 1] if order[j][0] & 1 else "0")
+    return path_polynomial("".join(letters))
 
 
 # -- matrix inference ----------------------------------------------------------------

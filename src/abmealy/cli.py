@@ -84,6 +84,21 @@ def _write_or_print(args, text: str) -> None:
         print(text, end="")
 
 
+_CHUNK = 4096  # vectors formatted and written at a time
+
+
+def _write_vectors(vectors, dim: int, sep: str, end: str) -> None:
+    """Write int vectors of length dim as `format_vector` prints them, sep
+    between two and end after the last, a chunk of vectors per write."""
+    fmt = "(" + ",".join(["%d"] * dim) + ")"
+    write = sys.stdout.write
+    for k in range(0, len(vectors), _CHUNK):
+        if k:
+            write(sep)
+        write(sep.join(map(fmt.__mod__, vectors[k:k + _CHUNK])))
+    write(end)
+
+
 def _location_json(locmap) -> dict:
     pc, ps = _poly_json(locmap.p)
     return {"p": pc, "p_str": ps, "e": list(locmap.e),
@@ -154,8 +169,7 @@ def _cmd_orbit(args) -> int:
     if args.json:
         print(json.dumps({"count": len(vectors), "vectors": [list(v) for v in vectors]}))
     else:
-        for v in vectors:
-            print(format_vector(v))
+        _write_vectors(vectors, config.dim, "\n", "\n")
     return 0
 
 
@@ -265,7 +279,8 @@ def _cmd_scc(args) -> int:
     print(f"states: {len(report.states)}")
     print(f"components: {len(dec.components)}")
     for i, (comp, cyclic) in enumerate(zip(dec.components, dec.cyclic)):
-        print(f"  [{i}]{' cyclic' if cyclic else ''}: " + " ".join(map(format_vector, comp)))
+        sys.stdout.write(f"  [{i}]{' cyclic' if cyclic else ''}: ")
+        _write_vectors(comp, A.dim, " ", "\n")
     print("single nontrivial component: " + ("yes" if report.single_nontrivial else "no"))
     print(f"witness: {ws if ws is not None else 'none'}")
     return 0

@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import add, index, mul, sub
 
 from .errors import (
@@ -645,7 +646,11 @@ def _construct(aut: MealyAutomaton):
     vectors leaves N = f_s - x f_t + sigma p per transition (s, b) -> t.  Any
     fit rescales to this frame, so chi* divides every N and their gcd G,
     stripped of x and of its factors of x^L - 1 (chi* has no root at 0 or on
-    the unit circle); chi is G's reversal over G(0).  A returned G is a
+    the unit circle); chi is G's reversal over G(0).  Another cycle can leave
+    a cyclotomic factor in G, so where that chi is not contracting, G is also
+    stripped of every Phi_k that can divide it (phi(k) <= deg G), and chi is
+    read off again; a chi that is contracting at once costs no more.  What
+    follows needs only that G divides every N.  A returned G is a
     contracting chi*, so irreducible (module docstring), and P = xR is a
     maximal (R/P = Z/2), principal ideal of R = Z[x]/chi*: R_P has a
     valuation v.  As N = 0, x f_t = f_s + sigma p with v(p) = 0 (x^L - 1 =
@@ -656,9 +661,30 @@ def _construct(aut: MealyAutomaton):
     the unit sigma_0 s).  A factor left in G yields no chi, never a wrong one.
     """
     star = _relation_gcd(aut, _anchor_cycle(aut))
-    A = companion_from_chi(Polynomial([Fraction(c, star.constant) for c in reversed(star.coeffs)]))
+    A = _star_companion(star)
+    if not A.contracting:
+        d = star.degree
+        for k in range(1, 2 * d * d + 1):  # phi(k) >= sqrt(k / 2): phi(k) <= d needs k <= 2 d^2
+            if sum(gcd(i, k) == 1 for i in range(k)) <= d:  # phi(k)
+                star = _strip_cycle(star, k)
+        A = _star_companion(star)
     _require_contracting(A)
     return A
+
+
+def _star_companion(star: Polynomial) -> HalfIntegralMatrix:
+    """The companion matrix of chi, G's reversal over G(0); MatrixError where
+    that is no half-integral chi."""
+    return companion_from_chi(
+        Polynomial([Fraction(c, star.constant) for c in reversed(star.coeffs)]))
+
+
+def _strip_cycle(g: Polynomial, k: int) -> Polynomial:
+    """g with every factor that it shares with x^k - 1 divided out."""
+    cycle = Polynomial([-1] + [0] * (k - 1) + [1])
+    while not g.is_zero() and (h := _gcd(g, cycle)).degree > 0:
+        g = _poly_divmod(g, h)[0]
+    return g
 
 
 def _relation_gcd(aut: MealyAutomaton, frame) -> Polynomial:
@@ -677,7 +703,6 @@ def _relation_gcd(aut: MealyAutomaton, frame) -> Polynomial:
     """
     signs, anchor, sigmas = frame
     L, s0 = len(sigmas), sigmas[0]
-    cycle = Polynomial([-1] + [0] * (L - 1) + [1])
     w = (2 * len(aut.states) + 1).bit_length() + 1
     p = s0 * ((1 << w * L) - 1)  # s0 (x^L - 1)
     start = sum(s0 * c << w * i for i, c in enumerate(sigmas))  # s0 s
@@ -696,9 +721,7 @@ def _relation_gcd(aut: MealyAutomaton, frame) -> Polynomial:
                 g = _gcd(Polynomial(_unpack(rel, w)), g)
                 if g.degree == 0:
                     return g
-    while not g.is_zero() and (h := _gcd(g, cycle)).degree > 0:
-        g = _poly_divmod(g, h)[0]
-    return g
+    return _strip_cycle(g, L)
 
 
 def _unpack(n: int, w: int) -> list[int]:

@@ -284,6 +284,94 @@ def reference_table(config, starts):
             for i, v in enumerate(order) for bit in (0, 1)]
 
 
+def reference_scc_decompose(graph):
+    """Tarjan's algorithm, iteratively, on the nodes themselves, as a dict-keyed
+    reference for `analysis.scc_decompose`: the components, each sorted, ordered
+    by least member; successors must be re-iterable, as the edge pass reads them
+    again."""
+    done = len(graph)  # above every visit number, so a closed node lowers no low-link
+    index, low, stack, raw, work = {}, [], [], [], []
+
+    def enter(node):
+        index[node] = k = len(low)
+        low.append(k)
+        stack.append(node)
+        work.append((node, k, iter(graph[node])))
+
+    for root in graph:
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            node, k, targets = work[-1]
+            for t in targets:
+                j = index.get(t)
+                if j is None:
+                    if t not in graph:
+                        raise ValueError(f"successor {t!r} is not a node of the graph")
+                    enter(t)
+                    break
+                low[k] = min(low[k], j)
+            else:
+                work.pop()
+                if low[k] == k:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == node:
+                            break
+                    raw.append(tuple(sorted(comp)))
+                if work:
+                    parent = work[-1][1]
+                    low[parent] = min(low[parent], low[k])
+    components = tuple(sorted(raw, key=lambda c: c[0]))
+    component_of = {node: i for i, comp in enumerate(components) for node in comp}
+    edges, cyclic = set(), [len(c) > 1 for c in components]
+    for node, targets in graph.items():
+        i = component_of[node]
+        for t in targets:
+            j = component_of[t]
+            if i == j:
+                cyclic[i] = True
+            else:
+                edges.add((i, j))
+    return abmealy.analysis.SccDecomposition(
+        components=components, component_of=component_of,
+        edges=frozenset(edges), cyclic=tuple(cyclic))
+
+
+def reference_scc_instance(A, bound=DEFAULT_BOUND):
+    """`analysis.check_scc_instance` on vector tuples: `reference_walk` from e1
+    and, where -e1 is not reached, from -e1 too, each within bound; the graph
+    of both successors of every vector by `reference_scc_decompose`; the
+    witness read back through `list.index`."""
+    if not isinstance(A, HalfIntegralMatrix):
+        A = HalfIntegralMatrix(A)
+    e1 = unit_vector(A.dim)
+    neg = tuple(-c for c in e1)
+    config, graph, witness = CompleteConfig(A, e1), {}, None
+    for start in (e1, neg):
+        if start not in graph:
+            order, succ = reference_walk(config, [start], bound)
+            graph.update((v, (order[succ[2 * i]], order[succ[2 * i + 1]]))
+                         for i, v in enumerate(order))
+            if start == e1 and neg in graph:
+                letters, j = [], order.index(neg)
+                while j:  # succ's first entry naming j is the step that discovered it
+                    j = (p := succ.index(j)) >> 1
+                    letters.append("n1"[p & 1] if order[j][0] & 1 else "0")
+                witness = abmealy.analysis.path_polynomial("".join(letters))
+    dec = reference_scc_decompose(graph)
+    zero = (0,) * A.dim
+    nontrivial = tuple(i for i, comp in enumerate(dec.components) if zero not in comp)
+    return abmealy.analysis.SccInstanceReport(
+        chi=A.chi, chi_star=A.chi_star, states=tuple(sorted(graph)), decomposition=dec,
+        nontrivial_components=nontrivial, single_nontrivial=len(nontrivial) == 1,
+        witness=witness)
+
+
 # chi of the 14 corpus orbit machines of 7 to 61 states
 CORPUS_GS = [(1, 2), (1, -2), (1, 1, 1, 1), (1, -1, 1, -1), (1, 0, -2), (-1, 0, 2),
              (1, 0, 1, -1), (1, 0, 1, 1), (1, 0, -1, -1), (1, 0, -1, 1),

@@ -42,6 +42,7 @@ from abmealy.errors import (
 )
 from abmealy.exactalg import (
     HALF,
+    HalfIntegralMatrix,
     IntPolynomial,
     RationalMatrix,
     RationalPolynomial,
@@ -52,6 +53,7 @@ from abmealy.group import DEFAULT_BOUND, AbelianReport, AbelianVerdict, format_c
 
 from conftest import (
     CORPUS_GS,
+    CORPUS_GS_ALL,
     CORPUS_TO_1179,
     box_infer_matrix,
     closure_infer_matrix,
@@ -62,6 +64,8 @@ from conftest import (
     oracle_check_abelian,
     random_half_integral,
     random_machine,
+    reference_scc_decompose,
+    reference_scc_instance,
     transduction_agrees,
     union_machine,
     unit_config,
@@ -177,6 +181,28 @@ def test_scc_matches_naive_oracle():
         assert dec.cyclic == cyclic
         assert dec.terminal_indices == terminal
     assert loops >= 50 and repeats >= 50
+
+
+def test_scc_decompose_matches_the_tuple_tarjan_reading_successors_once():
+    """The index Tarjan against the tuple-keyed one on random graphs of up to
+    40 nodes, labelled by strings, with self-loops and repeated successors;
+    handed generators, it reads each node's successors exactly once."""
+    rng = random.Random(9191)
+    for trial in range(200):
+        n = rng.randint(1, 40)
+        p = rng.uniform(0, 3 / n)
+        graph = {}
+        for u in rng.sample(range(n), n):  # insertion order is not sorted order
+            targets = [v for v in range(n) if rng.random() < p]
+            targets += rng.choices(targets, k=rng.randint(0, 2)) if targets else []
+            graph[f"n{u}"] = tuple(f"n{v}" for v in rng.sample(targets, len(targets)))
+        want = reference_scc_decompose(graph)
+        got = scc_decompose({u: (t for t in ts) for u, ts in graph.items()})
+        assert got == want, graph
+        assert list(got.component_of.items()) == list(want.component_of.items())
+    # the first successor that is not a node, in the mapping's order, is named
+    with pytest.raises(ValueError, match="successor 'x' is not a node"):
+        scc_decompose({"a": ("b", "x"), "b": ("y",)})
 
 
 # -- path polynomials ---------------------------------------------------------------
@@ -537,6 +563,48 @@ def test_check_scc_instance_matches_the_two_successor_graph(g, mat_a):
     assert check_scc_instance(A).decomposition == scc_decompose(graph)
 
 
+def _scc_oracle_matrices():
+    """(id, A): the corpus chi up to o55275, dimension 1, conjugated
+    non-companion matrices, and chi whose -e1 is off orbit(e1), so that two
+    walks run."""
+    rng = random.Random(26)
+    cases = [(f"g{','.join(map(str, g))}", unit_config(g).A) for g in CORPUS_GS_ALL]
+    cases += [("x-1/2", companion_from_chi(RationalPolynomial.of(-HALF, 1))),
+              ("x+1/2", companion_from_chi(RationalPolynomial.of(HALF, 1))),
+              ("g1,2,2,2", unit_config((1, 2, 2, 2)).A)]
+    for g in ((-1, 0), (-1, 0, 0, 0)):  # chi = x^m - 1/2
+        cases.append((f"off{len(g)}", unit_config(g).A))
+    for g in ((1, 0, 1, 1), (1, 1, 0, 1, 0), (-1, 0, 0)):
+        B, _ = conjugate(unit_config(g).A, rng)
+        assert B.companion is None
+        cases.append((f"conj{','.join(map(str, g))}", B))
+    return cases
+
+
+@pytest.mark.parametrize("A", [pytest.param(A, id=name) for name, A in _scc_oracle_matrices()])
+def test_check_scc_instance_matches_the_tuple_tarjan(A):
+    """The walk's indices through the one index Tarjan against the vector
+    tuples through the tuple-keyed Tarjan, field by field and in order."""
+    got, want = check_scc_instance(A), reference_scc_instance(A)
+    assert got == want
+    assert list(got.decomposition.component_of.items()) == list(
+        want.decomposition.component_of.items())
+    e1 = unit_vector(A.dim)
+    off = tuple(-c for c in e1) not in orbit(CompleteConfig(A, e1), e1)
+    assert off == (got.witness is None)
+
+
+def test_check_scc_instance_bounds_each_walk_as_the_tuple_walks():
+    """Where -e1 is off orbit(e1), one walk of both orbits replaces a walk of
+    each: the bound still caps orbit(e1) alone, never the union."""
+    A = unit_config((-1, 0, 0, 0)).A
+    size = len(orbit(CompleteConfig(A, unit_vector(4)), unit_vector(4)))
+    assert len(check_scc_instance(A).states) > size
+    for bound in range(1, size + 2):
+        assert full_outcome(check_scc_instance, A, bound=bound) == full_outcome(
+            reference_scc_instance, A, bound=bound), bound
+
+
 def test_check_scc_instance_none_is_proven_at_every_degree():
     """x - 1/2 and x^3 - 1/2: the carry -1 is unreachable, so no witness
     exists at any degree; 1/2 + x + x^2 + x^3 + x^4 has its least witness at
@@ -858,17 +926,33 @@ ODOMETER_SWAP = {("s0", 0): ("s0", 1), ("s0", 1): ("s2", 0), ("s1", 0): ("s2", 0
 
 def test_a_factor_left_in_the_gcd_costs_the_matrix_never_the_verdict():
     """The gcd keeps x + 1 beside chi* = x - 2, and (x - 2)(x + 1) is not a
-    contracting chi*: nothing is constructed, so the closures classify the
-    machine, and infer finds no matrix, though c(1/2, -1) holds it."""
+    contracting chi*: the construction strips every cyclotomic factor there,
+    so chi = x - 1/2 comes out, classify decides what the closures decide,
+    and infer places the machine where locate places it in c(1/2, -1)."""
     aut = MealyAutomaton(ODOMETER_SWAP, name="odometer_swap")
     assert str(complete._relation_gcd(aut, complete._anchor_cycle(aut))) == "-2 - x + x^2"
-    with pytest.raises(MatrixError, match=re.escape("-1/2 + 1/2x + x^2 is not contracting")):
-        complete._construct(aut)
+    assert str(complete._construct(aut).chi) == "-1/2 + x"
     want = group.check_abelian(aut)
     assert want.verdict is AbelianVerdict.ABELIAN_FREE_CANDIDATE
     assert classify(aut) == want
-    assert infer_matrix(aut) is None
-    assert locate(aut, [[HALF]]).assignment == {"s0": (1,), "s1": (0,), "s2": (0,)}
+    result = infer_matrix(aut)
+    assert result.matrix == HalfIntegralMatrix([[HALF]])
+    assert (result.location.e, str(result.location.p)) == ((-1,), "-1")
+    placed = {"s0": (1,), "s1": (0,), "s2": (0,)}
+    assert result.location.assignment == placed
+    assert locate(aut, [[HALF]]).assignment == placed
+    assert verify_location(aut, result.matrix, result.location)
+
+
+def test_a_gcd_that_no_strip_makes_contracting_is_refused(monkeypatch):
+    """x^2 - 5x + 2 has no cyclotomic factor and a root inside the unit
+    circle: with or without a cyclotomic factor beside it, no chi comes out,
+    and the error names the stripped chi."""
+    aut = MealyAutomaton(ODOMETER_SWAP, name="odometer_swap")
+    for g in ((2, -5, 1), (2, -3, -4, 1)):  # and times x + 1
+        monkeypatch.setattr(complete, "_relation_gcd", lambda *args, g=g: IntPolynomial(g))
+        with pytest.raises(MatrixError, match=re.escape("1/2 - 5/2x + x^2 is not contracting")):
+            complete._construct(aut)
 
 
 def _closure_gamma_text(aut):

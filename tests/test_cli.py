@@ -19,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from abmealy import parse_automaton, parse_int_poly, reduce_mod
+from abmealy import parse_automaton, parse_int_poly, parse_matrix, reduce_mod
 from abmealy import cli
+from abmealy.analysis import check_scc_instance
 from abmealy.cli import main
+from abmealy.complete import CompleteConfig, format_vector, orbit, parse_vector
 from conftest import (
     A32_TEXT,
     CHI_ERRORS,
@@ -276,6 +278,54 @@ def test_orbit_budget_names_its_count_and_bound(capsys, files):
                  ("scc", str(files / "A.mat")),
                  ("principal", "--chi", "1/2 1 1")):
         assert run(capsys, *argv, "--bound", "3") == (1, "", want)
+
+
+def _chunkings(n):
+    """Chunk sizes that leave n vectors just above, at and just below a multiple."""
+    return sorted({1, 2, max(n // 2, 1), max(n - 1, 1), n, n + 1, cli._CHUNK})
+
+
+# (MATRIX text, e, start): --start other than e, dimension 1, and negative
+# first entries, with 3 to 61 vectors
+CHUNKED_ORBITS = [
+    (MAT_A_TEXT, "(1,0)", None),
+    (MAT_A_TEXT, "(3,2)", "(1,0)"),
+    ("chi -1/2 1\n", "(-1)", None),
+    ("chi 1/2 1\n", "(1)", "(-3)"),
+    ("chi 1/2 -1 3/2 -3/2 1\n", "(1,0,0,0)", "(-1,0,0,0)"),
+]
+
+
+@pytest.mark.parametrize("text,e,start", CHUNKED_ORBITS)
+def test_orbit_text_is_format_vector_in_every_chunking(text, e, start, capsys, tmp_path,
+                                                       monkeypatch):
+    mat = tmp_path / "m.mat"
+    mat.write_text(text)
+    vectors = orbit(CompleteConfig(parse_matrix(text), parse_vector(e)), parse_vector(start or e))
+    want = "".join(format_vector(v) + "\n" for v in vectors)
+    argv = ["orbit", str(mat), "--e", e] + (["--start", start] if start else [])
+    for chunk in _chunkings(len(vectors)):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert run(capsys, *argv) == (0, want, ""), chunk
+
+
+@pytest.mark.parametrize("text", [MAT_A_TEXT, "chi -1/2 1\n", "chi 1/2 1\n",
+                                  "chi -1/2 0 1\n", "chi 1/2 -1 3/2 -3/2 1\n"])
+def test_scc_text_is_format_vector_in_every_chunking(text, capsys, tmp_path, monkeypatch):
+    mat = tmp_path / "m.mat"
+    mat.write_text(text)
+    report = check_scc_instance(parse_matrix(text))
+    dec = report.decomposition
+    want = "".join(line + "\n" for line in [
+        f"chi: {report.chi}", f"chi*: {report.chi_star}", f"states: {len(report.states)}",
+        f"components: {len(dec.components)}",
+        *(f"  [{i}]{' cyclic' if cyclic else ''}: " + " ".join(map(format_vector, comp))
+          for i, (comp, cyclic) in enumerate(zip(dec.components, dec.cyclic))),
+        "single nontrivial component: " + ("yes" if report.single_nontrivial else "no"),
+        f"witness: {report.witness if report.witness is not None else 'none'}"])
+    for chunk in _chunkings(max(map(len, dec.components))):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert run(capsys, "scc", str(mat)) == (0, want, ""), chunk
 
 
 # -- locate / verify ---------------------------------------------------------------
