@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
 
@@ -47,9 +48,13 @@ class SccDecomposition:
     """
 
     components: tuple[tuple, ...]
-    component_of: dict
     edges: frozenset
     cyclic: tuple[bool, ...]
+
+    @cached_property
+    def component_of(self) -> dict:
+        """Each node's component index, built on first read."""
+        return {node: i for i, c in enumerate(self.components) for node in c}
 
     @property
     def terminal_indices(self) -> tuple[int, ...]:
@@ -131,7 +136,6 @@ def _decomposition(nodes, rank, first, targets) -> SccDecomposition:
             edges.add((i, j))
     return SccDecomposition(
         components=components,
-        component_of={node: i for i, c in enumerate(components) for node in c},
         edges=frozenset(edges),
         cyclic=tuple(cyclic),
     )
@@ -287,7 +291,9 @@ def check_scc_instance(A: HalfIntegralMatrix, *,
         states = tuple(map(order.__getitem__, rank))
     # both inputs step an even vector to one index, which Tarjan reads twice
     dec = _decomposition(order, rank, range(0, len(succ) + 1, 2), succ)
-    zero = dec.component_of.get((0,) * A.dim)
+    z = (0,) * A.dim  # each component is sorted: bisect for the zero vector
+    zero = next((i for i, c in enumerate(dec.components)
+                 if (k := bisect_left(c, z)) < len(c) and c[k] == z), None)
     nontrivial = tuple(i for i in range(len(dec.components)) if i != zero)
     return SccInstanceReport(
         chi=A.chi,

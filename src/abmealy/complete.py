@@ -53,7 +53,6 @@ from .exactalg import (
     Polynomial,
     RationalMatrix,
     _int_poly,
-    _mul_matrix_mod,
     _poly_divmod,
     companion_from_chi,
     reduce_mod,
@@ -62,12 +61,8 @@ from .exactalg import (
 from .group import (
     DEFAULT_BOUND,
     AbelianReport,
-    AbelianVerdict,
-    _even_tests,
-    _odd_table,
-    _odd_tests,
+    _decide,
     _require_abelian_free,
-    gamma_of,
 )
 from .mealy import MealyAutomaton, Parity
 
@@ -327,10 +322,7 @@ def vector_to_poly(v, A: HalfIntegralMatrix) -> Polynomial:
             "powers of the inverse matrix applied to e1 are linearly "
             "dependent; no polynomial names this vector uniquely"
         )
-    return _integral_name(Polynomial(sol), v)
-
-
-def _integral_name(p: Polynomial, v) -> Polynomial:
+    p = Polynomial(sol)
     if not p.is_integral():
         raise MatrixError(
             f"vector {format_vector(v)} is not an integer polynomial multiple "
@@ -514,16 +506,6 @@ def _shortest_cycle(aut: MealyAutomaton, anchor: str) -> str | None:
     return None
 
 
-def _cycle_quotient(A: HalfIntegralMatrix, sigmas) -> Polynomial | None:
-    """q = (x^L - 1) / s in Q[x]/chi*, s = sum sigma_i x^i, L = len(sigmas);
-    None when s is a zero divisor there (s(A^-1) is singular)."""
-    star = A.chi_star
-    target = reduce_mod(Polynomial((-1,) + (0,) * (len(sigmas) - 1) + (1,)), star).coeffs
-    sol = _mul_matrix_mod(Polynomial(sigmas), star).solve_unique(
-        target + (0,) * (star.degree - len(target)))
-    return None if sol is None else Polynomial(sol)
-
-
 def locate(aut: MealyAutomaton, A: HalfIntegralMatrix, *,
            bound: int = DEFAULT_BOUND) -> LocationMap:
     """Embed an abelian automaton into a complete automaton over A.
@@ -558,34 +540,34 @@ def _fit(aut: MealyAutomaton, A: HalfIntegralMatrix, frame) -> LocationMap:
     """`locate` without the abelian check, in `_anchor_cycle`'s frame: e, vectors, validation.
 
     First the anchor is pinned at e1 and e is named by p = (x^L - 1)/s, one
-    division in Q[x]/chi*.  Where that p is not integral (e need not be
-    either), the anchor is pinned at a = sigma_0 s(A^-1) e1 instead, sigma_0
-    the sign of the cycle's first letter, so that s e = sigma_0 s (x^L - 1) e1
-    gives e = sigma_0 (A^-L - I) e1, named by p = sigma_0 ((x^L - 1) mod chi*).
-    This p is integral, as chi* is monic over Z, and so is e, as A^-1 is
-    integral.  A^-1 maps Z^m onto the vectors of even first coordinate, so
-    a vector q(A^-1) e1 has the parity of q(0): a and e are odd, since s(0)
-    = sigma_0 and x^L mod chi* has even constant term.  The second map is
-    the first times sigma_0 s(A^-1), which commutes with every step, keeps
-    parity and is injective; so where the first is integral, both fit or
-    neither does.  Every map that the division alone places is kept as it is.
+    division in Z[x]/chi* (`try_divide_mod`).  Where that p is not integral
+    (e need not be either), the anchor is pinned at a = sigma_0 s(A^-1) e1
+    instead, sigma_0 the sign of the cycle's first letter, so that s e =
+    sigma_0 s (x^L - 1) e1 gives e = sigma_0 (A^-L - I) e1, named by p =
+    sigma_0 ((x^L - 1) mod chi*).  This p is integral, as chi* is monic over
+    Z, and so is e, as A^-1 is integral.  A^-1 maps Z^m onto the vectors of
+    even first coordinate, so a vector q(A^-1) e1 has the parity of q(0): a
+    and e are odd, since s(0) = sigma_0 and x^L mod chi* has even constant
+    term.  The second map is the first times sigma_0 s(A^-1), which commutes
+    with every step, keeps parity and is injective; so where the first is
+    integral, both fit or neither does.  Every map that the division alone
+    places is kept as it is.
     """
     signs, anchor, sigmas = frame
-    e1, inv = unit_vector(A.dim), A.inv_rows
-    # never None: chi* is irreducible and does not divide s (module docstring)
-    p = _cycle_quotient(A, sigmas)
-    start = e1
-    if not p.is_integral():
+    inv, cycle = A.inv_rows, Polynomial([-1] + [0] * (len(sigmas) - 1) + [1])
+    # s is a unit modulo chi* (module docstring), so None means "not integral"
+    p, start = try_divide_mod(cycle, Polynomial(sigmas), A.chi_star), unit_vector(A.dim)
+    if p is None:
         sign = sigmas[0]
-        start = _horner([sign * c for c in sigmas], e1, inv)
-        p = reduce_mod(Polynomial([-sign] + [0] * (len(sigmas) - 1) + [sign]), A.chi_star)
-    e = tuple(map(int, _horner(p.coeffs, e1, inv)))
+        start = poly_to_vector(sign * Polynomial(sigmas), A)
+        p = reduce_mod(cycle * sign, A.chi_star)
+    e = poly_to_vector(p, A)
 
     config = CompleteConfig(A, e)
-    assignment = _spread(
+    values = _spread(
         aut, signs, anchor, start, lambda v, bit, sig: _step(config, v, bit)[0],
         lambda v, sig: tuple(map(sub, _apply_int(inv, v), (sig * c for c in e))))
-    located = LocationMap(p=p, e=e, assignment=assignment)
+    located = LocationMap(p=p, e=e, assignment={aut.states[i]: v for i, v in values.items()})
     located.validate(aut, A)
     return located
 
@@ -609,10 +591,11 @@ def _anchor_cycle(aut: MealyAutomaton):
 
 
 def _spread(aut: MealyAutomaton, signs, anchor: str, start, forward, backward) -> dict:
-    """A value for every state, breadth first from the anchor's, first come
-    first assigned: a state s gives its targets forward(value, bit, sigma)
-    and then its sources backward(value, sigma), sigma the source's sign on
-    bit (`_anchor_cycle`).  LocateError names the states left unreached."""
+    """A value for every state index, breadth first from the anchor's, first
+    come first assigned: a state s gives its targets forward(value, bit,
+    sigma) and then its sources backward(value, sigma), sigma the source's
+    sign on bit (`_anchor_cycle`).  LocateError names the states left
+    unreached."""
     states, succ = aut.states, aut._succ  # read in place, as `group` reads them
     back = [[] for _ in states]  # the entries 2 u + bit into each state
     for j, t in enumerate(succ):
@@ -634,7 +617,7 @@ def _spread(aut: MealyAutomaton, signs, anchor: str, start, forward, backward) -
     if len(values) < len(states):
         missing = [s for i, s in enumerate(states) if i not in values]
         raise LocateError(f"states not connected to {anchor}: {', '.join(missing)}")
-    return {states[i]: v for i, v in values.items()}
+    return values
 
 
 def _construct(aut: MealyAutomaton):
@@ -711,7 +694,7 @@ def _relation_gcd(aut: MealyAutomaton, frame) -> Polynomial:
                     lambda v, sig: (v[0], (v[1] << w) - sig * (p << w * v[0])))
     g, seen = Polynomial(), set()
     for e, t in enumerate(aut._succ):  # the transition of state e >> 1 on bit e & 1
-        (k, f), (j, h) = value[aut.states[e >> 1]], value[aut.states[t]]
+        (k, f), (j, h) = value[e >> 1], value[t]
         top = max(k, j)  # x^top N is a polynomial
         rel = ((f << w * (top - k)) - (h << w * (top - j + 1)) + signs[e] * (p << w * top))
         if rel:
@@ -753,17 +736,15 @@ def classify(aut: MealyAutomaton, *, bound: int = DEFAULT_BOUND) -> AbelianRepor
     chi comes out, so the report is `check_abelian`'s wherever that one
     decides.  NotInvertibleError as `check_abelian`.
     """
-    table, odd = _odd_table(aut)
-    if not odd:
-        return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
-    report, saw_unknown = _even_tests(table, bound)
-    if report is not None:
-        return report
+    return _decide(aut, bound, _constructs)
+
+
+def _constructs(aut: MealyAutomaton) -> bool:
     try:  # no odd state on a cycle, states out of reach, or no chi
         _construct(aut)
     except (LocateError, MatrixError):
-        return _odd_tests(aut, table, odd, saw_unknown, bound)
-    return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE, gamma=gamma_of(aut))
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -781,7 +762,9 @@ def find_location_mismatch(aut: MealyAutomaton, A: HalfIntegralMatrix,
 
     Runs every non-empty word up to max_len through both machines
     independently and reports the first disagreement.  This is deliberately
-    brute force: it shares no code with `locate` or `LocationMap.validate`.
+    brute force: it shares the step of c(A, e) (`transduce_vector`) and the
+    module action (`poly_to_vector`) with `locate`, but not its fit or its
+    spread, nor the transition check of `LocationMap.validate`.
     Raises LocateError when p does not name e, when the map has a state the
     machine lacks, and on reaching a machine state the map leaves out.
     """

@@ -478,9 +478,7 @@ def companion_from_chi(chi) -> HalfIntegralMatrix:
         if i + 1 < m:
             row[i + 1] = Fraction(1)
         rows.append(tuple(row))
-    A = HalfIntegralMatrix(RationalMatrix(rows))
-    object.__setattr__(A, "_chi", chi)
-    return A
+    return HalfIntegralMatrix(RationalMatrix(rows))
 
 
 def is_contracting(chi) -> bool:

@@ -16,10 +16,10 @@ state's run of equal terms in one step.
 
 These rules are only meaningful on machines whose group is abelian; callers
 are responsible for that (check_abelian provides the criterion).  The
-criterion runs in two phases, the even states' identity tests and then the
-odd states' comparisons and the gamma test.  They are separate so that a
-validated location of the machine can run between them: it decides a
-machine that fits with no odd-phase closure.
+criterion runs the even states' identity tests, then an optional
+certificate, then the odd states' comparisons and the gamma test.  A
+certificate that holds (in `complete.classify`, a constructed matrix that
+the machine fits) decides AbelianFreeCandidate with no odd-state closure.
 """
 
 from __future__ import annotations
@@ -335,12 +335,6 @@ class AbelianReport:
             raise ValueError(f"a report with verdict {self.verdict} {need} gamma")
 
 
-def _odd_table(aut: MealyAutomaton) -> tuple[_Table, list[int]]:
-    """The machine's table and the indices of its odd states."""
-    table = _table(aut)
-    return table, [i for i, odd in enumerate(table.odd) if odd]
-
-
 def _residual_difference(table: _Table, i: int) -> tuple:
     """The key of d1(s) - d0(s) for the state s of index i."""
     r0, r1 = table.residuals[i]
@@ -349,10 +343,10 @@ def _residual_difference(table: _Table, i: int) -> tuple:
 
 def gamma_of(aut: MealyAutomaton) -> GroupElement:
     """d1(o) - d0(o) for the lexicographically least odd state o."""
-    table, odd = _odd_table(aut)
-    if not odd:
+    table = _table(aut)
+    if True not in table.odd:
         raise NoOddStateError(f"automaton {aut.name!r} has no odd state")
-    return _element(aut, table, _residual_difference(table, odd[0]))
+    return _element(aut, table, _residual_difference(table, table.odd.index(True)))
 
 
 def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianReport:
@@ -365,42 +359,33 @@ def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianRep
     checks are bounded, so the answer can be Unknown; a NotAbelian verdict
     always carries a definite witness.
     """
-    table, odd = _odd_table(aut)
+    return _decide(aut, bound)
+
+
+def _decide(aut: MealyAutomaton, bound: int, certified=None) -> AbelianReport:
+    """`check_abelian`'s criterion: the even states' identity tests, then, if
+    `certified(aut)` is true, AbelianFreeCandidate with no closure, else the
+    odd states against the least one and gamma itself."""
+    table = _table(aut)
+    odd = [i for i, o in enumerate(table.odd) if o]
     if not odd:
         return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
-    report, saw_unknown = _even_tests(table, bound)
-    if report is not None:
-        return report
-    return _odd_tests(aut, table, odd, saw_unknown, bound)
-
-
-def _even_tests(table: _Table, bound: int) -> tuple[AbelianReport | None, bool]:
-    """`check_abelian`'s first phase: d1 f - d0 f = I for every even state f.
-
-    Returns the NotAbelian report of the first state that fails, else None,
-    and whether some closure ran past `bound`.
-    """
     saw_unknown = False
-    for i, odd in enumerate(table.odd):
-        if odd:
-            continue
+    for i in (j for j, o in enumerate(table.odd) if not o):
         diff = _residual_difference(table, i)
         res = _identity_test_coeffs(table, diff, bound)
         if res.verdict is Verdict.NOT_IDENTITY:
             s = table.labels[i]
             why = (f"d1({s}) - d0({s}) = {format_combination(table.coeffs(diff))} is not "
                    f"the identity (odd element along path {res.witness_path!r})")
-            return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(s, why)), saw_unknown
+            return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(s, why))
         saw_unknown |= res.verdict is Verdict.UNKNOWN
-    return None, saw_unknown
 
-
-def _odd_tests(aut: MealyAutomaton, table: _Table, odd: list[int], saw_unknown: bool,
-               bound: int) -> AbelianReport:
-    """`check_abelian` after the even states: each odd state against the
-    least one, whose difference is gamma, and then gamma itself."""
     f = table.labels[odd[0]]
     gamma = _residual_difference(table, odd[0])
+    if certified is not None and certified(aut):
+        return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE,
+                             gamma=_element(aut, table, gamma))
     for i in odd[1:]:
         diff = _combine(gamma, _residual_difference(table, i), -1)
         res = _identity_test_coeffs(table, diff, bound)

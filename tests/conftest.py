@@ -40,10 +40,8 @@ from abmealy.complete import (
     _anchor_cycle,
     _apply_int,
     _construct,
-    _cycle_quotient,
     _fit,
     _horner,
-    _integral_name,
     _require_contracting,
     _step,
     format_vector,
@@ -56,7 +54,13 @@ from abmealy.errors import (
     MatrixError,
     NotAbelianError,
 )
-from abmealy.exactalg import Polynomial, companion_from_chi, is_contracting
+from abmealy.exactalg import (
+    Polynomial,
+    _mul_matrix_mod,
+    companion_from_chi,
+    is_contracting,
+    reduce_mod,
+)
 from abmealy.group import (
     DEFAULT_BOUND,
     IdentityResult,
@@ -199,8 +203,10 @@ def verify_location(aut, A, locmap, max_len=10):
     """Brute-force oracle for a location map.
 
     Runs every non-empty word up to max_len from every state through both
-    machines; it shares no code with `locate` or `LocationMap.validate`,
-    which decide the same question exactly, transition by transition.
+    machines.  It shares the step of c(A, e) and the module action with
+    `locate`, but not its fit or its spread, nor the transition check of
+    `LocationMap.validate`, which decide the same question exactly,
+    transition by transition.
     """
     return find_location_mismatch(aut, A, locmap, max_len) is None
 
@@ -338,8 +344,7 @@ def reference_scc_decompose(graph):
             else:
                 edges.add((i, j))
     return abmealy.analysis.SccDecomposition(
-        components=components, component_of=component_of,
-        edges=frozenset(edges), cyclic=tuple(cyclic))
+        components=components, edges=frozenset(edges), cyclic=tuple(cyclic))
 
 
 def reference_scc_instance(A, bound=DEFAULT_BOUND):
@@ -554,6 +559,18 @@ def cycle_solution_by_powers(A, sigmas):
     lhs = sum(sig * powers[L - i] for i, sig in enumerate(sigmas) if sig)
     rhs = (powers[0] - powers[L]) @ np.array(unit_vector(A.dim), dtype=object)
     return RationalMatrix(lhs.tolist()).solve_unique(tuple(rhs))
+
+
+def cycle_quotient(A, sigmas):
+    """q = (x^L - 1) / s in Q[x]/chi*, s = sum sigma_i x^i, L = len(sigmas);
+    None when s is a zero divisor there (s(A^-1) is singular).  The rational
+    division that `locate` once read e off, kept as a reference for its
+    integral one."""
+    star = A.chi_star
+    target = reduce_mod(Polynomial((-1,) + (0,) * (len(sigmas) - 1) + (1,)), star).coeffs
+    sol = _mul_matrix_mod(Polynomial(sigmas), star).solve_unique(
+        target + (0,) * (star.degree - len(target)))
+    return None if sol is None else Polynomial(sol)
 
 
 # -- the unit-term residuation fold ------------------------------------------
@@ -832,7 +849,7 @@ def reference_locate(aut, A, *, bound=DEFAULT_BOUND):
         for ch in word:
             sigmas.append(sigma(parity[state], int(ch)))
             state = aut.residual(state, int(ch))
-        q = _cycle_quotient(A, sigmas)
+        q = cycle_quotient(A, sigmas)
         if q is not None or tried >= CYCLE_LIMIT:
             break
     if q is None:
@@ -897,7 +914,10 @@ def reference_locate(aut, A, *, bound=DEFAULT_BOUND):
             f"states not connected to {anchor}: {', '.join(missing)}"
         )
 
-    return LocationMap(p=_integral_name(q, e), e=e, assignment=assignment)
+    if not q.is_integral():
+        raise MatrixError(f"vector {format_vector(e)} is not an integer polynomial multiple "
+                          "of e1")
+    return LocationMap(p=q, e=e, assignment=assignment)
 
 
 def transduction_agrees(aut, A, locmap, max_len=8):

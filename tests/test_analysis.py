@@ -1003,6 +1003,45 @@ def test_check_runs_no_construction_when_an_even_state_fails(capsys, tmp_path, m
     assert calls == []
 
 
+def test_classify_runs_the_even_tests_then_the_construction_then_the_odd_closures(
+        monkeypatch, a32, xyz, lamplighter):
+    """The order `triage` needs: an even state that fails stops classify
+    before any construction, and the odd states' closures run only where
+    the construction yields no chi."""
+    events, test, construct = [], group._identity_test_coeffs, complete._construct
+    monkeypatch.setattr(group, "_identity_test_coeffs",
+                        lambda *args: events.append("test") or test(*args))
+    monkeypatch.setattr(complete, "_construct",
+                        lambda aut: events.append("construct") or construct(aut))
+    rng = random.Random(27)
+    kinds = Counter()
+    for aut in [a32, xyz, lamplighter, union_machine()] + [
+            random_machine(rng, rng.randint(2, 7)) for _ in range(600)]:
+        events.clear()
+        report = classify(aut)
+        even = sum(aut.output(s, 0) == 0 for s in aut.states)
+        if even == len(aut.states):
+            assert events == [] and report.verdict is AbelianVerdict.TRIVIAL_GROUP
+            continue
+        if "construct" not in events:  # rejected by an even state
+            assert report.verdict is AbelianVerdict.NOT_ABELIAN
+            assert events == ["test"] * len(events) and len(events) <= even
+            kinds["even"] += 1
+            continue
+        k = events.index("construct")
+        assert events[:k] == ["test"] * even and "construct" not in events[k + 1:]
+        try:
+            construct(aut)
+        except (LocateError, MatrixError):
+            assert events[k + 1:] == ["test"] * len(events[k + 1:])
+            kinds["closures"] += len(events) > k + 1
+        else:
+            assert events[k + 1:] == []
+            assert report.verdict is AbelianVerdict.ABELIAN_FREE_CANDIDATE
+            kinds["constructed"] += 1
+    assert min(kinds[k] for k in ("even", "closures", "constructed")) > 10, kinds
+
+
 def full_outcome(fn, *args, **kwargs):
     """What fn returns, or the class and message of the domain error it raises."""
     try:

@@ -6,6 +6,7 @@ throughout: its inverse is [[0, -2], [1, -2]], its characteristic polynomial
 is x^2 + x + 1/2, and the three-state machine locates in c(A, (3,2))."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 
@@ -16,7 +17,6 @@ from abmealy import analysis, complete, group
 from abmealy.analysis import check_scc_instance
 from abmealy.cli import main
 from abmealy.complete import (
-    _cycle_quotient,
     _horner,
     _shortest_cycle,
     _step,
@@ -76,6 +76,7 @@ from conftest import (
     CORPUS_TO_1179,
     conjugate,
     contracting_chis,
+    cycle_quotient,
     cycle_solution_by_powers,
     cycle_words,
     fraction_matrix,
@@ -975,9 +976,38 @@ def test_locate_places_every_corpus_machine_in_its_own_matrix(monkeypatch):
     assert calls == []
 
 
+def test_fit_takes_the_division_frame_exactly_where_the_rational_quotient_is_integral():
+    """`_fit` divides in Z[x]/chi* by `try_divide_mod`: the anchor sits at e1
+    and p is the quotient wherever the rational one is integral, and the
+    rescaled anchor and p = sigma_0 ((x^L - 1) mod chi*) are taken otherwise."""
+    rng = random.Random(27)
+    mats = [unit_config(g).A for g in CORPUS_TO_1179]
+    while len(mats) < len(CORPUS_TO_1179) + 150:
+        A = random_half_integral(rng, rng.choice((2, 3)))
+        if A.contracting:
+            mats.append(A)
+    frames = Counter()
+    for A in mats:
+        e1 = unit_vector(A.dim)
+        aut = orbit_automaton(CompleteConfig(A, e1), [e1])
+        frame = complete._anchor_cycle(aut)
+        _, anchor, sigmas = frame
+        q = cycle_quotient(A, sigmas)
+        located = complete._fit(aut, A, frame)
+        if q.is_integral():
+            assert (located.p, located.assignment[anchor]) == (q, e1)
+        else:
+            sign, cycle = sigmas[0], IntPolynomial([-1] + [0] * (len(sigmas) - 1) + [1])
+            assert located.p == reduce_mod(sign * cycle, A.chi_star)
+            assert located.assignment[anchor] == poly_to_vector(sign * IntPolynomial(sigmas), A)
+        assert located.e == poly_to_vector(located.p, A)
+        frames[q.is_integral()] += 1
+    assert frames[True] > 20 and frames[False] > 20, frames
+
+
 def ring_solution(A, sigmas):
     """e from the division in Q[x]/chi*, with Fraction entries when it is not integral."""
-    q = _cycle_quotient(A, sigmas)
+    q = cycle_quotient(A, sigmas)
     return None if q is None else tuple(map(Fraction, _horner(q.coeffs, unit_vector(A.dim),
                                                               A.inv_rows)))
 
@@ -1008,7 +1038,7 @@ def test_cycle_division_matches_matrix_powers_on_random_matrices():
         want = cycle_solution_by_powers(A, sigmas)
         assert ring_solution(A, sigmas) == want
         if want is not None:
-            if _cycle_quotient(A, sigmas).is_integral():
+            if cycle_quotient(A, sigmas).is_integral():
                 integral += 1
             else:
                 fractional += 1

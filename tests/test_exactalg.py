@@ -408,6 +408,17 @@ def test_chi_of_a_companion_shape_is_read_off_its_first_column():
         assert companion_from_chi(A.chi) == A
 
 
+def test_companion_chi_is_read_back_off_its_first_column(monkeypatch):
+    from abmealy import exactalg
+
+    monkeypatch.setattr(exactalg, "char_poly", lambda M: pytest.fail("no elimination"))
+    chis = [*contracting_chis(), *(Polynomial([Fraction(c, 2) for c in g] + [1])
+                                    for g in CORPUS_GS_ALL)]
+    for chi in chis:
+        A = companion_from_chi(chi)
+        assert A._chi is None and A.chi == chi, chi
+
+
 def test_companion_pinned(mat_a):
     assert companion_from_chi(CHI_A) == mat_a
     assert char_poly(companion_from_chi(CHI_A)) == CHI_A
@@ -452,8 +463,8 @@ def test_matrix_keeps_chi_and_contraction_verdict(mat_a, monkeypatch):
     # the kept values leave equality, hashing and repr as they were
     fresh = parse_matrix(conjugate_text)
     assert A == fresh and hash(A) == hash(fresh) and repr(A) == repr(fresh)
-    # a companion matrix keeps the chi it was built from, and one read in the
-    # companion shape takes chi off its first column
+    # a companion matrix, built or read in the companion shape, takes chi
+    # off its first column
     assert companion_from_chi(CHI_A).chi == CHI_A
     assert parse_matrix(MAT_A_TEXT).chi == CHI_A
     assert calls["char_poly"] == 1
