@@ -2,9 +2,9 @@
 
 The layers, bottom up:
 
-* `mealy` — machines, the AUT text format, transduction;
-* `group` — formal sums of states, residuation, the abelianness criterion,
-  identity testing, principal machines;
+* `mealy` — machines, the AUT text format, transduction, Moore refinement;
+* `group` — formal sums of states, residuation, identity testing, the
+  abelianness criterion (Boolean by one refinement), principal machines;
 * `exactalg` — exact rational matrices with one elimination routine, one
   `Polynomial` type over Q and Z, contraction and irreducibility tests, the
   quotient ring arithmetic;

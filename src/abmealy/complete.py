@@ -727,14 +727,13 @@ def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def classify(aut: MealyAutomaton, *, bound: int = DEFAULT_BOUND) -> AbelianReport:
     """`check_abelian`'s report, decided by the construction where one exists.
 
-    The even-state identity tests run first, as in `check_abelian`: they
-    are cheap and reject most machines that are not abelian.  Then a
-    constructed chi is a certificate (`_construct`): the group is free
+    `check_abelian`'s refinement and even-state identity tests run first:
+    they are cheap and decide most machines that are Boolean or not abelian.
+    Then a constructed chi is a certificate (`_construct`): the group is free
     abelian, and gamma acts as the vector 2Ae != 0 (Nekrashevych and Sidki
     2004), so the verdict is AbelianFreeCandidate, with gamma read off the
-    table.  The odd-state comparisons and gamma closure run only where no
-    chi comes out, so the report is `check_abelian`'s wherever that one
-    decides.  NotInvertibleError as `check_abelian`.
+    table.  The odd states' closures run only where no chi comes out, so the
+    report is `check_abelian`'s wherever that one decides.
     """
     return _decide(aut, bound, _constructs)
 

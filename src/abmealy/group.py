@@ -15,11 +15,10 @@ accumulated partial sum and the term are both odd; the fold takes each
 state's run of equal terms in one step.
 
 These rules are only meaningful on machines whose group is abelian; callers
-are responsible for that (check_abelian provides the criterion).  The
-criterion runs the even states' identity tests, then an optional
-certificate, then the odd states' comparisons and the gamma test.  A
-certificate that holds (in `complete.classify`, a constructed matrix that
-the machine fits) decides AbelianFreeCandidate with no odd-state closure.
+are responsible for that (check_abelian provides the criterion).  One Moore
+refinement decides the Boolean case, then the even states' identity tests,
+a certificate if one is given (in `complete.classify`, a constructed chi),
+and else the odd states' comparisons decide the rest.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import eq
 
 from .errors import (
     BoundExceededError,
@@ -36,7 +36,7 @@ from .errors import (
     NotInvertibleError,
     UnknownStateError,
 )
-from .mealy import MealyAutomaton, Parity
+from .mealy import MealyAutomaton, Parity, _moore_classes
 
 DEFAULT_BOUND = 100000
 
@@ -350,26 +350,42 @@ def gamma_of(aut: MealyAutomaton) -> GroupElement:
 
 
 def check_abelian(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> AbelianReport:
-    """Classify the group generated by the machine's states.
+    """Classify the group generated by the machine's states (`_decide`).
 
-    The criterion: the group is abelian iff even states have equal residuals
-    (d1 f - d0 f = I) and all odd states share one residual difference gamma;
-    gamma = I separates the boolean case from the free one.  Each odd state
-    is compared with the least one, whose difference is gamma.  Identity
-    checks are bounded, so the answer can be Unknown; a NotAbelian verdict
-    always carries a definite witness.
+    One Moore refinement decides BooleanCandidate at any bound.  Otherwise
+    the group is abelian, and then free abelian, iff even states have equal
+    residuals (d1 f - d0 f = I) and every odd state's residual difference is
+    gamma, the least odd state's.  These identity tests are bounded, so the
+    answer can be Unknown; a NotAbelian verdict always carries a witness.
     """
     return _decide(aut, bound)
 
 
 def _decide(aut: MealyAutomaton, bound: int, certified=None) -> AbelianReport:
-    """`check_abelian`'s criterion: the even states' identity tests, then, if
-    `certified(aut)` is true, AbelianFreeCandidate with no closure, else the
-    odd states against the least one and gamma itself."""
+    """`check_abelian`'s criterion, in order: TrivialGroup with no odd state;
+    BooleanCandidate if the refinement puts each state's two successors in one
+    class; the even states' tests; AbelianFreeCandidate if `certified(aut)`.
+    Else the odd states are tested against the least one.
+
+    The refinement decides Boolean exactly.  If every state's two residuals
+    are equal functions, each state XORs a fixed mask into the word (the
+    parities along its one residual path), and such masks commute and are
+    involutions.  Conversely, let the group be abelian with gamma = I: for an
+    odd f that is d0 f = d1 f, and conjugating an even f by an odd state swaps
+    its sections, so d0 f = d1 f again.  So a machine that fails the refinement
+    and passes the tests has gamma != I, and gamma needs no identity test.
+    """
+    if bound < 1:
+        raise ValueError("bound must be positive")
     table = _table(aut)
     odd = [i for i, o in enumerate(table.odd) if o]
     if not odd:
         return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
+    f = table.labels[odd[0]]
+    gamma = _residual_difference(table, odd[0])
+    at, succ = _moore_classes(aut._succ, aut._out).__getitem__, aut._succ
+    if all(map(eq, map(at, succ[0::2]), map(at, succ[1::2]))):
+        return AbelianReport(AbelianVerdict.BOOLEAN_CANDIDATE, gamma=_element(aut, table, gamma))
     saw_unknown = False
     for i in (j for j, o in enumerate(table.odd) if not o):
         diff = _residual_difference(table, i)
@@ -381,27 +397,19 @@ def _decide(aut: MealyAutomaton, bound: int, certified=None) -> AbelianReport:
             return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(s, why))
         saw_unknown |= res.verdict is Verdict.UNKNOWN
 
-    f = table.labels[odd[0]]
-    gamma = _residual_difference(table, odd[0])
-    if certified is not None and certified(aut):
-        return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE,
-                             gamma=_element(aut, table, gamma))
-    for i in odd[1:]:
-        diff = _combine(gamma, _residual_difference(table, i), -1)
-        res = _identity_test_coeffs(table, diff, bound)
-        if res.verdict is Verdict.NOT_IDENTITY:
-            why = (f"odd states {f} and {table.labels[i]} have different residual "
-                   f"differences ({format_combination(table.coeffs(diff))} is odd "
-                   f"along path {res.witness_path!r})")
-            return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(f, why))
-        saw_unknown |= res.verdict is Verdict.UNKNOWN
-
-    res = _identity_test_coeffs(table, gamma, bound)
-    if saw_unknown or res.verdict is Verdict.UNKNOWN:
-        return AbelianReport(AbelianVerdict.UNKNOWN)
-    verdict = (AbelianVerdict.BOOLEAN_CANDIDATE if res.verdict is Verdict.IS_IDENTITY
-               else AbelianVerdict.ABELIAN_FREE_CANDIDATE)
-    return AbelianReport(verdict, gamma=_element(aut, table, gamma))
+    if certified is None or not certified(aut):
+        for i in odd[1:]:
+            diff = _combine(gamma, _residual_difference(table, i), -1)
+            res = _identity_test_coeffs(table, diff, bound)
+            if res.verdict is Verdict.NOT_IDENTITY:
+                why = (f"odd states {f} and {table.labels[i]} have different residual "
+                       f"differences ({format_combination(table.coeffs(diff))} is odd "
+                       f"along path {res.witness_path!r})")
+                return AbelianReport(AbelianVerdict.NOT_ABELIAN, witness=(f, why))
+            saw_unknown |= res.verdict is Verdict.UNKNOWN
+        if saw_unknown:
+            return AbelianReport(AbelianVerdict.UNKNOWN)
+    return AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE, gamma=_element(aut, table, gamma))
 
 
 # -- principal machine ---------------------------------------------------------
@@ -425,11 +433,10 @@ def _require_abelian_free(aut: MealyAutomaton, bound: int, report: AbelianReport
 def _principal_nodes(aut: MealyAutomaton, bound: int):
     """Closure data for the principal machine.
 
-    Returns (table, delta, nodes): the machine's table with the fresh delta
-    generator adjoined, delta's index in it, and a map from each node key to
-    (odd, child key on 0, child key on 1).  The node set is the residuation
-    closure of {gamma}, plus the identity, plus delta and the negations of
-    everything, closed again.
+    Returns (table, delta, keys, succ, out): the machine's table with the
+    fresh delta generator adjoined, delta's index in it, the node keys in
+    the order found, and their index table in `mealy`'s form.  The nodes are
+    the residuation closure of {gamma}, I, delta and all their negations.
     """
     report = _require_abelian_free(aut, bound, check_abelian(aut, bound))
     base = _table(aut)
@@ -444,73 +451,57 @@ def _principal_nodes(aut: MealyAutomaton, bound: int):
                    tuple(gens[s][0] for s in labels), ())
     table.residuals = tuple(tuple(map(table.key, gens[s][1:])) for s in labels)
 
-    nodes: dict[tuple, tuple[bool, tuple, tuple] | None] = {}
-    queue = deque()
+    keys: list[tuple] = []
+    number: dict[tuple, int] = {}
 
-    def add(key: tuple) -> tuple:
-        if key not in nodes:
-            if len(nodes) >= bound:
+    def add(key: tuple) -> int:
+        if key not in number:
+            if len(keys) >= bound:
                 raise BoundExceededError(
-                    f"principal closure reached {len(nodes) + 1} elements, over the "
+                    f"principal closure reached {len(keys) + 1} elements, over the "
                     f"bound {bound}; raise the bound"
                 )
-            nodes[key] = None  # reserve; filled when popped
-            queue.append(key)
-        return key
+            number[key] = len(keys)
+            keys.append(key)
+        return number[key]
 
     add(table.key(report.gamma.coeffs))  # not gamma's key: this table has delta too
     add(())
     add(((table.index[label], 1),))
-    while queue:
-        cur = queue.popleft()
-        (k0, _), (k1, _) = _fold(table, cur, 0), _fold(table, cur, 1)
-        nodes[cur] = (table.parity(cur), add(k0), add(k1))
-        # adjoin the negation and close it too
-        add(tuple((j, -c) for j, c in cur))
-    return table, table.index[label], nodes
+    succ, out = [], []
+    for cur in keys:  # breadth first: add appends behind the node being read
+        odd = int(table.parity(cur))
+        succ += add(_fold(table, cur, 0)[0]), add(_fold(table, cur, 1)[0])
+        out += odd, odd ^ 1
+        add(tuple((j, -c) for j, c in cur))  # adjoin the negation and close it too
+    return table, table.index[label], keys, succ, out
 
 
 def _principal_classes(aut: MealyAutomaton, bound: int):
     """Classes of the principal closure's nodes that are equal as functions.
 
-    The nodes form a finite Mealy machine whose output is fixed by parity, so
-    two nodes are equal as functions exactly when Moore refinement keeps them
-    together: start from the partition by parity and split by (block, block of
-    the 0-child, block of the 1-child) until no block splits.  Each class is
-    labelled by the least compact print of a member without delta (of any
-    member when all have delta); classes are visited in order of their
-    greatest member key, and a label already taken gets `_` suffixes.
+    The classes are `mealy._moore_classes` of the closure's index table.
+    Each class is labelled by the least compact print of a member without
+    delta (of any member when all have delta); classes are visited in order
+    of their greatest member key, and a label already taken gets `_` suffixes.
 
-    Returns (table, nodes, label of every node key, label -> least key of the
-    members the label is drawn from).
+    Returns (table, keys, succ, out, node -> label, label -> the least node
+    of the members the label is drawn from).
     """
-    table, delta, nodes = _principal_nodes(aut, bound)
-    block = {k: odd for k, (odd, _, _) in nodes.items()}
-    count = len(set(block.values()))
-    while True:
-        ids: dict[tuple, int] = {}
-        # the right-hand side reads the previous round's blocks
-        block = {
-            k: ids.setdefault((block[k], block[k0], block[k1]), len(ids))
-            for k, (_, k0, k1) in nodes.items()
-        }
-        if len(ids) == count:
-            break
-        count = len(ids)
-
-    members: dict[int, list[tuple]] = {}
-    for k in sorted(nodes):
-        members.setdefault(block[k], []).append(k)
-    label_of: dict[tuple, str] = {}
-    reps: dict[str, tuple] = {}
-    for ms in sorted(members.values(), key=lambda ms: ms[-1]):
-        pool = [m for m in ms if all(j != delta for j, _ in m)] or ms
-        lbl = min(format_combination(table.coeffs(m), compact=True) for m in pool)
+    table, delta, keys, succ, out = _principal_nodes(aut, bound)
+    cls = _moore_classes(succ, out)
+    members: dict[int, list[int]] = {}
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        members.setdefault(cls[i], []).append(i)
+    label_of, reps = {}, {}  # node -> label, label -> node
+    for ms in sorted(members.values(), key=lambda ms: keys[ms[-1]]):
+        pool = [m for m in ms if all(j != delta for j, _ in keys[m])] or ms
+        lbl = min(format_combination(table.coeffs(keys[m]), compact=True) for m in pool)
         while lbl in reps:
             lbl += "_"
         reps[lbl] = pool[0]
         label_of.update(dict.fromkeys(ms, lbl))
-    return table, nodes, label_of, reps
+    return table, keys, succ, out, label_of, reps
 
 
 def build_principal(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> MealyAutomaton:
@@ -527,13 +518,10 @@ def build_principal(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> MealyAut
     in `locate`: a fast `principal --aut` would push the benchmark, which
     keeps every pass's output, past its peak-memory bound (ROADMAP item 1).
     """
-    _, nodes, label_of, reps = _principal_classes(aut, bound)
-    transitions = {}
-    for src, rep in reps.items():
-        odd, k0, k1 = nodes[rep]
-        transitions[(src, 0)] = (label_of[k0], int(odd))
-        transitions[(src, 1)] = (label_of[k1], int(not odd))
-    return MealyAutomaton(transitions, name=f"principal_{aut.name}")
+    _, _, succ, out, label_of, reps = _principal_classes(aut, bound)
+    return MealyAutomaton({(src, b): (label_of[succ[2 * i + b]], out[2 * i + b])
+                           for src, i in reps.items() for b in (0, 1)},
+                          name=f"principal_{aut.name}")
 
 
 def principal_class_elements(
@@ -545,5 +533,5 @@ def principal_class_elements(
     appears under its own label with a coefficient on the fresh symbol.
     Mostly useful for testing the closure's group structure.
     """
-    table, _, _, reps = _principal_classes(aut, bound)
-    return {lbl: table.coeffs(rep) for lbl, rep in reps.items()}
+    table, keys, _, _, _, reps = _principal_classes(aut, bound)
+    return {lbl: table.coeffs(keys[i]) for lbl, i in reps.items()}

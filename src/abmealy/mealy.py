@@ -303,6 +303,19 @@ def parse_automaton(text: str) -> MealyAutomaton:
     return MealyAutomaton.parse(text)
 
 
+def _moore_classes(succ: list, out: list) -> list[int]:
+    """Each state's class in an index table, equal iff the states are equal
+    functions on words: Moore refinement from the output pairs (so any table
+    will do), split by (class, class on 0, class on 1) until none splits."""
+    ids, count = {}, 0
+    cls = [ids.setdefault(pair, len(ids)) for pair in zip(out[0::2], out[1::2])]
+    while count != len(ids):
+        count, ids, at = len(ids), {}, cls.__getitem__  # the new row reads the old one
+        cls = [ids.setdefault(t, len(ids))
+               for t in zip(cls, map(at, succ[0::2]), map(at, succ[1::2]))]
+    return cls
+
+
 def find_isomorphism(a: MealyAutomaton, b: MealyAutomaton) -> dict[str, str] | None:
     """Transition- and output-preserving bijection between state sets, or None.
 

@@ -10,7 +10,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import sub
 
 import numpy as np
@@ -717,6 +717,38 @@ def oracle_check_abelian(aut, bound=DEFAULT_BOUND):
     verdict = (AbelianVerdict.BOOLEAN_CANDIDATE if res.verdict is Verdict.IS_IDENTITY
                else AbelianVerdict.ABELIAN_FREE_CANDIDATE)
     return AbelianReport(verdict, gamma=GroupElement(aut, gamma))
+
+
+def oracle_equal_pairs(succ, out):
+    """The pairs (a, b), a < b, of states of an index table that are equal
+    functions on words, by one breadth-first search over pairs of states per
+    pair: a and b are equal iff every pair reached from (a, b) on a common
+    input word has equal outputs.  The pairs a search reaches from an equal
+    pair are equal too, so they are not searched again."""
+    equal, outs = set(), list(zip(out[0::2], out[1::2]))
+    for a, b in combinations(range(len(outs)), 2):
+        if (a, b) in equal:
+            continue
+        seen, queue = {(a, b)}, deque([(a, b)])
+        while queue:
+            x, y = queue.popleft()
+            if outs[x] != outs[y]:
+                break
+            for bit in (0, 1):
+                nxt = (succ[2 * x + bit], succ[2 * y + bit])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        else:
+            equal |= {(min(p), max(p)) for p in seen if p[0] != p[1]}
+    return equal
+
+
+def oracle_is_boolean(aut):
+    """Every state's two successors are equal functions, by the pair search."""
+    equal = oracle_equal_pairs(aut._succ, aut._out)
+    return all(s0 == s1 or (min(s0, s1), max(s0, s1)) in equal
+               for s0, s1 in zip(aut._succ[0::2], aut._succ[1::2]))
 
 
 # -- locate before it fitted first -------------------------------------------

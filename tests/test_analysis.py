@@ -1005,10 +1005,14 @@ def test_check_runs_no_construction_when_an_even_state_fails(capsys, tmp_path, m
 
 def test_classify_runs_the_even_tests_then_the_construction_then_the_odd_closures(
         monkeypatch, a32, xyz, lamplighter):
-    """The order `triage` needs: an even state that fails stops classify
-    before any construction, and the odd states' closures run only where
-    the construction yields no chi."""
-    events, test, construct = [], group._identity_test_coeffs, complete._construct
+    """The order `triage` needs: one refinement, which decides a Boolean
+    machine with nothing after it; then the even states' tests, and one that
+    fails stops classify before any construction; then the construction, and
+    the odd states' closures only where it yields no chi."""
+    events, refine = [], group._moore_classes
+    test, construct = group._identity_test_coeffs, complete._construct
+    monkeypatch.setattr(group, "_moore_classes",
+                        lambda succ, out: events.append("refine") or refine(succ, out))
     monkeypatch.setattr(group, "_identity_test_coeffs",
                         lambda *args: events.append("test") or test(*args))
     monkeypatch.setattr(complete, "_construct",
@@ -1023,23 +1027,29 @@ def test_classify_runs_the_even_tests_then_the_construction_then_the_odd_closure
         if even == len(aut.states):
             assert events == [] and report.verdict is AbelianVerdict.TRIVIAL_GROUP
             continue
-        if "construct" not in events:  # rejected by an even state
-            assert report.verdict is AbelianVerdict.NOT_ABELIAN
-            assert events == ["test"] * len(events) and len(events) <= even
+        assert events[0] == "refine"
+        rest = events[1:]
+        if report.verdict is AbelianVerdict.BOOLEAN_CANDIDATE:
+            assert rest == []
+            kinds["boolean"] += 1
+            continue
+        if report.verdict is AbelianVerdict.NOT_ABELIAN and aut.output(report.witness[0], 0) == 0:
+            # an even state's test failed: it was the last event
+            assert rest == ["test"] * len(rest) and 0 < len(rest) <= even
             kinds["even"] += 1
             continue
-        k = events.index("construct")
-        assert events[:k] == ["test"] * even and "construct" not in events[k + 1:]
+        assert rest[:even + 1] == ["test"] * even + ["construct"]
+        assert "construct" not in rest[even + 1:]
         try:
             construct(aut)
         except (LocateError, MatrixError):
-            assert events[k + 1:] == ["test"] * len(events[k + 1:])
-            kinds["closures"] += len(events) > k + 1
+            assert rest[even + 1:] == ["test"] * len(rest[even + 1:])
+            kinds["closures"] += len(rest) > even + 1
         else:
-            assert events[k + 1:] == []
+            assert rest[even + 1:] == []
             assert report.verdict is AbelianVerdict.ABELIAN_FREE_CANDIDATE
             kinds["constructed"] += 1
-    assert min(kinds[k] for k in ("even", "closures", "constructed")) > 10, kinds
+    assert min(kinds[k] for k in ("boolean", "even", "closures", "constructed")) > 10, kinds
 
 
 def full_outcome(fn, *args, **kwargs):
@@ -1060,9 +1070,10 @@ def test_locate_and_infer_agree_with_the_closure_gate(a32, xyz, lamplighter):
     mats = [companion_from_chi(chi) for chi in contracting_chis(max_dim=3)]
     located = [_random_located_machine(rng, mats, max_states=40) for _ in range(420)]
     cases = [(aut, own, DEFAULT_BOUND) for aut, own in located]
-    # a small bound leaves check_abelian Unknown on some; those are skipped
     cases += [(random_machine(rng, rng.randint(2, 7)), None, bound)
               for bound in (DEFAULT_BOUND, 20) for _ in range(200)]
+    # check_abelian leaves the union Unknown at bound 3, and the case is skipped
+    cases += [(union_machine(), None, 3)]
     cases += [(a32, companion_from_chi(CHI_A), DEFAULT_BOUND)]
     cases += [(aut, None, DEFAULT_BOUND) for aut in (xyz, lamplighter, union_machine())]
     kinds = Counter()

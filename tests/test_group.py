@@ -7,6 +7,7 @@ residuation fold, and the fold must agree with it word for word.
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,6 +29,7 @@ from abmealy import (
     Verdict,
     build_principal,
     check_abelian,
+    classify,
     companion_from_chi,
     element_parity,
     format_combination,
@@ -41,6 +43,7 @@ from abmealy import (
     unit_vector,
 )
 from abmealy import group
+from abmealy.complete import _constructs
 from abmealy.group import (
     DEFAULT_BOUND,
     _fold,
@@ -49,17 +52,21 @@ from abmealy.group import (
     _principal_nodes,
     _table,
 )
+from abmealy.mealy import _moore_classes
 
 from conftest import (
     expand_terms,
     fold_terms,
     oracle_check_abelian,
+    oracle_equal_pairs,
     oracle_gen_table,
     oracle_identity_test,
+    oracle_is_boolean,
     oracle_parity,
     oracle_principal_gens,
     oracle_residuate,
     random_machine,
+    random_table,
     union_machine,
 )
 
@@ -400,8 +407,8 @@ def test_check_abelian_matches_the_all_pairs_oracle(a32, lamplighter, principal_
 
 
 def test_check_abelian_runs_one_identity_test_per_state(monkeypatch):
-    """Each even state, each odd state but the least, and gamma: n tests, not
-    the n(n - 1)/2 of comparing every pair of odd states."""
+    """Each even state and each odd state but the least: n - 1 tests, not the
+    n(n - 1)/2 of comparing every pair of odd states, and none on gamma."""
     machine = unit_orbit_machine((1, -2, 3, -3))  # the 61-state corpus machine
     tested = []
     real = group._identity_test_coeffs
@@ -410,7 +417,7 @@ def test_check_abelian_runs_one_identity_test_per_state(monkeypatch):
     rep = check_abelian(machine)
     assert rep.verdict is AbelianVerdict.ABELIAN_FREE_CANDIDATE
     assert str(rep.gamma) == "-1_0_-1_0 - -4_3_-3_1"
-    assert len(tested) == len(machine.states) == 61
+    assert len(machine.states) == 61 and len(tested) == 60
 
 
 # -- the compiled fold against the unit-term fold --------------------------------
@@ -449,10 +456,10 @@ def test_compiled_fold_matches_the_unit_term_fold():
 def test_compiled_fold_matches_on_the_principal_table(a32, g):
     rng = random.Random(12)
     for aut in (a32, union_machine(), unit_orbit_machine(g)):
-        table, delta, nodes = _principal_nodes(aut, DEFAULT_BOUND)
+        table, delta, keys, _, _ = _principal_nodes(aut, DEFAULT_BOUND)
         label, gens = oracle_principal_gens(aut, check_abelian(aut).gamma.coeffs)
         assert table.labels == tuple(sorted(gens)) and table.labels[delta] == label
-        for key in nodes:
+        for key in keys:
             assert_fold_matches(table, gens, table.coeffs(key))
         for _ in range(60):
             coeffs = random_coeffs(rng, table.labels, 6)
@@ -475,6 +482,9 @@ def test_compiled_identity_test_matches_the_oracle():
 
 
 def test_check_abelian_matches_the_unit_term_oracle():
+    """Equal wherever the oracle decides; where its closures run out, the
+    refinement decides BooleanCandidate exactly on the machines whose states'
+    two successors the pair search finds equal, and the rest stay Unknown."""
     rng = random.Random(14)
     machines = [random_machine(rng, rng.randint(2, 9)) for _ in range(400)]
     verdicts = set()
@@ -482,12 +492,70 @@ def test_check_abelian_matches_the_unit_term_oracle():
         for bound in (DEFAULT_BOUND, 3):
             rep = check_abelian(aut, bound)
             want = oracle_check_abelian(aut, bound)
+            if want.verdict is AbelianVerdict.UNKNOWN and oracle_is_boolean(aut):
+                want = AbelianReport(AbelianVerdict.BOOLEAN_CANDIDATE, gamma=gamma_of(aut))
             assert (rep.verdict, rep.gamma, rep.witness) == (
                 want.verdict, want.gamma, want.witness), aut.serialize()
             assert str(rep.gamma) == str(want.gamma)
             verdicts.add(rep.verdict)
     assert verdicts == set(AbelianVerdict)
 
+
+def test_decide_checks_the_bound_before_any_exit(identity_machine, xyz, a32):
+    # the trivial and the Boolean exit need no closure, yet a bound below 1
+    # is refused there as everywhere else
+    for aut, verdict in ((identity_machine, AbelianVerdict.TRIVIAL_GROUP),
+                         (xyz, AbelianVerdict.BOOLEAN_CANDIDATE),
+                         (a32, AbelianVerdict.ABELIAN_FREE_CANDIDATE)):
+        for decide in (check_abelian, lambda aut, bound: classify(aut, bound=bound)):
+            assert decide(aut, 1).verdict is verdict
+            for bound in (0, -1):
+                with pytest.raises(ValueError, match="^bound must be positive$"):
+                    decide(aut, bound)
+
+
+def test_decisions_match_the_oracle_and_the_pair_search_at_every_bound(monkeypatch):
+    """check_abelian and classify on random machines at bounds from 1 up.
+    Where the unit-term oracle decides, both give its verdict, gamma and
+    witness.  Where its closures run out, both give BooleanCandidate exactly
+    when the pair search finds every state's two successors equal; otherwise
+    check_abelian stays Unknown, and classify is AbelianFreeCandidate exactly
+    where a chi is constructed.  A Boolean machine runs no identity test, and
+    no machine tests gamma: at most one test per state but the least odd one."""
+    tested = []
+    real = group._identity_test_coeffs
+    monkeypatch.setattr(group, "_identity_test_coeffs",
+                        lambda table, key, bound: tested.append(key) or real(table, key, bound))
+    rng = random.Random(28)
+    kinds = Counter()
+    for _ in range(3000):
+        aut = random_machine(rng, rng.randint(2, 9))
+        boolean = oracle_is_boolean(aut)
+        for bound in (1, 3, 20, DEFAULT_BOUND):
+            want = oracle_check_abelian(aut, bound)
+            decided = want.verdict is not AbelianVerdict.UNKNOWN
+            for name, decide in (("check_abelian", check_abelian),
+                                 ("classify", lambda aut, bound: classify(aut, bound=bound))):
+                tested.clear()
+                rep = decide(aut, bound)
+                if decided:
+                    assert (rep.verdict, rep.gamma, rep.witness) == (
+                        want.verdict, want.gamma, want.witness), aut.serialize()
+                elif boolean:
+                    assert rep == AbelianReport(AbelianVerdict.BOOLEAN_CANDIDATE,
+                                                gamma=gamma_of(aut)), aut.serialize()
+                elif name == "classify" and _constructs(aut):
+                    assert rep == AbelianReport(AbelianVerdict.ABELIAN_FREE_CANDIDATE,
+                                                gamma=gamma_of(aut)), aut.serialize()
+                else:
+                    assert rep.verdict is AbelianVerdict.UNKNOWN, aut.serialize()
+                assert (rep.verdict is AbelianVerdict.BOOLEAN_CANDIDATE) == (
+                    boolean and any(aut.output(s, 0) for s in aut.states))
+                assert len(tested) < len(aut.states) and not (boolean and tested)
+                kinds[name, "decided" if decided else str(rep.verdict)] += 1
+    assert min(kinds[name, k] for name in ("check_abelian", "classify")
+               for k in ("decided", "BooleanCandidate", "Unknown")) > 5, kinds
+    assert kinds["classify", "AbelianFreeCandidate"] > 5, kinds
 
 # -- principal machines ----------------------------------------------------------------
 
@@ -541,7 +609,7 @@ def test_build_principal_bound(a32):
 def pairwise_partition(aut):
     """Oracle: merge every same-parity pair of principal closure nodes whose
     difference the unit-term identity test proves to be the identity."""
-    table, delta, nodes = _principal_nodes(aut, DEFAULT_BOUND)
+    table, delta, nodes, _, _ = _principal_nodes(aut, DEFAULT_BOUND)
     label, gens = oracle_principal_gens(aut, check_abelian(aut).gamma.coeffs)
     assert table.labels[delta] == label
     keys = sorted(nodes)
@@ -549,7 +617,7 @@ def pairwise_partition(aut):
     memo = {}
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
-            if cls[a] is cls[b] or nodes[a][0] != nodes[b][0]:
+            if cls[a] is cls[b] or table.parity(a) != table.parity(b):
                 continue
             diff = table.coeffs(a)
             for s, c in table.coeffs(b).items():
@@ -568,10 +636,10 @@ def pairwise_partition(aut):
 
 
 def refined_partition(aut):
-    _, _, label_of, _ = _principal_classes(aut, DEFAULT_BOUND)
+    _, keys, _, _, label_of, _ = _principal_classes(aut, DEFAULT_BOUND)
     classes = {}
-    for k, lbl in label_of.items():
-        classes.setdefault(lbl, set()).add(k)
+    for i, lbl in label_of.items():
+        classes.setdefault(lbl, set()).add(keys[i])
     return {frozenset(c) for c in classes.values()}
 
 
@@ -591,3 +659,40 @@ def test_refinement_matches_pairwise_identity_tests_on_orbits(g):
 def test_refinement_matches_pairwise_identity_tests(a32, principal_figure):
     for m in (a32, principal_figure, union_machine()):
         assert refined_partition(m) == pairwise_partition(m)
+
+
+# -- Moore refinement against the pair search ---------------------------------------
+
+
+def equal_pairs(classes):
+    return {(a, b) for a, b in combinations(range(len(classes)), 2) if classes[a] == classes[b]}
+
+
+def test_moore_classes_match_the_pair_search_on_random_tables():
+    """Tables of 2-9 states, some with a state whose two outputs are equal."""
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(2000):
+        aut = MealyAutomaton(random_table(rng, rng.randint(2, 9)))
+        classes = _moore_classes(aut._succ, aut._out)
+        assert sorted(set(classes)) == list(range(max(classes) + 1))
+        firsts = [classes.index(c) for c in range(max(classes) + 1)]
+        assert firsts == sorted(firsts)  # numbered by least state
+        assert equal_pairs(classes) == oracle_equal_pairs(aut._succ, aut._out), aut.serialize()
+        seen["invertible" if aut.is_invertible() else "not invertible"] += 1
+        seen["merged" if len(set(classes)) < len(classes) else "distinct"] += 1
+    assert min(seen.values()) > 200, seen
+
+
+@pytest.mark.parametrize("g", [g for gs in (((1, 1, 1, 1), (1, -1, 1, -1)),
+                                            ((1, 0, -2), (-1, 0, 2)),
+                                            ((1, 0, 1, -1), (1, 0, 1, 1)),
+                                            ((1, 0, -1, -1), (1, 0, -1, 1)),
+                                            ((-1, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0)))
+                               for g in gs])
+def test_moore_classes_match_the_pair_search_on_principal_closures(g):
+    """The principal closures of the corpus machines o21-o33."""
+    _, _, keys, succ, out = _principal_nodes(unit_orbit_machine(g), DEFAULT_BOUND)
+    classes = _moore_classes(succ, out)
+    assert len(set(classes)) < len(keys)
+    assert equal_pairs(classes) == oracle_equal_pairs(succ, out)
