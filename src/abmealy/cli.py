@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 
 from .analysis import (
@@ -76,15 +78,18 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _write_or_print(args, text: str) -> None:
-    out = getattr(args, "output", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    elif not args.json:
-        print(text, end="")
+_CHUNK = 4096  # vectors or lines formatted and written at a time
 
 
-_CHUNK = 4096  # vectors formatted and written at a time
+def _write_or_print(args, lines) -> None:
+    """Write lines, each ending in a newline, to -o, or else to stdout unless
+    --json is set, a chunk of lines per write."""
+    if args.output or not args.json:
+        lines = iter(lines)
+        with (Path(args.output).open("w", encoding="utf-8") if args.output
+              else nullcontext(sys.stdout)) as f:
+            while chunk := "".join(islice(lines, _CHUNK)):
+                f.write(chunk)
 
 
 def _write_vectors(vectors, dim: int, sep: str, end: str) -> None:
@@ -151,12 +156,10 @@ def _cmd_principal(args) -> int:
         machine = orbit_automaton(config, [unit_vector(A.dim)], bound=args.bound)
     else:
         machine = build_principal(_load_aut(args.aut), bound=args.bound)
-    text = machine.serialize()
-    _write_or_print(args, text)
+    _write_or_print(args, machine.aut_lines())
     if args.json:
-        print(json.dumps(
-            {"name": machine.name, "states": list(machine.states), "aut": text}
-        ))
+        print(json.dumps({"name": machine.name, "states": list(machine.states),
+                          "aut": machine.serialize()}))
     return 0
 
 
@@ -177,7 +180,7 @@ def _cmd_locate(args) -> int:
     aut = _load_aut(args.aut)
     A = _load_matrix(args.matrix)
     locmap = locate(aut, A, bound=args.bound)
-    _write_or_print(args, locmap.serialize())
+    _write_or_print(args, [locmap.serialize()])
     if args.json:
         print(json.dumps(_location_json(locmap)))
     return 0

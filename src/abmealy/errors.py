@@ -26,9 +26,10 @@ def content_lines(text: str):
     """Yield (line number, content) for each line of an AUT, MATRIX or map
     text, numbered from 1; '#' starts a comment, and lines left blank are
     skipped."""
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+    for n, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        if line := line.strip():
             yield n, line
 
 

@@ -519,9 +519,12 @@ def build_principal(aut: MealyAutomaton, bound: int = DEFAULT_BOUND) -> MealyAut
     keeps every pass's output, past its peak-memory bound (ROADMAP item 1).
     """
     _, _, succ, out, label_of, reps = _principal_classes(aut, bound)
-    return MealyAutomaton({(src, b): (label_of[succ[2 * i + b]], out[2 * i + b])
-                           for src, i in reps.items() for b in (0, 1)},
-                          name=f"principal_{aut.name}")
+    states = sorted(reps)
+    index = {s: k for k, s in enumerate(states)}
+    nodes = [2 * reps[s] + b for s in states for b in (0, 1)]  # each row's entry in the closure
+    return MealyAutomaton._indexed(f"principal_{aut.name}", states, index,
+                                   [index[label_of[succ[j]]] for j in nodes],
+                                   list(map(out.__getitem__, nodes)))
 
 
 def principal_class_elements(

@@ -7,8 +7,10 @@ group-theoretic layers treat states as generators.
 
 A machine is one indexed table: `states`, the labels sorted, `_index`, each
 label's position i, and `_succ[2 i + b]` and `_out[2 i + b]`, the target index
-and output bit of state i on input b.  The constructor converts a dict table;
-`parse` and `complete.orbit_automaton` fill the index form directly.
+and output bit of state i on input b.  The constructor converts a dict table
+for callers outside the package; `parse`, `complete.orbit_automaton` and
+`group.build_principal` fill the index form directly, and `parse` reads the
+text in one pass over its lines.
 
 Words are plain strings over '0'/'1'; bits are the ints 0 and 1.  Machines
 are immutable after construction and safe to share across threads.
@@ -43,10 +45,8 @@ from .errors import (
 LABEL_RE = re.compile(r"[A-Za-z0-9_+-]+\Z")
 # sorted distinct labels joined by "\n": only the first can be empty
 _LABELS_RE = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9_+\n-]*\Z")
-# an AUT text in `serialize`'s form: header, states, then trans lines only
-_SERIAL_RE = re.compile(r"aut ([A-Za-z0-9_+-]+)\nstates((?: [A-Za-z0-9_+-]+)+)\n"
-                        r"((?:trans [A-Za-z0-9_+-]+ [01] [01] [A-Za-z0-9_+-]+\n)*)")
-_BIT = {"0": 0, "1": 1}.__getitem__
+_SHAPES = {"trans": "expected 'trans <src> <in> <out> <dst>'",
+           "copy": "expected 'copy <src> <dst>'"}  # a line of the wrong length
 _INT_BIT = {0: 0, 1: 1}.__getitem__  # True and 1.0 to 1; KeyError for any other bit
 _second = itemgetter(1)
 
@@ -171,90 +171,81 @@ class MealyAutomaton:
 
     @classmethod
     def parse(cls, text: str) -> "MealyAutomaton":
-        """`serialize`'s form in whole-text passes, else the line loop: it names the first fault."""
-        m = _SERIAL_RE.fullmatch(text if text.endswith("\n") else text + "\n")
-        if m:  # the token columns, each label resolved through the states index
-            states = sorted(m[2].split())
-            index, toks = {s: i for i, s in enumerate(states)}, m[3].split()
-            try:
-                at = [2 * i + b for i, b in zip(map(index.__getitem__, toks[1::5]),
-                                                 map(_BIT, toks[2::5]))]
-                dst = list(map(index.__getitem__, toks[4::5]))
-            except KeyError:  # an unknown source or target
-                at = []
-            if len(at) == 2 * len(states):  # a duplicate leaves some entry at -1
-                succ, out = [-1] * len(at), [-1] * len(at)
-                for j, t, o in zip(at, dst, map(_BIT, toks[3::5])):
-                    succ[j], out[j] = t, o
-                if (aut := cls._indexed(m[1], states, index, succ, out)) is not None:
-                    return aut  # else the line loop names the fault
-        name = None
-        states: list[str] | None = None
-        delta: dict[tuple[str, int], tuple[str, int]] = {}
+        """The machine of an AUT text, in one pass over its content lines.
 
-        def fail(msg, n):
-            raise FormatError(msg, line=n)
-
-        for n, line in content_lines(text):
-            toks = line.split()
-            kind = toks[0]
-            if name is None:
-                if kind != "aut" or len(toks) != 2:
-                    fail("expected 'aut <name>' header", n)
-                name = toks[1]
-                if not LABEL_RE.match(name):
-                    fail(f"bad automaton name {name!r}", n)
-                continue
-            if states is None:
-                if kind != "states" or len(toks) < 2:
-                    fail("expected 'states <label> ...' after header", n)
-                states = toks[1:]
-                stateset = set(states)
-                if len(stateset) != len(states):
-                    fail("duplicate state label", n)
-                for s in states:
-                    if not LABEL_RE.match(s):
-                        fail(f"bad state label {s!r}", n)
-                continue
-            if kind == "trans":
-                if len(toks) != 5:
-                    fail("expected 'trans <src> <in> <out> <dst>'", n)
-                _, src, a, out, dst = toks
-                if a not in ("0", "1") or out not in ("0", "1"):
-                    fail("bits must be 0 or 1", n)
-                pairs = ((int(a), int(out)),)
-            elif kind == "copy":
-                if len(toks) != 3:
-                    fail("expected 'copy <src> <dst>'", n)
-                _, src, dst = toks
-                pairs = ((0, 0), (1, 1))
-            else:
-                fail(f"unknown directive {kind!r}", n)
-            if src not in stateset:
-                fail(f"unknown source state {src!r}", n)
-            if dst not in stateset:
-                fail(f"unknown target state {dst!r}", n)
-            for a, out in pairs:
-                if (src, a) in delta:
-                    fail(f"duplicate transition for state {src!r} on input {a}", n)
-                delta[src, a] = (dst, out)
-
-        if name is None:
+        The `states` line fixes the sorted labels, their index and two tables
+        of 2n entries at -1.  Each `trans` or `copy` line is checked in turn
+        (token count, bits, source, target, then a duplicate: an entry no
+        longer at -1) and written straight into the tables.  The first fault
+        raises FormatError with its line number; missing transitions are
+        named last, in declared-state order.
+        """
+        lines = content_lines(text)
+        n, line = next(lines, (None, ""))
+        if n is None:
             raise FormatError("empty input: missing 'aut <name>' header")
-        if states is None:
+        toks = line.split()
+        if toks[0] != "aut" or len(toks) != 2:
+            raise FormatError("expected 'aut <name>' header", n)
+        name = toks[1]
+        if not LABEL_RE.match(name):
+            raise FormatError(f"bad automaton name {name!r}", n)
+        n, line = next(lines, (None, ""))
+        if n is None:
             raise FormatError("missing 'states' line")
-        for s in states:
-            for a in (0, 1):
-                if (s, a) not in delta:
-                    raise FormatError(f"state {s!r} has no transition on input {a}")
-        return cls(delta, name=name, states=states)
+        kind, *declared = line.split()
+        if kind != "states" or not declared:
+            raise FormatError("expected 'states <label> ...' after header", n)
+        states = sorted(declared)
+        index = {s: i for i, s in enumerate(states)}
+        if len(index) != len(states):
+            raise FormatError("duplicate state label", n)
+        if not _LABELS_RE.match("\n".join(declared)):  # split leaves no label empty or with "\n"
+            bad = next(s for s in declared if not LABEL_RE.match(s))
+            raise FormatError(f"bad state label {bad!r}", n)
+        succ, out = [-1] * (2 * len(states)), [-1] * (2 * len(states))
+        bit, at = {"0": 0, "1": 1}.get, index.get
+        for n, line in lines:
+            toks = line.split()
+            if toks[0] == "trans" and len(toks) == 5:
+                _, src, a, o, dst = toks
+                a, o, copy = bit(a), bit(o), False
+                if a is None or o is None:
+                    raise FormatError("bits must be 0 or 1", n)
+            elif toks[0] == "copy" and len(toks) == 3:  # both bits pass through
+                _, src, dst = toks
+                a = o = 0
+                copy = True
+            else:
+                raise FormatError(_SHAPES.get(toks[0], f"unknown directive {toks[0]!r}"), n)
+            if (i := at(src)) is None:
+                raise FormatError(f"unknown source state {src!r}", n)
+            if (t := at(dst)) is None:
+                raise FormatError(f"unknown target state {dst!r}", n)
+            j = 2 * i + a
+            if succ[j] >= 0 or copy and succ[j + 1] >= 0:
+                a = a if succ[j] >= 0 else 1
+                raise FormatError(f"duplicate transition for state {src!r} on input {a}", n)
+            succ[j], out[j] = t, o
+            if copy:
+                succ[j + 1], out[j + 1] = t, 1
+        if -1 in succ:  # name the first gap in declared-state order
+            s, a = next((s, a) for s in declared for a in (0, 1) if succ[2 * index[s] + a] < 0)
+            raise FormatError(f"state {s!r} has no transition on input {a}")
+        return cls._indexed(name, states, index, succ, out)
+
+    def aut_lines(self):
+        """The lines of `serialize`'s text, each ending in a newline, made one
+        at a time, so that a large machine is written without one joined text."""
+        states = self.states
+        yield f"aut {self.name}\n"
+        yield "states " + " ".join(states) + "\n"
+        for j, (t, o) in enumerate(zip(self._succ, self._out)):
+            yield f"trans {states[j >> 1]} {j & 1} {o} {states[t]}\n"
 
     def serialize(self) -> str:
         """Canonical AUT text: states sorted, two `trans` lines per state."""
-        states = self.states
-        return "\n".join([f"aut {self.name}", "states " + " ".join(states)] + [
-            f"trans {states[j >> 1]} {j & 1} {o} {states[t]}"
-            for j, (t, o) in enumerate(zip(self._succ, self._out))]) + "\n"
+        return "".join(self.aut_lines())
 
     # -- value semantics -----------------------------------------------------
 

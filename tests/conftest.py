@@ -1095,6 +1095,103 @@ def random_machine(rng, n):
     return MealyAutomaton(trans, name="random")
 
 
+_LABEL_RE = re.compile(r"[A-Za-z0-9_+-]+\Z")
+# an AUT text in `serialize`'s form: header, states, then trans lines only
+_SERIAL_RE = re.compile(r"aut ([A-Za-z0-9_+-]+)\nstates((?: [A-Za-z0-9_+-]+)+)\n"
+                        r"((?:trans [A-Za-z0-9_+-]+ [01] [01] [A-Za-z0-9_+-]+\n)*)")
+_BIT = {"0": 0, "1": 1}.__getitem__
+
+
+def reference_parse(text):
+    """The AUT reader that `MealyAutomaton.parse` replaced, kept as its oracle.
+
+    Two paths: a text in `serialize`'s form is read from one regex match and
+    the token columns of one split into the index table; any other text, or
+    one whose table does not fit, goes to a line loop that fills a dict
+    table, names the first fault and ends in the dict constructor.
+    """
+    m = _SERIAL_RE.fullmatch(text if text.endswith("\n") else text + "\n")
+    if m:
+        states = sorted(m[2].split())
+        index, toks = {s: i for i, s in enumerate(states)}, m[3].split()
+        try:
+            at = [2 * i + b for i, b in zip(map(index.__getitem__, toks[1::5]),
+                                             map(_BIT, toks[2::5]))]
+            dst = list(map(index.__getitem__, toks[4::5]))
+        except KeyError:
+            at = []
+        if len(at) == 2 * len(states):
+            succ, out = [-1] * len(at), [-1] * len(at)
+            for j, t, o in zip(at, dst, map(_BIT, toks[3::5])):
+                succ[j], out[j] = t, o
+            aut = MealyAutomaton._indexed(m[1], states, index, succ, out)
+            if aut is not None:
+                return aut
+    name = None
+    states = None
+    delta = {}
+
+    def fail(msg, n):
+        raise FormatError(msg, line=n)
+
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        kind = toks[0]
+        if name is None:
+            if kind != "aut" or len(toks) != 2:
+                fail("expected 'aut <name>' header", n)
+            name = toks[1]
+            if not _LABEL_RE.match(name):
+                fail(f"bad automaton name {name!r}", n)
+            continue
+        if states is None:
+            if kind != "states" or len(toks) < 2:
+                fail("expected 'states <label> ...' after header", n)
+            states = toks[1:]
+            stateset = set(states)
+            if len(stateset) != len(states):
+                fail("duplicate state label", n)
+            for s in states:
+                if not _LABEL_RE.match(s):
+                    fail(f"bad state label {s!r}", n)
+            continue
+        if kind == "trans":
+            if len(toks) != 5:
+                fail("expected 'trans <src> <in> <out> <dst>'", n)
+            _, src, a, out, dst = toks
+            if a not in ("0", "1") or out not in ("0", "1"):
+                fail("bits must be 0 or 1", n)
+            pairs = ((int(a), int(out)),)
+        elif kind == "copy":
+            if len(toks) != 3:
+                fail("expected 'copy <src> <dst>'", n)
+            _, src, dst = toks
+            pairs = ((0, 0), (1, 1))
+        else:
+            fail(f"unknown directive {kind!r}", n)
+        if src not in stateset:
+            fail(f"unknown source state {src!r}", n)
+        if dst not in stateset:
+            fail(f"unknown target state {dst!r}", n)
+        for a, out in pairs:
+            if (src, a) in delta:
+                fail(f"duplicate transition for state {src!r} on input {a}", n)
+            delta[src, a] = (dst, out)
+
+    if name is None:
+        raise FormatError("empty input: missing 'aut <name>' header")
+    if states is None:
+        raise FormatError("missing 'states' line")
+    for s in states:
+        for a in (0, 1):
+            if (s, a) not in delta:
+                raise FormatError(f"state {s!r} has no transition on input {a}")
+    return MealyAutomaton(delta, name=name, states=states)
+
+
 _locate = abmealy.complete.locate
 
 

@@ -309,6 +309,21 @@ def test_orbit_text_is_format_vector_in_every_chunking(text, e, start, capsys, t
         assert run(capsys, *argv) == (0, want, ""), chunk
 
 
+@pytest.mark.parametrize("source", [["--aut", "a32.aut"], ["--chi", "1/2 -1 3/2 -3/2 1"]])
+def test_principal_text_is_serialize_in_every_chunking(source, capsys, files, tmp_path,
+                                                       monkeypatch):
+    argv = ["principal", source[0], str(files / source[1]) if source[0] == "--aut" else source[1]]
+    code, payload = run_json(capsys, *argv)
+    want = payload["aut"]
+    assert code == 0 and want == parse_automaton(want).serialize()
+    target = tmp_path / "p.aut"
+    for chunk in _chunkings(want.count("\n")):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert run(capsys, *argv) == (0, want, ""), chunk
+        assert run(capsys, *argv, "-o", str(target)) == (0, "", ""), chunk
+        assert target.read_text() == want, chunk
+
+
 @pytest.mark.parametrize("text", [MAT_A_TEXT, "chi -1/2 1\n", "chi 1/2 1\n",
                                   "chi -1/2 0 1\n", "chi 1/2 -1 3/2 -3/2 1\n"])
 def test_scc_text_is_format_vector_in_every_chunking(text, capsys, tmp_path, monkeypatch):

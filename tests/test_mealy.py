@@ -19,8 +19,21 @@ from abmealy import (
     parse_automaton,
 )
 
-from abmealy import mealy
-from conftest import A32_TEXT, DictMachine, random_table
+from abmealy import AbmealyError, orbit_automaton, unit_vector
+from conftest import (
+    A32_TEXT,
+    CORPUS_TO_1179,
+    FLIP_TEXT,
+    IDENTITY_TEXT,
+    LAMPLIGHTER_TEXT,
+    PRINCIPAL_FIGURE_TEXT,
+    SINK_TEXT,
+    XYZ_TEXT,
+    DictMachine,
+    random_table,
+    reference_parse,
+    unit_config,
+)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -121,8 +134,8 @@ def parse_outcome(text):
 
 
 def test_whole_text_parse_agrees_with_the_line_loop():
-    # a comment on the header line keeps every line number and sends the
-    # text to the line loop; serialize's form takes the whole-text passes
+    # serialize's form and its variants read alike with a comment on the
+    # header line, which keeps every line number
     rng = random.Random(23)
     labels = [f"q{i}" for i in range(3000)]
     big = MealyAutomaton({(s, b): (rng.choice(labels), b ^ (i % 2)) for i, s in enumerate(labels)
@@ -153,9 +166,7 @@ def test_whole_text_parse_agrees_with_the_line_loop():
              "\n".join(lines[:3001] + lines[3000:]),  # one line twice, mid-table
              "\n".join(shuffled[:-1] + shuffled[-1:] * 2 + [""])]  # out of order, and twice
     for text in texts:
-        assert mealy._SERIAL_RE.fullmatch(text if text.endswith("\n") else text + "\n"), text
         loop = text.replace("\n", " # line loop\n", 1)
-        assert mealy._SERIAL_RE.fullmatch(loop) is None
         assert parse_outcome(text) == parse_outcome(loop)
     assert parse_outcome(big) == parse_outcome(big.rstrip("\n")) == MealyAutomaton.parse(
         big.replace("\n", "\n\n"))
@@ -166,6 +177,138 @@ def test_whole_text_parse_agrees_with_the_line_loop():
     assert parse_outcome(texts[14]) == "line 3001: unknown target state 'q9999'"
     assert parse_outcome(texts[15]).endswith("has no transition on input 0")
     assert parse_outcome(texts[16]).startswith("line 3002: duplicate transition for state ")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except AbmealyError as exc:
+        return type(exc), str(exc)
+
+
+def _mutate_lines(rng, lines):
+    """One random edit of an AUT text's lines."""
+    lines = list(lines)
+    k = rng.randrange(len(lines)) if lines else 0
+    toks = lines[k].split() if lines else []
+    op = rng.randrange(15)
+    if op == 0:  # a comment: at the end, alone, or cutting a line short
+        junk = rng.choice(["# note", "#", "#trans a 0 1 a", "  # x y"])
+        if rng.random() < 0.5:
+            lines.insert(k, junk.strip())
+        elif lines:
+            cut = rng.randrange(len(lines[k]) + 1)
+            lines[k] = lines[k][:cut] + junk if rng.random() < 0.5 else lines[k] + junk
+    elif op == 1:  # a blank line
+        lines.insert(k, rng.choice(["", "   ", "\t", " \t "]))
+    elif op == 2:  # a pair of trans lines that copy, as one copy line, or a stray copy line
+        for i, line in enumerate(lines):
+            parts = line.split()
+            if len(parts) == 5 and parts[0] == "trans" and parts[2:4] == ["0", "0"]:
+                twin = f"trans {parts[1]} 1 1 {parts[4]}"
+                if twin in lines:
+                    lines[i] = f"copy {parts[1]} {parts[4]}"
+                    lines.remove(twin)
+                    break
+        else:
+            labels = (lines[1].split()[1:] if len(lines) > 1 else []) + ["zz9"]
+            lines.insert(k, f"copy {rng.choice(labels)} {rng.choice(labels)}")
+    elif op == 3:  # the trans lines shuffled
+        body = lines[2:]
+        rng.shuffle(body)
+        lines[2:] = body
+    elif op == 4:  # one line twice
+        if lines:
+            lines.insert(rng.randrange(len(lines) + 1), lines[k])
+    elif op == 5:  # a line deleted: a missing transition, header or states line
+        if lines:
+            del lines[k]
+    elif op in (6, 7) and len(lines) > 1:  # the states line edited
+        labels = lines[1].split()[1:]
+        edit = rng.randrange(5)
+        if edit == 0:
+            rng.shuffle(labels)
+        elif edit == 1 and labels:
+            labels.insert(rng.randrange(len(labels) + 1), rng.choice(labels))
+        elif edit == 2 and labels:
+            labels[rng.randrange(len(labels))] += rng.choice([".", "*", "é", "#x"])
+        elif edit == 3 and labels:
+            del labels[rng.randrange(len(labels))]
+        else:
+            labels.insert(rng.randrange(len(labels) + 1), rng.choice(["extra", "a.b", "z"]))
+        lines[1] = " ".join(["states"] + labels)
+    elif op == 8 and len(toks) == 5:  # a bad bit
+        toks[rng.choice([2, 3])] = rng.choice(["2", "01", "x", "-0", "00", "1.0"])
+        lines[k] = " ".join(toks)
+    elif op == 9 and lines:  # a bad header or name
+        lines[0] = rng.choice(["aut my.machine", "aut a b", "aut", "aux m", "aut m#",
+                               "aut _+-", "states a"])
+    elif op == 10 and len(toks) >= 3:  # an unknown or badly formed label in a line
+        toks[rng.choice([1, len(toks) - 1])] = rng.choice(["zz9", "a.b", "Q", "-"])
+        lines[k] = " ".join(toks)
+    elif op == 11 and toks:  # a token more or less
+        if rng.random() < 0.5:
+            toks.insert(rng.randrange(len(toks) + 1), rng.choice(["0", "1", "x"]))
+        else:
+            del toks[rng.randrange(len(toks))]
+        lines[k] = " ".join(toks)
+    elif op == 12 and toks:  # another directive
+        toks[0] = rng.choice(["tran", "Trans", "states", "aut", "copy", "trans"])
+        lines[k] = " ".join(toks)
+    elif op == 13 and lines:  # other whitespace between and around the tokens
+        sep = rng.choice(["\t", "  ", " \t", "\u00a0", "\u3000", "\x1f"])
+        lines[k] = sep + sep.join(toks) + rng.choice(["", sep])
+    elif op == 14:  # a line of junk
+        lines.insert(k, rng.choice(["trans", "copy a", "?", "states", "aut m", "0 1"]))
+    return lines
+
+
+def mutate_aut(rng, text):
+    """A seeded mutation of an AUT text: one to three line edits, then maybe
+    another line break, no final newline, or a truncation."""
+    lines = text.split("\n")[:-1]
+    for _ in range(rng.randint(1, 3)):
+        lines = _mutate_lines(rng, lines)
+    text = "\n".join(lines) + "\n"
+    if rng.random() < 0.25:
+        brk = rng.choice(["\r\n", "\r", "\x0c", "\u2028", "\x85", "\v", "\x1e"])
+        text = text.replace("\n", brk) if rng.random() < 0.5 else text.replace("\n", brk, 3)
+    if rng.random() < 0.2:
+        text = text.rstrip("\n")
+    if rng.random() < 0.1:
+        text = text[:rng.randrange(len(text) + 1)]
+    return text
+
+
+def test_parse_agrees_with_the_reference_reader_on_mutated_texts():
+    rng = random.Random(29)
+    figure = [A32_TEXT, XYZ_TEXT, LAMPLIGHTER_TEXT, IDENTITY_TEXT, FLIP_TEXT, SINK_TEXT,
+              PRINCIPAL_FIGURE_TEXT]
+    corpus = [orbit_automaton(unit_config(g), [unit_vector(len(g))]).serialize()
+              for g in CORPUS_TO_1179]
+    seen, machines = set(), 0
+    for i in range(6000):
+        if i % 3 == 2:
+            base = MealyAutomaton(random_table(rng, rng.randint(1, 8)), name="r").serialize()
+        else:
+            base = rng.choice(figure if i % 3 else corpus)
+        text = mutate_aut(rng, base)
+        got = _outcome(MealyAutomaton.parse, text)
+        assert got == _outcome(reference_parse, text), text
+        if isinstance(got, MealyAutomaton):
+            machines += 1
+        else:
+            seen.add(next(f for f in FAULTS if f in got[1]))
+    assert machines > 600
+    assert seen == set(FAULTS)
+
+
+# every fault the reader names, each by a piece of its message
+FAULTS = ("empty input", "'aut <name>' header", "bad automaton name", "missing 'states'",
+          "'states <label> ...' after header", "duplicate state label", "bad state label",
+          "bits must be 0 or 1", "unknown directive", "unknown source", "unknown target",
+          "duplicate transition", "has no transition", "'trans <src> <in> <out> <dst>'",
+          "'copy <src> <dst>'")
 
 
 LOOP = {("a", 0): ("a", 0), ("a", 1): ("a", 1)}
