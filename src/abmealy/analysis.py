@@ -15,11 +15,10 @@ Three instruments sit on top of the core machinery:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
 
+from ._value import Value
 from .complete import (
     CompleteConfig,
     LocationMap,
@@ -37,8 +36,7 @@ from .mealy import MealyAutomaton
 # -- strongly connected components ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+class SccDecomposition(Value):
     """Components of a finite directed graph, each sorted internally.
 
     The component list is ordered by least member.  `edges` holds the pairs
@@ -47,23 +45,25 @@ class SccDecomposition:
     node, or a self-loop).
     """
 
-    components: tuple[tuple, ...]
-    edges: frozenset
-    cyclic: tuple[bool, ...]
+    __match_args__ = ("components", "edges", "cyclic")
+    __slots__ = __match_args__ + ("_component_of",)
 
-    @cached_property
+    def __init__(self, components: tuple[tuple, ...], edges: frozenset, cyclic: tuple[bool, ...]):
+        super().__init__(components, edges, cyclic)
+        object.__setattr__(self, "_component_of", None)
+
+    @property
     def component_of(self) -> dict:
         """Each node's component index, built on first read."""
-        return {node: i for i, c in enumerate(self.components) for node in c}
+        if self._component_of is None:
+            object.__setattr__(self, "_component_of", {
+                node: i for i, c in enumerate(self.components) for node in c})
+        return self._component_of
 
     @property
     def terminal_indices(self) -> tuple[int, ...]:
-        out = set()
-        for i, _ in self.edges:
-            out.add(i)
-        return tuple(
-            i for i in range(len(self.components)) if i not in out
-        )
+        out = {i for i, _ in self.edges}
+        return tuple(i for i in range(len(self.components)) if i not in out)
 
 
 def _tarjan(first, targets) -> list[int]:
@@ -244,17 +244,17 @@ def witness_search(chi_star_poly, max_degree: int = 12) -> Polynomial | None:
 # -- one instance of the connectivity experiment -----------------------------------
 
 
-@dataclass(frozen=True)
-class SccInstanceReport:
+class SccInstanceReport(Value):
     """Outcome of probing c(A, e1) on the orbits of e1 and -e1."""
 
-    chi: Polynomial
-    chi_star: Polynomial
-    states: tuple[tuple[int, ...], ...]
-    decomposition: SccDecomposition
-    nontrivial_components: tuple[int, ...]
-    single_nontrivial: bool
-    witness: Polynomial | None
+    __slots__ = __match_args__ = ("chi", "chi_star", "states", "decomposition",
+                                  "nontrivial_components", "single_nontrivial", "witness")
+
+    def __init__(self, chi: Polynomial, chi_star: Polynomial, states: tuple[tuple[int, ...], ...],
+                 decomposition: SccDecomposition, nontrivial_components: tuple[int, ...],
+                 single_nontrivial: bool, witness: Polynomial | None):
+        super().__init__(chi, chi_star, states, decomposition, nontrivial_components,
+                         single_nontrivial, witness)
 
 
 def check_scc_instance(A: HalfIntegralMatrix, *,
@@ -323,11 +323,11 @@ def _walk_witness(order, succ, j: int) -> Polynomial:
 # -- matrix inference ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InferResult:
-    matrix: HalfIntegralMatrix
-    chi: Polynomial
-    location: LocationMap
+class InferResult(Value):
+    __slots__ = __match_args__ = ("matrix", "chi", "location")
+
+    def __init__(self, matrix: HalfIntegralMatrix, chi: Polynomial, location: LocationMap):
+        super().__init__(matrix, chi, location)
 
 
 def infer_matrix(aut: MealyAutomaton, *, max_dim: int | None = None,

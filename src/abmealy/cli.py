@@ -81,14 +81,20 @@ def _emit(args, payload: dict, text_lines) -> None:
 _CHUNK = 4096  # vectors or lines formatted and written at a time
 
 
+def _chunks(lines):
+    """The lines joined a chunk at a time."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, _CHUNK)):
+        yield chunk
+
+
 def _write_or_print(args, lines) -> None:
     """Write lines, each ending in a newline, to -o, or else to stdout unless
     --json is set, a chunk of lines per write."""
     if args.output or not args.json:
-        lines = iter(lines)
         with (Path(args.output).open("w", encoding="utf-8") if args.output
               else nullcontext(sys.stdout)) as f:
-            while chunk := "".join(islice(lines, _CHUNK)):
+            for chunk in _chunks(lines):
                 f.write(chunk)
 
 
@@ -157,9 +163,12 @@ def _cmd_principal(args) -> int:
     else:
         machine = build_principal(_load_aut(args.aut), bound=args.bound)
     _write_or_print(args, machine.aut_lines())
-    if args.json:
-        print(json.dumps({"name": machine.name, "states": list(machine.states),
-                          "aut": machine.serialize()}))
+    if args.json:  # one JSON line, its "aut" text escaped and written a chunk at a time
+        head = json.dumps({"name": machine.name, "states": list(machine.states), "aut": ""})
+        sys.stdout.write(head[:-2])  # up to the text's opening quote
+        for chunk in _chunks(machine.aut_lines()):
+            sys.stdout.write(json.dumps(chunk)[1:-1])
+        sys.stdout.write('"}\n')
     return 0
 
 

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import add, index, mul, sub
 
+from ._value import Value
 from .errors import (
     BoundExceededError,
     FormatError,
@@ -122,26 +122,23 @@ def _apply_int(rows, v):
 # -- complete automaton ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompleteConfig:
+class CompleteConfig(Value):
     """A matrix A and an odd translation vector e defining c(A, e).
 
     Any half-integral A is accepted; `orbit` and `orbit_automaton` refuse
     one whose chi is not contracting, as its orbits need not be finite.
     """
 
-    A: HalfIntegralMatrix
-    e: tuple[int, ...]
+    __slots__ = __match_args__ = ("A", "e")
 
-    def __post_init__(self):
-        if not isinstance(self.A, HalfIntegralMatrix):
-            object.__setattr__(self, "A", HalfIntegralMatrix(self.A))
-        object.__setattr__(self, "e", _coerce_vector(self.e, self.A.dim))
-        if self.e[0] % 2 == 0:
-            raise MatrixError(
-                f"translation vector {format_vector(self.e)} must have odd "
-                "first coordinate"
-            )
+    def __init__(self, A: HalfIntegralMatrix, e: tuple[int, ...]):
+        if not isinstance(A, HalfIntegralMatrix):
+            A = HalfIntegralMatrix(A)
+        e = _coerce_vector(e, A.dim)
+        if e[0] % 2 == 0:
+            raise MatrixError(f"translation vector {format_vector(e)} must have odd "
+                              "first coordinate")
+        super().__init__(A, e)
 
     @property
     def dim(self) -> int:
@@ -334,8 +331,7 @@ def vector_to_poly(v, A: HalfIntegralMatrix) -> Polynomial:
 # -- location maps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocationMap:
+class LocationMap(Value):
     """An embedding of a Mealy automaton into a complete automaton.
 
     p names the translation vector (e = p(A^-1) e1), e is that vector, and
@@ -346,15 +342,11 @@ class LocationMap:
         state f -> (1,0)
     """
 
-    p: Polynomial
-    e: tuple[int, ...]
-    assignment: dict[str, tuple[int, ...]]
+    __slots__ = __match_args__ = ("p", "e", "assignment")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _int_poly(self.p))
-        object.__setattr__(self, "e", _coerce_vector(self.e))
-        object.__setattr__(
-            self, "assignment", {s: _coerce_vector(v) for s, v in self.assignment.items()})
+    def __init__(self, p: Polynomial, e: tuple[int, ...], assignment: dict[str, tuple[int, ...]]):
+        super().__init__(_int_poly(p), _coerce_vector(e),
+                         {s: _coerce_vector(v) for s, v in assignment.items()})
 
     def serialize(self) -> str:
         lines = [f"p: {self.p}", f"e: {format_vector(self.e)}"]
@@ -746,12 +738,11 @@ def _constructs(aut: MealyAutomaton) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    state: str
-    word: str
-    automaton_output: str
-    vector_output: str
+class Mismatch(Value):
+    __slots__ = __match_args__ = ("state", "word", "automaton_output", "vector_output")
+
+    def __init__(self, state: str, word: str, automaton_output: str, vector_output: str):
+        super().__init__(state, word, automaton_output, vector_output)
 
 
 def find_location_mismatch(aut: MealyAutomaton, A: HalfIntegralMatrix,
@@ -808,20 +799,16 @@ def embed_scale(p, q, chi_star_poly) -> Polynomial:
 # -- the limit group of all complete automata over A -----------------------------------
 
 
-@dataclass(frozen=True)
-class GTildeElement:
+class GTildeElement(Value):
     """A fraction v / p: vector v scaled down by a polynomial with odd constant."""
 
-    v: tuple[int, ...]
-    p: Polynomial
+    __slots__ = __match_args__ = ("v", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", _coerce_vector(self.v))
-        object.__setattr__(self, "p", _int_poly(self.p))
-        if self.p.constant % 2 == 0:
-            raise MatrixError(
-                f"denominator polynomial {self.p} must have odd constant term"
-            )
+    def __init__(self, v: tuple[int, ...], p: Polynomial):
+        v, p = _coerce_vector(v), _int_poly(p)
+        if p.constant % 2 == 0:
+            raise MatrixError(f"denominator polynomial {p} must have odd constant term")
+        super().__init__(v, p)
 
     def __str__(self):
         return f"{format_vector(self.v)} / ({self.p})"

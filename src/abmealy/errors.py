@@ -22,15 +22,24 @@ class FormatError(AbmealyError):
         super().__init__(message)
 
 
+_BLOCK = 1 << 16  # characters split into lines at a time
+
+
 def content_lines(text: str):
     """Yield (line number, content) for each line of an AUT, MATRIX or map
     text, numbered from 1; '#' starts a comment, and lines left blank are
-    skipped."""
-    for n, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line[:line.index("#")]
-        if line := line.strip():
-            yield n, line
+    skipped.  The lines are those of `str.splitlines`, split a block at a
+    time: each block ends just after a newline, which ends a line there too,
+    and never inside a CRLF, so no list of every line is held at once."""
+    n = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        for n, line in enumerate(text[start:end].splitlines(), n + 1):
+            if "#" in line:
+                line = line[:line.index("#")]
+            if line := line.strip():
+                yield n, line
+        start = end
 
 
 class AutomatonError(AbmealyError):

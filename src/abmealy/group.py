@@ -24,11 +24,11 @@ and else the odd states' comparisons decide the rest.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import eq
 
+from ._value import Value
 from .errors import (
     BoundExceededError,
     NoOddStateError,
@@ -36,7 +36,7 @@ from .errors import (
     NotInvertibleError,
     UnknownStateError,
 )
-from .mealy import MealyAutomaton, Parity, _moore_classes
+from .mealy import MealyAutomaton, Parity, _moore_classes, _moore_rounds
 
 DEFAULT_BOUND = 100000
 
@@ -262,10 +262,11 @@ class Verdict(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    verdict: Verdict
-    witness_path: str | None = None  # bit string to the first odd element found
+class IdentityResult(Value):
+    __slots__ = __match_args__ = ("verdict", "witness_path")  # bits to the first odd element
+
+    def __init__(self, verdict: Verdict, witness_path: str | None = None):
+        super().__init__(verdict, witness_path)
 
     def __bool__(self):
         return self.verdict is Verdict.IS_IDENTITY
@@ -319,20 +320,19 @@ class AbelianVerdict(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class AbelianReport:
-    verdict: AbelianVerdict
-    gamma: GroupElement | None = None
-    witness: tuple[str, str] | None = None  # (state, explanation)
+class AbelianReport(Value):
+    __slots__ = __match_args__ = ("verdict", "gamma", "witness")
 
-    def __post_init__(self):
-        expects_gamma = self.verdict in (
+    def __init__(self, verdict: AbelianVerdict, gamma: GroupElement | None = None,
+                 witness: tuple[str, str] | None = None):  # (state, explanation)
+        expects_gamma = verdict in (
             AbelianVerdict.ABELIAN_FREE_CANDIDATE,
             AbelianVerdict.BOOLEAN_CANDIDATE,
         )
-        if (self.gamma is not None) != expects_gamma:
+        if (gamma is not None) != expects_gamma:
             need = "needs" if expects_gamma else "takes no"
-            raise ValueError(f"a report with verdict {self.verdict} {need} gamma")
+            raise ValueError(f"a report with verdict {verdict} {need} gamma")
+        super().__init__(verdict, gamma, witness)
 
 
 def _residual_difference(table: _Table, i: int) -> tuple:
@@ -374,6 +374,11 @@ def _decide(aut: MealyAutomaton, bound: int, certified=None) -> AbelianReport:
     odd f that is d0 f = d1 f, and conjugating an even f by an odd state swaps
     its sections, so d0 f = d1 f again.  So a machine that fails the refinement
     and passes the tests has gamma != I, and gamma needs no identity test.
+
+    The test stops at the first round that splits some state's two successors.
+    Each round refines the one before, so the fixpoint splits that pair too,
+    and the machine is not Boolean; a state whose two successors are one
+    state is never split, so where every state's are, no round runs.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -383,8 +388,10 @@ def _decide(aut: MealyAutomaton, bound: int, certified=None) -> AbelianReport:
         return AbelianReport(AbelianVerdict.TRIVIAL_GROUP)
     f = table.labels[odd[0]]
     gamma = _residual_difference(table, odd[0])
-    at, succ = _moore_classes(aut._succ, aut._out).__getitem__, aut._succ
-    if all(map(eq, map(at, succ[0::2]), map(at, succ[1::2]))):
+    succ = aut._succ
+    on0, on1 = succ[0::2], succ[1::2]
+    if on0 == on1 or all(all(map(eq, map(cls.__getitem__, on0), map(cls.__getitem__, on1)))
+                         for cls in _moore_rounds(succ, aut._out)):
         return AbelianReport(AbelianVerdict.BOOLEAN_CANDIDATE, gamma=_element(aut, table, gamma))
     saw_unknown = False
     for i in (j for j, o in enumerate(table.odd) if not o):

@@ -294,17 +294,24 @@ def parse_automaton(text: str) -> MealyAutomaton:
     return MealyAutomaton.parse(text)
 
 
-def _moore_classes(succ: list, out: list) -> list[int]:
-    """Each state's class in an index table, equal iff the states are equal
-    functions on words: Moore refinement from the output pairs (so any table
-    will do), split by (class, class on 0, class on 1) until none splits."""
-    ids, count = {}, 0
+def _moore_rounds(succ: list, out: list):
+    """Moore refinement of an index table, one round at a time: yield each
+    state's class, numbered by least state, first by its output pair (so any
+    table will do), then split by (class, class on 0, class on 1) until none
+    splits.  Each round refines the one before; the last yielded is the
+    fixpoint, where two states share a class iff they are equal functions."""
+    ids, count = {}, -1  # an empty table yields its one empty row too
     cls = [ids.setdefault(pair, len(ids)) for pair in zip(out[0::2], out[1::2])]
     while count != len(ids):
+        yield cls
         count, ids, at = len(ids), {}, cls.__getitem__  # the new row reads the old one
         cls = [ids.setdefault(t, len(ids))
                for t in zip(cls, map(at, succ[0::2]), map(at, succ[1::2]))]
-    return cls
+
+
+def _moore_classes(succ: list, out: list) -> list[int]:
+    """The fixpoint of `_moore_rounds`: equal classes are equal functions."""
+    return deque(_moore_rounds(succ, out), maxlen=1)[0]
 
 
 def find_isomorphism(a: MealyAutomaton, b: MealyAutomaton) -> dict[str, str] | None:

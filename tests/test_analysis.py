@@ -1006,12 +1006,13 @@ def test_check_runs_no_construction_when_an_even_state_fails(capsys, tmp_path, m
 def test_classify_runs_the_even_tests_then_the_construction_then_the_odd_closures(
         monkeypatch, a32, xyz, lamplighter):
     """The order `triage` needs: one refinement, which decides a Boolean
-    machine with nothing after it; then the even states' tests, and one that
+    machine with nothing after it, and runs no round where every state's two
+    successors are one state; then the even states' tests, and one that
     fails stops classify before any construction; then the construction, and
     the odd states' closures only where it yields no chi."""
-    events, refine = [], group._moore_classes
+    events, refine = [], group._moore_rounds
     test, construct = group._identity_test_coeffs, complete._construct
-    monkeypatch.setattr(group, "_moore_classes",
+    monkeypatch.setattr(group, "_moore_rounds",
                         lambda succ, out: events.append("refine") or refine(succ, out))
     monkeypatch.setattr(group, "_identity_test_coeffs",
                         lambda *args: events.append("test") or test(*args))
@@ -1026,6 +1027,10 @@ def test_classify_runs_the_even_tests_then_the_construction_then_the_odd_closure
         even = sum(aut.output(s, 0) == 0 for s in aut.states)
         if even == len(aut.states):
             assert events == [] and report.verdict is AbelianVerdict.TRIVIAL_GROUP
+            continue
+        if all(aut.residual(s, 0) == aut.residual(s, 1) for s in aut.states):
+            assert events == [] and report.verdict is AbelianVerdict.BOOLEAN_CANDIDATE
+            kinds["no round"] += 1
             continue
         assert events[0] == "refine"
         rest = events[1:]

@@ -19,11 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from abmealy import parse_automaton, parse_int_poly, parse_matrix, reduce_mod
+from abmealy import parse_automaton, parse_int_poly, parse_matrix, reduce_mod, unit_vector
 from abmealy import cli
 from abmealy.analysis import check_scc_instance
 from abmealy.cli import main
-from abmealy.complete import CompleteConfig, format_vector, orbit, parse_vector
+from abmealy.complete import CompleteConfig, format_vector, orbit, orbit_automaton, parse_vector
+from abmealy.exactalg import companion_from_chi, parse_chi
 from conftest import (
     A32_TEXT,
     CHI_ERRORS,
@@ -205,6 +206,24 @@ def test_principal_json(capsys, files):
     assert payload["name"] == "principal_a32"
     assert len(payload["states"]) == 7
     assert parse_automaton(payload["aut"]).name == "principal_a32"
+
+
+@pytest.mark.parametrize("chi", [None, "1/2 1", "1/2 -1/2 1", "1/2 1/2 1/2 1 1/2 1"])
+def test_principal_json_written_a_chunk_at_a_time_is_one_dumps_line(capsys, files, monkeypatch,
+                                                                     chi):
+    """The line that json.dumps of the whole payload gives, at every chunk
+    size: the figure's principal machine, small chi and o823."""
+    if chi is None:
+        argv, machine = ["--aut", str(files / "a32.aut")], parse_automaton(PRINCIPAL_FIGURE_TEXT)
+    else:
+        A = companion_from_chi(parse_chi(chi))
+        e1 = unit_vector(A.dim)
+        argv, machine = ["--chi", chi], orbit_automaton(CompleteConfig(A, e1), [e1])
+    want = json.dumps({"name": machine.name, "states": list(machine.states),
+                       "aut": machine.serialize()}) + "\n"
+    for chunk in (cli._CHUNK, 1, 7):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert run(capsys, "principal", *argv, "--json") == (0, want, "")
 
 
 def test_principal_requires_exactly_one_source(capsys, files):

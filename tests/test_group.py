@@ -55,6 +55,7 @@ from abmealy.group import (
 from abmealy.mealy import _moore_classes
 
 from conftest import (
+    CORPUS_TO_1179,
     expand_terms,
     fold_terms,
     oracle_check_abelian,
@@ -556,6 +557,44 @@ def test_decisions_match_the_oracle_and_the_pair_search_at_every_bound(monkeypat
     assert min(kinds[name, k] for name in ("check_abelian", "classify")
                for k in ("decided", "BooleanCandidate", "Unknown")) > 5, kinds
     assert kinds["classify", "AbelianFreeCandidate"] > 5, kinds
+
+
+def chain_machine(n):
+    """n states, each copying into the next; the last flips and loops."""
+    labels = [f"c{i:05d}" for i in range(n)]
+    table = {(s, b): (t, b) for s, t in zip(labels, labels[1:]) for b in (0, 1)}
+    table.update({(labels[-1], b): (labels[-1], 1 - b) for b in (0, 1)})
+    return MealyAutomaton(table, name=f"chain{n}")
+
+
+def test_the_boolean_test_stops_at_the_first_split(monkeypatch):
+    """Under a probe that counts the refinement rounds `_decide` reads: a
+    chain, whose states' two successors are each one state, is Boolean with no
+    round; the corpus machines are not, and some round up to round 3 splits a
+    pair that the fixpoint splits too."""
+    rounds, real = [], group._moore_rounds
+
+    def counted(succ, out):
+        for cls in real(succ, out):
+            rounds.append(cls)
+            yield cls
+
+    monkeypatch.setattr(group, "_moore_rounds", counted)
+    for n in (2, 60, 4000):
+        report = check_abelian(chain_machine(n), bound=1)
+        assert (report.verdict, rounds) == (AbelianVerdict.BOOLEAN_CANDIDATE, [])
+    short = chain_machine(60)
+    assert len(list(real(short._succ, short._out))) == 59  # what a run to the fixpoint reads
+    for g in CORPUS_TO_1179:
+        rounds.clear()
+        aut = unit_orbit_machine(g)
+        assert classify(aut).verdict is AbelianVerdict.ABELIAN_FREE_CANDIDATE
+        pairs = list(zip(aut._succ[0::2], aut._succ[1::2]))
+        assert 1 <= len(rounds) <= 4, (g, len(rounds))
+        assert any(rounds[-1][a] != rounds[-1][b] for a, b in pairs)
+        assert not any(cls[a] != cls[b] for cls in rounds[:-1] for a, b in pairs)
+        fixpoint = _moore_classes(aut._succ, aut._out)
+        assert any(fixpoint[a] != fixpoint[b] for a, b in pairs)
 
 # -- principal machines ----------------------------------------------------------------
 

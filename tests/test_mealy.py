@@ -19,7 +19,8 @@ from abmealy import (
     parse_automaton,
 )
 
-from abmealy import AbmealyError, orbit_automaton, unit_vector
+from abmealy import AbmealyError, errors, orbit_automaton, unit_vector
+from abmealy.errors import content_lines
 from conftest import (
     A32_TEXT,
     CORPUS_TO_1179,
@@ -301,6 +302,39 @@ def test_parse_agrees_with_the_reference_reader_on_mutated_texts():
             seen.add(next(f for f in FAULTS if f in got[1]))
     assert machines > 600
     assert seen == set(FAULTS)
+
+
+def whole_text_content_lines(text):
+    """`errors.content_lines` as one `str.splitlines` list of every line."""
+    out = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        if line := line.strip():
+            out.append((n, line))
+    return out
+
+
+LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029")
+
+
+def test_content_lines_split_a_block_at_a_time(monkeypatch):
+    """Blocks of 0 to len(text) + 1 characters, so that every line break of
+    `str.splitlines` falls at a block edge, give the whole-text lines."""
+    rng = random.Random(41)
+    pieces = LINE_BREAKS + ("a", "b c", " #x", "#", " ", "\t", "trans a 0 1 b")
+    texts = ["", "\n", "a", "\r\n\r\n"] + ["".join(rng.choices(pieces, k=rng.randint(1, 12)))
+                                        for _ in range(1500)]
+    for text in texts:
+        want = whole_text_content_lines(text)
+        for block in range(len(text) + 2):
+            monkeypatch.setattr(errors, "_BLOCK", block)
+            assert list(content_lines(text)) == want, (text, block)
+    monkeypatch.undo()
+    text = "".join(rng.choices(pieces, k=150000))  # many blocks at the default size
+    assert len(text) > 4 * errors._BLOCK
+    assert list(content_lines(text)) == whole_text_content_lines(text)
 
 
 # every fault the reader names, each by a piece of its message
