@@ -158,8 +158,10 @@ def _cmd_gamma(args) -> int:
 def _cmd_principal(args) -> int:
     if args.chi is not None:
         A = companion_from_chi(parse_chi(args.chi))
-        config = CompleteConfig(A, unit_vector(A.dim))
-        machine = orbit_automaton(config, [unit_vector(A.dim)], bound=args.bound)
+        e1 = unit_vector(A.dim)
+        # the principal machine holds the negations: orbit(e1) and orbit(-e1)
+        machine = orbit_automaton(CompleteConfig(A, e1), [e1, tuple(-x for x in e1)],
+                                  bound=args.bound)
     else:
         machine = build_principal(_load_aut(args.aut), bound=args.bound)
     _write_or_print(args, machine.aut_lines())
@@ -482,10 +484,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser.
 
     Every subcommand is registered with its help text, so the top-level
-    usage, `--help` and choice errors never depend on `command`.  Arguments
-    and the handler are added to every subcommand when `command` is None,
-    and otherwise to `command` alone: parse_args on an argv that names it
-    then reads exactly what the full parser reads.
+    usage, `--help` and choice errors never depend on `command`.  When
+    `command` is None every entry gets its `-h`, arguments and handler;
+    otherwise `command` alone gets them, and each other entry is bare (no
+    `-h` either), as an argv that names `command` never parses another
+    entry: parse_args on it then reads exactly what the full parser reads.
+    Registering no entry but `command` would be faster still.  It waits on
+    ROADMAP item 1: the benchmark keeps every pass's output, so a faster
+    call reads there as a memory regression.
     """
     parser = argparse.ArgumentParser(
         prog="abmealy",
@@ -493,8 +499,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
+        full = command is None or command == name
+        p = sub.add_parser(name, help=help_text, add_help=full)
+        if full:
             add_arguments(p)
             p.set_defaults(func=handler)
     return parser

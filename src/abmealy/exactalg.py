@@ -77,6 +77,9 @@ class Polynomial:
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), (self.coeffs,)
+
     @classmethod
     def of(cls, *coeffs) -> "Polynomial":
         return cls(coeffs)
@@ -277,6 +280,9 @@ class RationalMatrix:
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), (self.rows,)
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -389,6 +395,9 @@ class HalfIntegralMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("HalfIntegralMatrix is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), (self.inner,)
 
     @property
     def dim(self) -> int:

@@ -113,6 +113,16 @@ trans t 0 1 t
 trans t 1 0 t
 """
 
+# The binary odometer: a adds one to the word read least significant bit
+# first, and e copies.  infer gives chi = x - 1/2.
+ODOMETER_TEXT = """\
+aut odometer
+states a e
+trans a 0 1 e
+trans a 1 0 a
+copy e e
+"""
+
 # State a outputs 0 on both bits, so the machine is not invertible.
 SINK_TEXT = """\
 aut sink

@@ -12,6 +12,7 @@ with a stdout whose reader has gone.
 import argparse
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -19,22 +20,43 @@ from pathlib import Path
 
 import pytest
 
-from abmealy import parse_automaton, parse_int_poly, parse_matrix, reduce_mod, unit_vector
+from abmealy import (
+    AbelianVerdict,
+    build_principal,
+    classify,
+    find_isomorphism,
+    parse_automaton,
+    parse_int_poly,
+    parse_matrix,
+    reduce_mod,
+    unit_vector,
+)
 from abmealy import cli
 from abmealy.analysis import check_scc_instance
 from abmealy.cli import main
-from abmealy.complete import CompleteConfig, format_vector, orbit, orbit_automaton, parse_vector
+from abmealy.complete import (
+    CompleteConfig,
+    _constructs,
+    format_vector,
+    orbit,
+    orbit_automaton,
+    parse_vector,
+)
 from abmealy.exactalg import companion_from_chi, parse_chi
 from conftest import (
     A32_TEXT,
     CHI_ERRORS,
+    CORPUS_GS,
     IDENTITY_TEXT,
     LAMPLIGHTER_TEXT,
     MAT_A_TEXT,
+    ODOMETER_TEXT,
     PRINCIPAL_FIGURE_TEXT,
     SINK_TEXT,
     XYZ_TEXT,
+    random_machine,
     union_machine,
+    unit_config,
 )
 
 # Hand-checked location of the three-state machine inside the complete
@@ -189,6 +211,56 @@ def test_principal_from_chi_builds_the_unit_orbit_machine(capsys, files):
     machine = parse_automaton(out)
     assert machine.name == "orbit_1_0"
     assert len(machine.states) == 7
+
+
+def test_principal_from_chi_walks_from_e1_and_its_negation(capsys, files):
+    """The principal machine holds the negations: for chi = x - 1/2, -e1 is
+    off the orbit of e1, and the walk from both gives the three states of
+    the odometer's principal machine, all of the orbit that `scc` counts."""
+    code, out, err = run(capsys, "principal", "--chi", "-1/2 1")
+    assert (code, err) == (0, "")
+    machine = parse_automaton(out)
+    assert (machine.name, machine.states) == ("orbit_1", ("-1", "0", "1"))
+    assert "states: 3\n" in run(capsys, "scc", str(files / "sausage.mat"))[1]
+
+
+def principal_of_inferred_chi(capsys, path):
+    """`principal --chi` of the chi that `infer` prints for the machine at path."""
+    code, payload = run_json(capsys, "infer", str(path))
+    assert code == 0 and payload["found"]
+    code, out, err = run(capsys, "principal", "--chi", " ".join(payload["chi"]))
+    assert (code, err) == (0, "")
+    return parse_automaton(out)
+
+
+def constructed_sample(seed, count):
+    """The first count random machines that classify calls AbelianFreeCandidate
+    with a constructed chi."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        aut = random_machine(rng, rng.randint(2, 9))
+        if classify(aut).verdict is AbelianVerdict.ABELIAN_FREE_CANDIDATE and _constructs(aut):
+            found.append(aut.serialize())
+    return found
+
+
+ORACLE_MACHINES = {"figure": A32_TEXT, "odometer": ODOMETER_TEXT,
+                   **{f"chi{g}": orbit_automaton(unit_config(g), [unit_vector(len(g))]).serialize()
+                      for g in CORPUS_GS},
+                   **{f"random{k}": t for k, t in enumerate(constructed_sample(31, 12))}}
+
+
+@pytest.mark.parametrize("text", ORACLE_MACHINES.values(), ids=ORACLE_MACHINES)
+def test_principal_machine_is_the_orbit_of_e1_and_its_negation(capsys, tmp_path, text):
+    """The paper's initial structure as an oracle: the principal machine of
+    A is c(A, e1) on orbit(e1) and orbit(-e1), where A is the companion
+    matrix of the chi that `infer` prints."""
+    path = tmp_path / "m.aut"
+    path.write_text(text)
+    principal = build_principal(parse_automaton(text))
+    orbit_machine = principal_of_inferred_chi(capsys, path)
+    assert len(principal.states) == len(orbit_machine.states)
+    assert find_isomorphism(principal, orbit_machine) is not None
 
 
 def test_principal_writes_output_file(capsys, files, tmp_path):
@@ -933,7 +1005,10 @@ VALID_ARGV = {
 def differential_argvs():
     """(subcommand named, argv): the top level, then per subcommand --help,
     no arguments, the valid argv short of its last token, an unknown option
-    after it and before it, --bound 0, and the valid argv itself."""
+    after it and before it, --bound 0, and the valid argv itself; then -h
+    at the top level and per subcommand, an abbreviated name, and another
+    subcommand's name as a positional value.  New cases go last, so that
+    each case keeps its id."""
     yield from [("", ()), ("", ("--help",)), ("", ("frobnicate",)), ("", ("--bogus",)),
                 ("gtilde", ("gtilde",)), ("gtilde", ("gtilde", "--help")),
                 ("gtilde", ("gtilde", "mul"))]
@@ -942,6 +1017,14 @@ def differential_argvs():
         for argv in [cmd + ("--help",), cmd, cmd + rest[:-1], cmd + rest + ("--bogus",),
                      ("--bogus",) + cmd + rest, cmd + rest + ("--bound", "0"), cmd + rest]:
             yield cmd[0], argv
+    yield from [("", ("-h",)), ("gtilde", ("gtilde", "-h")),
+                ("", ("chec",)), ("", ("chec", "--help")), ("", ("chec", "-h")),
+                ("transduce", ("transduce", "a32.aut", "check", "01")),
+                ("transduce", ("transduce", "a32.aut", "f", "check")),
+                ("gamma", ("gamma", "check"))]
+    for name in VALID_ARGV:
+        cmd = tuple(name.split())
+        yield cmd[0], cmd + ("-h",)
 
 
 def test_the_differential_cases_cover_every_subcommand():

@@ -1,6 +1,8 @@
 """Exact polynomial/matrix algebra: pinned values, algebraic laws, and a
 floating-point root oracle (numpy) for the rational Schur-Cohn test."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -470,6 +472,22 @@ def test_matrix_keeps_chi_and_contraction_verdict(mat_a, monkeypatch):
     assert calls["char_poly"] == 1
     expanding = companion_from_chi(RationalPolynomial.of(HALF, Fraction(-3, 2), 1))
     assert expanding.contracting is False
+
+
+def test_copy_deepcopy_and_pickle_rebuild_through_the_constructors(mat_a):
+    """Each keeps equality, hash and its coefficient types, int against
+    Fraction; a matrix recomputes its kept chi on first use."""
+    mat_a.chi  # kept in the instance; the copies compute their own
+    poly = Polynomial([3, HALF, 0, 1])
+    for f in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        for x in (poly, Polynomial(), mat_a.inner, mat_a, companion_from_chi(CHI_A)):
+            y = f(x)
+            assert type(y) is type(x) and y == x and hash(y) == hash(x) and repr(y) == repr(x)
+        assert list(map(type, f(poly).coeffs)) == [int, Fraction, int, int]
+        y = f(mat_a)
+        assert (y.inv_rows, y.rows2, y.companion) == (mat_a.inv_rows, mat_a.rows2, mat_a.companion)
+        assert y.chi == mat_a.chi == CHI_A and y.contracting
+        assert all(type(x) is Fraction for row in f(mat_a.inner).rows for x in row)
 
 
 def test_companion_validation():

@@ -3,6 +3,7 @@ immutability, each as a frozen dataclass had them, and none a tuple."""
 
 import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -101,6 +102,14 @@ def test_value_types_behave_as_frozen_dataclasses(cls, args, kwargs, other, text
     with pytest.raises(AttributeError):
         x.extra = 1
     assert repr(x) == text
+
+
+@pytest.mark.parametrize("cls, args", [c[:2] for c in CASES], ids=[c[0].__name__ for c in CASES])
+def test_value_types_deepcopy_and_pickle_through_their_constructors(cls, args):
+    """Each rebuilds its fields, the exact-algebra ones included, unchanged."""
+    x = cls(*args)
+    for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is cls and y == x and repr(y) == repr(x)
 
 
 def test_value_type_defaults():
