@@ -422,19 +422,26 @@ def _embed_args(p):
     _add_json(p)
 
 
-def _gtilde_args(p):
-    ops = p.add_subparsers(dest="op", required=True)
-    for op in ("eq", "add", "res"):
-        q = ops.add_parser(op)
-        q.add_argument("matrix")
-        q.add_argument("v1")
-        q.add_argument("p1")
-        if op == "res":
-            q.add_argument("bit", type=int, choices=(0, 1))
-        else:
-            q.add_argument("v2")
-            q.add_argument("p2")
-        _add_json(q)
+_GTILDE_OPS = ("eq", "add", "res")
+
+
+def _gtilde_args(p, op=None):
+    """gtilde's ops, each built in full when op is None or names it, else
+    bare (no `-h`), as `build_parser` builds the subcommands."""
+    ops = p.add_subparsers(dest="op", required=True, prog=p.prog)
+    for name in _GTILDE_OPS:
+        full = op is None or op == name
+        q = ops.add_parser(name, add_help=full)
+        if full:
+            q.add_argument("matrix")
+            q.add_argument("v1")
+            q.add_argument("p1")
+            if name == "res":
+                q.add_argument("bit", type=int, choices=(0, 1))
+            else:
+                q.add_argument("v2")
+                q.add_argument("p2")
+            _add_json(q)
 
 
 def _scc_args(p):
@@ -480,39 +487,50 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None, op: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser.
 
-    Every subcommand is registered with its help text, so the top-level
-    usage, `--help` and choice errors never depend on `command`.  When
-    `command` is None every entry gets its `-h`, arguments and handler;
-    otherwise `command` alone gets them, and each other entry is bare (no
-    `-h` either), as an argv that names `command` never parses another
-    entry: parse_args on it then reads exactly what the full parser reads.
-    Registering no entry but `command` would be faster still.  It waits on
-    ROADMAP item 1: the benchmark keeps every pass's output, so a faster
-    call reads there as a memory regression.
+    Every subcommand, and below `gtilde` every op, is registered with its
+    name and help text, so no usage line, `--help` or choice error depends
+    on `command` or `op`.  When `command` is None every entry gets its
+    `-h`, arguments and handler; otherwise `command` alone gets them, and
+    each other entry is bare (no `-h` either), as an argv that names
+    `command` never parses another entry: parse_args on it then reads
+    exactly what the full parser reads.  The rule holds per level: `op`
+    picks `gtilde`'s op the same way (None builds all three).  Each
+    subparser action takes `prog` from its parser, the prefix argparse
+    would otherwise derive by formatting a usage line.  Registering no
+    entry but `command` would be faster still.  It waits on ROADMAP item 1:
+    the benchmark keeps every pass's output, so a faster call reads there
+    as a memory regression.
     """
     parser = argparse.ArgumentParser(
         prog="abmealy",
         description="Analyze abelian binary Mealy automata.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (help_text, add_arguments, handler) in _COMMANDS.items():
         full = command is None or command == name
         p = sub.add_parser(name, help=help_text, add_help=full)
         if full:
-            add_arguments(p)
+            if name == "gtilde":
+                add_arguments(p, op)
+            else:
+                add_arguments(p)
             p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser has no option that takes a value, so the first
-    # token naming a subcommand is the one it dispatches on.
+    # Neither the top-level parser nor gtilde's has an option that takes a
+    # value, so the first token naming a subcommand is the one it dispatches
+    # on, and the first one after it naming an op is gtilde's op.
     command = next((a for a in argv if a in _COMMANDS), "")
-    args = build_parser(command).parse_args(argv)
+    op = None
+    if command == "gtilde":
+        op = next((a for a in argv[argv.index(command) + 1:] if a in _GTILDE_OPS), "")
+    args = build_parser(command, op).parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # so that a closed pipe fails here, not at interpreter exit

@@ -357,10 +357,12 @@ class HalfIntegralMatrix:
 
     Its inverse is integral (it is +-2 adj(A)); `inv_rows` holds its rows
     as int tuples, computed once with the determinant check, and `rows2`
-    the int rows of 2A.  `companion` is 2A's first column when A has the
+    the int rows of 2A.  `companion` is 2A's first column c when A has the
     companion shape (columns 1..m-1 of 2A are 2 on the superdiagonal and 0
-    elsewhere), else None.  `chi`, `chi_star` and `contracting` are computed
-    on first use and kept in the instance.
+    elsewhere), else None.  With that shape and |c_(m-1)| = 1 the inverse
+    is read off c, as `chi` is, with no elimination; every other matrix goes
+    through the elimination and its determinant check.  `chi`, `chi_star`
+    and `contracting` are computed on first use and kept in the instance.
     """
 
     __slots__ = ("inner", "inv_rows", "rows2", "companion", "_chi", "_chi_star",
@@ -377,19 +379,28 @@ class HalfIntegralMatrix:
             for j, x in enumerate(row[1:], start=1):
                 if x.denominator != 1:
                     raise MatrixError(f"entry ({i}, {j}) = {x} must be an integer")
-        det, inv = inner._inverse_rows()
-        if abs(det) != HALF:
-            raise MatrixError(f"determinant {det} must have absolute value 1/2")
-        if any(x.denominator != 1 for row in inv for x in row):
-            raise RuntimeError(f"half-integral matrix with determinant {det} has a "
-                               "non-integral inverse")
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "inv_rows", tuple(tuple(map(int, row)) for row in inv))
         rows2 = tuple(tuple(int(2 * x) for x in row) for row in inner.rows)
         shape = all(x == 2 * (j == i + 1)
                     for i, row in enumerate(rows2) for j, x in enumerate(row) if j)
+        c = tuple(r[0] for r in rows2) if shape else None
+        if c is not None and abs(c[-1]) == 1:
+            # row 0 of A^-1 is 2 c_(m-1) e_(m-1) and row i+1 is e_i - c_i c_(m-1) e_(m-1);
+            # expanding along the last row, det A = +-c_(m-1) / 2
+            m, last = len(c), c[-1]
+            inv = [[0] * (m - 1) + [2 * last],
+                   *([int(j == i) for j in range(m - 1)] + [-x * last]
+                     for i, x in enumerate(c[:-1]))]
+        else:
+            det, inv = inner._inverse_rows()
+            if abs(det) != HALF:
+                raise MatrixError(f"determinant {det} must have absolute value 1/2")
+            if any(x.denominator != 1 for row in inv for x in row):
+                raise RuntimeError(f"half-integral matrix with determinant {det} has a "
+                                   "non-integral inverse")
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "inv_rows", tuple(tuple(map(int, row)) for row in inv))
         object.__setattr__(self, "rows2", rows2)
-        object.__setattr__(self, "companion", tuple(r[0] for r in rows2) if shape else None)
+        object.__setattr__(self, "companion", c)
         for slot in ("_chi", "_chi_star", "_contracting"):
             object.__setattr__(self, slot, None)
 

@@ -1003,28 +1003,41 @@ VALID_ARGV = {
 
 
 def differential_argvs():
-    """(subcommand named, argv): the top level, then per subcommand --help,
-    no arguments, the valid argv short of its last token, an unknown option
-    after it and before it, --bound 0, and the valid argv itself; then -h
-    at the top level and per subcommand, an abbreviated name, and another
-    subcommand's name as a positional value.  New cases go last, so that
+    """(subcommand named, gtilde op named, argv): the top level, then per
+    subcommand --help, no arguments, the valid argv short of its last token,
+    an unknown option after it and before it, --bound 0, and the valid argv
+    itself; then -h at the top level and per subcommand, an abbreviated
+    name, and another subcommand's name as a positional value; then the
+    same at gtilde's op level.  The op is None when the subcommand is not
+    gtilde, and "" when no token names an op.  New cases go last, so that
     each case keeps its id."""
-    yield from [("", ()), ("", ("--help",)), ("", ("frobnicate",)), ("", ("--bogus",)),
-                ("gtilde", ("gtilde",)), ("gtilde", ("gtilde", "--help")),
-                ("gtilde", ("gtilde", "mul"))]
+    yield from [("", None, ()), ("", None, ("--help",)), ("", None, ("frobnicate",)),
+                ("", None, ("--bogus",)), ("gtilde", "", ("gtilde",)),
+                ("gtilde", "", ("gtilde", "--help")), ("gtilde", "", ("gtilde", "mul"))]
     for name, rest in VALID_ARGV.items():
         cmd = tuple(name.split())
+        op = cmd[1] if len(cmd) > 1 else None
         for argv in [cmd + ("--help",), cmd, cmd + rest[:-1], cmd + rest + ("--bogus",),
                      ("--bogus",) + cmd + rest, cmd + rest + ("--bound", "0"), cmd + rest]:
-            yield cmd[0], argv
-    yield from [("", ("-h",)), ("gtilde", ("gtilde", "-h")),
-                ("", ("chec",)), ("", ("chec", "--help")), ("", ("chec", "-h")),
-                ("transduce", ("transduce", "a32.aut", "check", "01")),
-                ("transduce", ("transduce", "a32.aut", "f", "check")),
-                ("gamma", ("gamma", "check"))]
+            yield cmd[0], op, argv
+    yield from [("", None, ("-h",)), ("gtilde", "", ("gtilde", "-h")),
+                ("", None, ("chec",)), ("", None, ("chec", "--help")), ("", None, ("chec", "-h")),
+                ("transduce", None, ("transduce", "a32.aut", "check", "01")),
+                ("transduce", None, ("transduce", "a32.aut", "f", "check")),
+                ("gamma", None, ("gamma", "check"))]
     for name in VALID_ARGV:
         cmd = tuple(name.split())
-        yield cmd[0], cmd + ("-h",)
+        yield cmd[0], (cmd[1] if len(cmd) > 1 else None), cmd + ("-h",)
+    eq, add = VALID_ARGV["gtilde eq"], VALID_ARGV["gtilde add"]
+    yield from [("gtilde", "eq", ("gtilde", "-h", "eq")),
+                ("gtilde", "add", ("gtilde", "--bogus", "add") + add),
+                ("gtilde", "eq", ("gtilde", "--", "eq") + eq),
+                ("gtilde", "", ("gtilde", "e") + eq),
+                ("gtilde", "eq", ("gtilde", "eq", "A.mat", "--", "(1,0)", "add", "(1,0)", "1")),
+                ("gtilde", "res", ("gtilde", "res", "A.mat", "(1,0)", "1", "eq"))]
+
+
+DIFFERENTIAL_CASES = list(differential_argvs())
 
 
 def test_the_differential_cases_cover_every_subcommand():
@@ -1041,9 +1054,11 @@ def test_the_valid_argvs_parse(capsys, files, name):
     assert run(capsys, *name.split(), *argv)[0] in (0, 1)
 
 
-@pytest.mark.parametrize("command, argv", list(differential_argvs()))
+# each id names the subcommand and the case's place only, so no id changes case
+@pytest.mark.parametrize("command, op, argv", DIFFERENTIAL_CASES,
+                         ids=[f"{c}-argv{i}" for i, (c, _, _) in enumerate(DIFFERENTIAL_CASES)])
 def test_main_builds_one_subcommand_and_reads_what_the_full_parser_reads(
-        capsys, monkeypatch, files, command, argv):
+        capsys, monkeypatch, files, command, op, argv):
     argv = [str(files / a) if a.endswith((".aut", ".mat")) else a for a in argv]
     full_parser = cli.build_parser
     built, parsed = [], []
@@ -1063,15 +1078,15 @@ def test_main_builds_one_subcommand_and_reads_what_the_full_parser_reads(
         out, err = capsys.readouterr()
         return code, out, err, list(parsed)
 
-    def per_command(command=None):
-        built.append(command)
-        return full_parser(command)
+    def per_command(command=None, op=None):
+        built.append((command, op))
+        return full_parser(command, op)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
     got = outcome(per_command)
-    want = outcome(lambda command=None: full_parser())
+    want = outcome(lambda command=None, op=None: full_parser())
     assert got == want
-    assert built == [command]
+    assert built == [(command, op)]
 
 
 def test_python_dash_m_runs_the_tool_uninstalled(files):

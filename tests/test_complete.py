@@ -223,13 +223,52 @@ def test_residual_vector_matches_the_fraction_reference(g, mat_a):
             assert residual_vector(cfg, v, bit) == reference_step(cfg, v, bit)
 
 
-@pytest.mark.parametrize("g", [None] + ORBIT_CLASS_GS)
+def companion_texts(c):
+    """The companion matrix whose 2A has first column c, as a `chi` line and
+    as a `dim` block."""
+    m = len(c)
+    chi = [str(Fraction(-x, 2)) for x in reversed(c)] + ["1"]
+    rows = [" ".join([str(Fraction(x, 2))] + ["1" if j == i + 1 else "0" for j in range(1, m)])
+            for i, x in enumerate(c)]
+    return "chi " + " ".join(chi), "\n".join([f"dim {m}", *rows])
+
+
+@pytest.mark.parametrize("g", [None] + ORBIT_CLASS_GS + [
+    pytest.param(m, id=f"companion{m}") for m in range(1, 8)])
 def test_inv_rows_is_the_integral_inverse(g, mat_a):
-    A = mat_a if g is None else unit_config(g).A
-    inverse = fraction_matrix(A, -1)
-    assert A.inv_rows == tuple(tuple(int(x) for x in row) for row in inverse)
-    assert all(type(x) is int for row in A.inv_rows for x in row)
-    assert (fraction_matrix(A) @ fraction_matrix(A.inv_rows) == fraction_matrix(A, 0)).all()
+    """inv_rows against the elimination's inverse: the figure matrix, the
+    orbit-class χ, and per degree m = 1..7 seeded companion columns c with
+    any c_i and c_(m-1) = ±1, each read as a `chi` line and a `dim` block."""
+    if g is None:
+        matrices = [mat_a]
+    elif isinstance(g, int):
+        rng = random.Random(g)
+        columns = [[rng.randint(-9, 9) for _ in range(g - 1)] + [rng.choice((-1, 1))]
+                   for _ in range(40)]
+        matrices = []
+        for c in columns:
+            for text in companion_texts(c):
+                A = parse_matrix(text)
+                assert A.companion == tuple(c)
+                matrices.append(A)
+    else:
+        matrices = [unit_config(g).A]
+    for A in matrices:
+        inverse = fraction_matrix(A, -1)
+        assert A.inv_rows == tuple(tuple(int(x) for x in row) for row in inverse)
+        assert all(type(x) is int for row in A.inv_rows for x in row)
+        assert (fraction_matrix(A) @ fraction_matrix(A.inv_rows) == fraction_matrix(A, 0)).all()
+
+
+@pytest.mark.parametrize("last", ["3/2", "-3/2"])
+def test_a_companion_matrix_off_determinant_half_keeps_the_elimination_error(
+        last, tmp_path, capsys):
+    mat = tmp_path / "B.mat"
+    mat.write_text(f"dim 2\n-1 1\n{last} 0\n")
+    det = "3/2" if last.startswith("-") else "-3/2"
+    assert main(["gtilde", "eq", str(mat), "(1,0)", "1", "(1,0)", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: determinant {det} must have absolute value 1/2\n")
 
 
 def test_transduce_vector_tracks_located_states(a32, mat_a):
